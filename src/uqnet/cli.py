@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import artifacts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import SECTIONS, RunConfig
 from .data import DataError, save_csv, save_idx
 from .evaluate import compare_variants, evaluate
 from .layers import VARIANTS, build_model
@@ -134,43 +134,23 @@ def build_parser() -> argparse.ArgumentParser:
 # -- config assembly -------------------------------------------------------------
 
 
-_SECTION_KEYS = {
-    "dataset": ("kind", "n", "classes", "overlap", "dim", "noise", "size", "csv_path",
-                "images_path", "labels_path", "label_column", "train_frac", "val_frac",
-                "test_frac"),
-    "model": ("variant", "backbone", "dropout", "hidden"),
-    "training": ("optimizer", "lr", "momentum", "epochs", "batch_size", "beta"),
-    "uncertainty": ("T", "S", "space", "workers"),
-}
-
-
 def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
-    """file config (if any) layered over defaults, then flags on top."""
+    """The keys of the config file (if any) layered over ``base`` (default:
+    the defaults), then flags on top."""
     cfg = base or RunConfig()
     if getattr(args, "config", None):
-        cfg = cfg.with_overrides(_as_overrides(RunConfig.from_file(args.config)))
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = cfg.with_text(fh.read())
     flags: dict[str, dict[str, str]] = {"run": {}}
     if getattr(args, "seed", None) is not None:
         flags["run"]["seed"] = str(args.seed)
     if getattr(args, "out", None):
         flags["run"]["out"] = args.out
-    for section, keys in _SECTION_KEYS.items():
-        values = {}
-        for key in keys:
-            v = getattr(args, key, None)
-            if v is not None:
-                values[key] = str(v)
-        flags[section] = values
+    for section in SECTIONS:
+        names = (f.name for f in fields(getattr(cfg, section)))
+        flags[section] = {key: str(getattr(args, key)) for key in names
+                          if getattr(args, key, None) is not None}
     return cfg.with_overrides(flags)
-
-
-def _as_overrides(cfg: RunConfig) -> dict[str, dict[str, str]]:
-    from dataclasses import fields
-    out = {"run": {"seed": str(cfg.seed), "out": cfg.out}}
-    for name in ("dataset", "model", "training", "uncertainty"):
-        section = getattr(cfg, name)
-        out[name] = {f.name: str(getattr(section, f.name)) for f in fields(section)}
-    return out
 
 
 def _prepare_out(cfg: RunConfig) -> str:

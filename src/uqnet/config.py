@@ -19,6 +19,7 @@ from .optim import OptimizerConfig
 from .train import TrainConfig
 
 DATASET_KINDS = ("blobs", "textures", "csv", "idx")
+SECTIONS = ("dataset", "model", "training", "uncertainty")  # besides [run]
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,8 @@ class RunConfig:
         cp = configparser.ConfigParser()
         cp.optionxform = str  # keep key case (uncertainty.T)
         cp["run"] = {"seed": str(self.seed), "out": self.out}
-        for name, section in (("dataset", self.dataset), ("model", self.model),
-                              ("training", self.training), ("uncertainty", self.uncertainty)):
+        for name in SECTIONS:
+            section = getattr(self, name)
             cp[name] = {f.name: _dump(getattr(section, f.name)) for f in fields(section)}
         buf = io.StringIO()
         cp.write(buf)
@@ -95,25 +96,25 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
+        return cls().with_text(text)
+
+    @classmethod
+    def from_file(cls, path: str) -> "RunConfig":
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_text(fh.read())
+
+    def with_text(self, text: str) -> "RunConfig":
+        """Layer the keys present in config ``text`` over this configuration."""
         cp = configparser.ConfigParser()
         cp.optionxform = str
         try:
             cp.read_string(text)
         except configparser.Error as e:
             raise ValueError(f"malformed config: {e}") from e
-        cfg = cls()
-        overrides: dict[str, dict[str, str]] = {}
-        known = {"run", "dataset", "model", "training", "uncertainty"}
         for section in cp.sections():
-            if section not in known:
+            if section != "run" and section not in SECTIONS:
                 raise ValueError(f"unknown config section [{section}]")
-            overrides[section] = dict(cp[section])
-        return cfg.with_overrides(overrides)
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return self.with_overrides({section: dict(cp[section]) for section in cp.sections()})
 
     def with_overrides(self, overrides: dict[str, dict[str, str]]) -> "RunConfig":
         """Apply string-valued per-section overrides (file keys or CLI flags)."""

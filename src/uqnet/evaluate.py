@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng as _rng
 from .data import Dataset
 from .layers import ModelParams, ModelSpec, build_model, model_forward
 from .metrics import ClassificationMetrics
@@ -22,10 +21,13 @@ from .report import UncertaintyReport, build_report
 from .tensor import no_grad
 from .train import TrainConfig, TrainResult, train
 from .uncertainty import (
+    MC_VARIANTS,
+    _batched_eval_noise,
     mc_probs,
     np_softmax,
     predictive_entropy,
-    unbiased_variance,
+    reparameterized_samples,
+    variance_score,
     variational_outputs,
 )
 
@@ -39,13 +41,6 @@ class EvalConfig:
     workers: int = 1
 
 
-def _batched_eval_noise(seed: int, S: int, shape: tuple[int, int]) -> np.ndarray:
-    """[S, N, C] standard-normal draws; draw i comes from its (seed, i) stream."""
-    return np.stack([
-        _rng.stream(seed, _rng.NS_EVAL_NOISE, i).standard_normal(shape) for i in range(S)
-    ])
-
-
 def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
              cfg: EvalConfig = EvalConfig()) -> tuple[ClassificationMetrics, UncertaintyReport]:
     """Classification metrics plus the uncertainty-separation report."""
@@ -53,10 +48,10 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
         raise ValueError(f"dataset has {test.n_classes} classes, model expects {spec.n_classes}")
     x = test.inputs
 
-    if spec.variant in ("bayesian1", "bayesian2"):
+    if spec.variant in MC_VARIANTS:
         passes = mc_probs(params, spec, x, cfg.T, cfg.seed, cfg.workers)   # [T, N, C]
         mean_probs = passes.mean(axis=0)
-        scores = unbiased_variance(passes).mean(axis=1)
+        scores = variance_score(passes)
         pred = mean_probs.argmax(axis=1)
         method = "mc-dropout"
     elif spec.variant == "variational":
@@ -69,9 +64,9 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
         elif cfg.space == "sampled":
             if cfg.S < 2:
                 raise ValueError("sampled scoring needs S >= 2")
-            eps = _batched_eval_noise(cfg.seed, cfg.S, mu.shape)
-            draws = mu[None, :, :] + np.sqrt(sigma2)[None, :, :] * eps     # [S, N, C]
-            scores = unbiased_variance(np_softmax(draws)).mean(axis=1)
+            eps = _batched_eval_noise(cfg.seed, cfg.S, mu.shape)           # [S, N, C]
+            draws = reparameterized_samples(mu, sigma2, cfg.S, cfg.seed, eps)
+            scores = variance_score(np_softmax(draws))
             method = "variational-sampled"
         else:
             raise ValueError(f"unknown scoring space {cfg.space!r}")
@@ -80,12 +75,12 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
             logits = model_forward(params, spec, x)
         mean_probs = np_softmax(logits.data)
         pred = mean_probs.argmax(axis=1)
-        scores = np.array([predictive_entropy(p) for p in mean_probs])
+        scores = predictive_entropy(mean_probs)
         method = "entropy"
     else:
         raise ValueError(f"unknown variant {spec.variant!r}")
 
-    entropies = np.array([predictive_entropy(p) for p in mean_probs])
+    entropies = scores if method == "entropy" else predictive_entropy(mean_probs)
     metrics = ClassificationMetrics.from_predictions(test.labels, pred, spec.n_classes)
     report = build_report(test.labels, pred, scores, entropies, method)
     return metrics, report
@@ -136,6 +131,7 @@ def compare_variants(make_splits, make_spec, train_cfg: TrainConfig, eval_cfg: E
     Returns one row per (variant, seed) plus mean/range aggregate rows per
     variant when several seeds are given.
     """
+    seeds = list(seeds)
     rows: list[ComparisonRow] = []
     runs: list[VariantRun] = []
     by_variant: dict[str, list[ComparisonRow]] = {v: [] for v in variants}
@@ -153,7 +149,7 @@ def compare_variants(make_splits, make_spec, train_cfg: TrainConfig, eval_cfg: E
             rows.append(row)
             by_variant[variant].append(row)
 
-    if len(list(seeds)) > 1:
+    if len(seeds) > 1:
         for variant in variants:
             group = by_variant[variant]
             for tag, agg in (("mean", np.mean), ("range", np.ptp)):

@@ -392,7 +392,8 @@ def model_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = D
     """Forward pass to [batch, n_classes] logits (standard-head variants).
 
     Variational models produce a (mu, sigma^2) pair instead of logits; use
-    :func:`uqnet.uncertainty.variational_forward` for those.
+    :func:`uqnet.uncertainty.variational_heads` (graph mode) or
+    :func:`uqnet.uncertainty.variational_outputs` (arrays) for those.
     """
     if spec.head != "standard":
         raise ValueError("model_forward handles standard-head variants; "

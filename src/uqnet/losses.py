@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, cross_entropy
-from .uncertainty import VariationalOutput, kld, kld_from_logvar, reparameterized_samples
+from .tensor import Tensor, cross_entropy, no_grad
+from .uncertainty import VariationalOutput, kld_from_logvar, noise_draw
 
 __all__ = ["cross_entropy", "LossBreakdown", "variational_loss", "variational_loss_graph"]
 
@@ -47,9 +47,12 @@ def variational_loss_graph(mu: Tensor, logvar: Tensor, targets, beta: float,
 
 def variational_loss(out: VariationalOutput, target: int, beta: float,
                      eps: np.ndarray | None = None, seed: int = 0) -> LossBreakdown:
-    """Single-example loss for a head output: CE(mu + sigma*eps) + beta*KLD."""
+    """Single-example loss CE(mu + sigma*eps) + beta*KLD: the batch-of-one
+    :func:`variational_loss_graph` with logvar = log(sigma2)."""
     if eps is None:
-        eps = reparameterized_samples(np.zeros_like(out.mu), np.ones_like(out.mu), 1, seed)[0]
-    sample = out.mu + np.sqrt(out.sigma2) * np.asarray(eps, dtype=np.float64)
-    ce = float(cross_entropy(Tensor(sample[None, :]), np.array([int(target)])))
-    return LossBreakdown.compose(ce, kld(out.mu, out.sigma2), float(beta))
+        eps = noise_draw(seed, 0, out.mu.shape).epsilon
+    with no_grad():
+        _, breakdown = variational_loss_graph(
+            Tensor(out.mu[None, :]), Tensor(np.log(out.sigma2)[None, :]),
+            np.array([int(target)]), beta, np.asarray(eps, dtype=np.float64).reshape(1, -1))
+    return breakdown

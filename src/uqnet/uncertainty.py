@@ -14,6 +14,8 @@ Two mechanisms produce a posterior over class predictions:
 Scalar uncertainty is the mean over classes of the per-class variance
 (probability-space for MC dropout and the sampled variational mode,
 logit-space sigma^2 for the analytic variational mode).
+Each mechanism has one batched implementation; the single-example API is
+its N = 1 case and returns the bytes of row 0 of a one-example batch.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def np_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def unbiased_variance(samples: np.ndarray) -> np.ndarray:
-    """Per-column unbiased variance across axis 0, exactly 0 for constant columns.
+    """Unbiased variance across axis 0, exactly 0 where all draws are equal.
 
     Plain ``var(ddof=1)`` leaves ~1e-33 of rounding noise on bit-identical
     rows, but a degenerate posterior must score exactly zero.
@@ -116,6 +118,12 @@ def unbiased_variance(samples: np.ndarray) -> np.ndarray:
     var = samples.var(axis=0, ddof=1)
     var[np.all(samples == samples[0], axis=0)] = 0.0
     return var
+
+
+def variance_score(samples: np.ndarray) -> np.ndarray:
+    """Score of [T, ..., C] probability draws (MC dropout, sampled variational):
+    mean over classes of the unbiased per-class variance, shape [...]."""
+    return unbiased_variance(samples).mean(axis=-1)
 
 
 # -- Monte Carlo dropout -------------------------------------------------------
@@ -160,14 +168,21 @@ def mc_predict(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
 # -- variational head ----------------------------------------------------------
 
 
-def noise_draw(seed: int, index: int, n: int) -> NoiseDraw:
-    eps = _rng.stream(seed, _rng.NS_EVAL_NOISE, index).standard_normal(n)
+def noise_draw(seed: int, index: int, shape) -> NoiseDraw:
+    """Evaluation-noise draw ``index``; streams fill sequentially, so a
+    (1, C) draw equals a (C,) draw."""
+    eps = _rng.stream(seed, _rng.NS_EVAL_NOISE, index).standard_normal(shape)
     return NoiseDraw(eps, int(seed), int(index))
+
+
+def _batched_eval_noise(seed: int, S: int, shape) -> np.ndarray:
+    """[S, *shape] standard-normal draws; draw i is ``noise_draw(seed, i, shape)``."""
+    return np.stack([noise_draw(seed, i, shape).epsilon for i in range(S)])
 
 
 def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int,
                             eps: np.ndarray | None = None) -> np.ndarray:
-    """S draws of mu + sigma * eps with eps ~ N(0, I): [S, C].
+    """S draws of mu + sigma * eps with eps ~ N(0, I): [S, C], or [S, N, C] for a batch.
 
     ``eps`` overrides the generated noise (e.g. forcing eps = 0 must return
     mu exactly); otherwise draw i comes from its (seed, i)-keyed stream.
@@ -177,10 +192,10 @@ def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: in
     if np.any(sigma2 <= 0):
         raise ValueError("sigma2 must be strictly positive")
     if eps is None:
-        eps = np.stack([noise_draw(seed, i, mu.shape[-1]).epsilon for i in range(S)])
+        eps = _batched_eval_noise(seed, S, mu.shape)
     else:
         eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
-    return mu[None, :] + np.sqrt(sigma2)[None, :] * eps
+    return mu + np.sqrt(sigma2) * eps
 
 
 def variational_heads(params: ModelParams, spec: ModelSpec, x,
@@ -230,17 +245,12 @@ def kld(mu, sigma2):
     Tensor so gradients flow to both arguments). Always nonnegative, zero
     exactly at mu = 0, sigma2 = 1.
     """
-    if isinstance(mu, Tensor) or isinstance(sigma2, Tensor):
-        mu_t = mu if isinstance(mu, Tensor) else Tensor(mu)
-        s2_t = sigma2 if isinstance(sigma2, Tensor) else Tensor(sigma2)
-        if np.any(s2_t.data <= 0):
-            raise ValueError("sigma2 must be strictly positive")
-        return (1.0 + s2_t.log() - mu_t.square() - s2_t).sum() * -0.5
-    mu = np.asarray(mu, dtype=np.float64)
-    s2 = np.asarray(sigma2, dtype=np.float64)
-    if np.any(s2 <= 0):
+    mu_t = mu if isinstance(mu, Tensor) else Tensor(mu)
+    s2_t = sigma2 if isinstance(sigma2, Tensor) else Tensor(sigma2)
+    if np.any(s2_t.data <= 0):
         raise ValueError("sigma2 must be strictly positive")
-    return float(-0.5 * np.sum(1.0 + np.log(s2) - mu * mu - s2))
+    out = (1.0 + s2_t.log() - mu_t.square() - s2_t).sum() * -0.5
+    return out if isinstance(mu, Tensor) or isinstance(sigma2, Tensor) else float(out)
 
 
 def kld_from_logvar(mu: Tensor, logvar: Tensor) -> Tensor:
@@ -262,25 +272,28 @@ def uncertainty_score(post, space: str = "analytic") -> UncertaintyScore:
     MC dropout.
     """
     if isinstance(post, PosteriorSamples):
-        return UncertaintyScore(float(post.variance.mean()), "mc-dropout")
+        return UncertaintyScore(float(variance_score(post.samples)), "mc-dropout")
     if isinstance(post, VariationalOutput):
         if space == "analytic":
             return UncertaintyScore(float(post.sigma2.mean()), "variational-analytic")
         if space == "sampled":
             if post.samples is None or len(post.samples) < 2:
                 raise ValueError("sampled scoring needs at least 2 reparameterized draws")
-            probs = np_softmax(post.samples)
-            return UncertaintyScore(float(probs.var(axis=0, ddof=1).mean()), "variational-sampled")
+            return UncertaintyScore(float(variance_score(np_softmax(post.samples))),
+                                    "variational-sampled")
         raise ValueError(f"unknown scoring space {space!r}")
     raise TypeError(f"cannot score {type(post).__name__}")
 
 
-def predictive_entropy(probs) -> float:
-    """Shannon entropy -sum(p log p) with 0 log 0 = 0."""
+def predictive_entropy(probs):
+    """Shannon entropy -sum(p log p) over the last axis, with 0 log 0 = 0:
+    a float for one [C] vector, an array of shape [...] for [..., C]."""
     p = np.asarray(probs, dtype=np.float64)
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    sums = np.atleast_1d(p.sum(axis=-1))
+    off = np.abs(sums - 1.0) > 1e-6
+    if off.any():
+        raise ValueError(f"probabilities must sum to 1, got {sums[off][0]}")
+    entropy = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+    return float(entropy) if p.ndim == 1 else entropy

@@ -133,6 +133,17 @@ class TestEvaluate:
                     "--T", "8", "--out", out]) == 0
         assert "30 examples" in capsys.readouterr().out  # 15% of 200
 
+    def test_config_file_layers_only_its_keys_over_checkpoint(self, tmp_path, capsys):
+        out = self._train(tmp_path)
+        path = tmp_path / "t.cfg"
+        path.write_text("[uncertainty]\nT = 7\n")
+        assert run(["evaluate", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                    "--config", str(path), "--out", out]) == 0
+        assert "30 examples" in capsys.readouterr().out
+        saved = RunConfig.from_file(os.path.join(out, "run_config.cfg"))
+        assert saved.uncertainty.T == 7
+        assert (saved.seed, saved.dataset.n, saved.model.hidden) == (2, 200, 16)
+
 
 class TestCompare:
     def test_multi_seed_table_has_aggregate_rows(self, tmp_path):

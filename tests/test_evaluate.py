@@ -88,7 +88,8 @@ class TestComparison:
             assert row.ratio is None or row.ratio > 0
         assert len(runs) == 4
 
-    def test_multi_seed_adds_mean_and_range_rows(self):
+    @staticmethod
+    def two_seed_tags(seeds):
         def make_splits(seed):
             ds = synth_blobs(400, 4, overlap=0.2, dim=2, seed=seed)
             return split(ds, SplitSpec(0.7, 0.15, 0.15, seed=seed))
@@ -96,8 +97,14 @@ class TestComparison:
         quick = TrainConfig(OptimizerConfig("adam", lr=2e-3), epochs=3, batch_size=64)
         rows, _ = compare_variants(
             make_splits, lambda v: mlp_spec(2, variant=v, hidden=32),
-            quick, EvalConfig(T=8, S=8, seed=0), seeds=[0, 1],
+            quick, EvalConfig(T=8, S=8, seed=0), seeds=seeds,
             variants=("baseline", "bayesian1"))
-        tags = [(r.variant, r.seed) for r in rows]
+        return [(r.variant, r.seed) for r in rows]
+
+    def test_multi_seed_adds_mean_and_range_rows(self):
+        tags = self.two_seed_tags([0, 1])
         assert ("baseline", "mean") in tags and ("baseline", "range") in tags
         assert ("bayesian1", "0") in tags and ("bayesian1", "1") in tags
+
+    def test_iterator_seeds_keep_aggregate_rows(self):
+        assert self.two_seed_tags(iter([0, 1])) == self.two_seed_tags(range(2))

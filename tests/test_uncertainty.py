@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from uqnet.data import Dataset
+from uqnet.evaluate import EvalConfig, evaluate
 from uqnet.layers import build_model, mlp_spec
 from uqnet.tensor import Tensor, check_gradient
 from uqnet.uncertainty import (
@@ -237,6 +239,11 @@ class TestScores:
         probs = np_softmax(out.samples)
         assert abs(score.value - probs.var(axis=0, ddof=1).mean()) < 1e-15
 
+    def test_identical_sampled_draws_score_exactly_zero(self):
+        row = np.array([0.3, -1.7, 2.2, 0.05])
+        out = VariationalOutput(row, np.ones(4), np.tile(row, (10, 1)))
+        assert uncertainty_score(out, space="sampled").value == 0.0
+
     def test_sampled_space_requires_draws(self):
         out = VariationalOutput(np.zeros(4), np.ones(4))
         with pytest.raises(ValueError, match="draws"):
@@ -258,3 +265,42 @@ class TestPredictiveEntropy:
             predictive_entropy([-0.1, 1.1])
         with pytest.raises(ValueError, match="sum to 1"):
             predictive_entropy([0.5, 0.4])
+        with pytest.raises(ValueError, match="sum to 1"):
+            predictive_entropy([[0.5, 0.5], [0.5, 0.4]])
+
+
+class TestSingleExampleIsBatchOfOne:
+    """Each single-example call returns the bytes of row 0 of the batched path."""
+
+    x = np.array([0.4, -1.2])
+
+    def one_example(self):
+        return Dataset(self.x[None, :], np.array([0]), ["a", "b", "c", "d"], "test")
+
+    def test_mc_predict_is_row_of_mc_probs_and_evaluate(self):
+        spec = mlp_spec(2, variant="bayesian2")
+        params = build_model(spec, 2)
+        post = mc_predict(params, spec, self.x, T=16, seed=3)
+        passes = mc_probs(params, spec, self.x[None, :], T=16, seed=3)
+        assert post.samples.tobytes() == passes[:, 0, :].tobytes()
+        _, report = evaluate(params, spec, self.one_example(), EvalConfig(T=16, seed=3))
+        assert np.float64(uncertainty_score(post).value).tobytes() == report.scores.tobytes()
+
+    def test_variational_sampled_score_is_evaluate_row(self):
+        spec = mlp_spec(2, variant="variational")
+        params = build_model(spec, 0)
+        out = variational_forward(params, spec, self.x, S=32, seed=5)
+        _, report = evaluate(params, spec, self.one_example(),
+                             EvalConfig(S=32, seed=5, space="sampled"))
+        score = uncertainty_score(out, space="sampled")
+        assert np.float64(score.value).tobytes() == report.scores.tobytes()
+
+    def test_entropy_rows_match_single_calls_and_loop_reference(self):
+        p = np_softmax(np.random.default_rng(0).normal(scale=3.0, size=(300, 4)))
+        p[::7] = [0.5, 0.0, 0.5, 0.0]
+        p[::11] = [0.0, 1.0, 0.0, 0.0]
+        batched = predictive_entropy(p)
+        assert batched.shape == (300,)
+        assert batched.tobytes() == np.array([predictive_entropy(r) for r in p]).tobytes()
+        loop = np.array([-(r[r > 0] * np.log(r[r > 0])).sum() for r in p])
+        assert batched.tobytes() == loop.tobytes()
