@@ -277,13 +277,17 @@ def _compare_from_checkpoints(cfg: RunConfig, ckpt_dir: str):
     from .evaluate import make_comparison_row
     rows = []
     reports = {}
+    splits = {}   # (dataset, seed) -> splits: checkpoints of one run share one dataset
     for variant in VARIANTS:
         path = os.path.join(ckpt_dir, f"{variant}.bin")
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing checkpoint for variant {variant!r}: {path}")
         spec, params, meta = load_checkpoint(path)
         base = RunConfig.from_text(meta["config"]) if "config" in meta else cfg
-        _, _, test_ds = base.make_splits()
+        key = (base.dataset, base.seed)
+        if key not in splits:
+            splits[key] = base.make_splits()
+        _, _, test_ds = splits[key]
         metrics, report = evaluate(params, spec, test_ds, cfg.eval_config())
         rows.append(make_comparison_row(variant, str(base.seed), metrics, report))
         reports[variant] = report

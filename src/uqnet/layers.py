@@ -361,15 +361,27 @@ def _residual_block(params: ModelParams, prefix: str, layer: LayerSpec, h: Tenso
     return (y + h).relu()
 
 
-def body_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
-                 pass_rng: _rng.PassRng | None = None) -> Tensor:
-    """Run the body layers, returning the [batch, feature_dim] features."""
+def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int,
+                  mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
+                  pass_rng: _rng.PassRng | None = None) -> Tensor:
+    """Run body layers ``start`` .. ``stop - 1`` on the activations ``h``.
+
+    ``h`` is what enters layer ``start``: the model input (one example or a
+    batch) when ``start`` is 0, else the output of ``forward_range(..., start)``.
+    Dropout masks come from ``pass_rng.layer(i)`` for absolute layer index i,
+    so splitting a pass into consecutive ranges changes no bit of its output.
+    A stochastic mode needs a ``pass_rng`` only if the range holds a dropout.
+    """
+    if not 0 <= start <= stop <= len(spec.layers):
+        raise ValueError(f"layer range [{start}, {stop}) is outside 0..{len(spec.layers)}")
     if mode.stochastic and pass_rng is None and any(
-        l.kind == "dropout" and l.p > 0 for l in spec.layers
+        l.kind == "dropout" and l.p > 0 for l in spec.layers[start:stop]
     ):
         raise ValueError(f"mode {mode.value!r} requires a pass rng for dropout masks")
-    h = _as_batch(x, spec.input_shape)
-    for i, layer in enumerate(spec.layers):
+    if start == 0:
+        h = _as_batch(h, spec.input_shape)
+    for i in range(start, stop):
+        layer = spec.layers[i]
         prefix = f"body.{i}"
         if layer.kind == "linear":
             h = h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
@@ -387,6 +399,17 @@ def body_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = Dr
     return h
 
 
+def body_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
+                 pass_rng: _rng.PassRng | None = None) -> Tensor:
+    """Run the body layers, returning the [batch, feature_dim] features."""
+    return forward_range(params, spec, x, 0, len(spec.layers), mode, pass_rng)
+
+
+def standard_head(params: ModelParams, h: Tensor) -> Tensor:
+    """Logits of the standard linear head on [batch, feature_dim] features."""
+    return h @ params["head.fc.w"] + params["head.fc.b"]
+
+
 def model_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
                   pass_rng: _rng.PassRng | None = None) -> Tensor:
     """Forward pass to [batch, n_classes] logits (standard-head variants).
@@ -398,5 +421,4 @@ def model_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = D
     if spec.head != "standard":
         raise ValueError("model_forward handles standard-head variants; "
                          "use variational_forward for the variational variant")
-    h = body_forward(params, spec, x, mode, pass_rng)
-    return h @ params["head.fc.w"] + params["head.fc.b"]
+    return standard_head(params, body_forward(params, spec, x, mode, pass_rng))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .layers import DropoutMode, ModelParams, ModelSpec, body_forward, model_forward
+from .layers import DropoutMode, ModelParams, ModelSpec, body_forward, forward_range, standard_head
 from .tensor import Tensor, no_grad
 
 # log sigma^2 is clamped to this range: guarantees positive sigma^2 and
@@ -133,8 +133,12 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
              workers: int = 1) -> np.ndarray:
     """Stacked softmax outputs of T dropout-active passes: [T, batch, C].
 
-    Pass t draws its masks from streams keyed by (seed, t, layer), so the
-    result is identical no matter how the passes are scheduled; with
+    Every layer before the first dropout is deterministic, so it runs once
+    and all passes share its output read-only: the whole body for
+    bayesian1, the stem for bayesian2. Each pass then runs the rest of the
+    body and the head, drawing its masks from streams keyed by
+    (seed, t, layer), so the result is bit-identical to T independent
+    full passes no matter how the passes are scheduled; with
     ``workers > 1`` they run on a thread pool.
     """
     if spec.variant not in MC_VARIANTS:
@@ -142,10 +146,15 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
     if T < 2:
         raise ValueError(f"T must be >= 2 (variance is undefined otherwise), got {T}")
 
+    first, end = spec.dropout_positions()[0], len(spec.layers)
+    with no_grad():
+        prefix = forward_range(params, spec, x, 0, first)
+
     def one_pass(t: int) -> np.ndarray:
         with no_grad():
-            logits = model_forward(params, spec, x, DropoutMode.EVAL_SAMPLING,
-                                   _rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT))
+            h = forward_range(params, spec, prefix, first, end, DropoutMode.EVAL_SAMPLING,
+                              _rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT))
+            logits = standard_head(params, h)
         return np_softmax(logits.data)
 
     if workers > 1:

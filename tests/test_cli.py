@@ -175,6 +175,45 @@ class TestCompare:
         assert "bayesian1" in capsys.readouterr().err
 
 
+    def test_checkpoint_dir_makes_one_split_per_dataset(self, tmp_path, monkeypatch):
+        from uqnet import artifacts
+        from uqnet.evaluate import evaluate, make_comparison_row
+
+        ckpt_dir = tmp_path / "ckpts"
+        ckpt_dir.mkdir()
+        seeds = {"baseline": 1, "bayesian1": 1, "bayesian2": 2, "variational": 2}
+        for variant, seed in seeds.items():
+            run_dir = str(tmp_path / variant)
+            assert run(["train", "--variant", variant, "--seed", str(seed), "--out", run_dir]
+                       + TINY_TRAIN) == 0
+            os.rename(os.path.join(run_dir, "checkpoint.bin"), str(ckpt_dir / f"{variant}.bin"))
+
+        cfg = RunConfig(out=str(tmp_path / "c")).with_overrides(
+            {"uncertainty": {"T": "4", "S": "4"}})
+        rows = []
+        for variant in seeds:
+            spec, params, meta = load_checkpoint(str(ckpt_dir / f"{variant}.bin"))
+            base = RunConfig.from_text(meta["config"])
+            metrics, report = evaluate(params, spec, base.make_splits()[2], cfg.eval_config())
+            rows.append(make_comparison_row(variant, str(base.seed), metrics, report))
+        reference = str(tmp_path / "reference.csv")
+        artifacts.write_comparison_csv(rows, reference)
+
+        calls = []
+        make_splits = RunConfig.make_splits
+
+        def counted(self):
+            calls.append(self.seed)
+            return make_splits(self)
+
+        monkeypatch.setattr(RunConfig, "make_splits", counted)
+        assert run(["compare", "--checkpoint-dir", str(ckpt_dir), "--T", "4", "--S", "4",
+                    "--out", cfg.out]) == 0
+        assert calls == [1, 2]
+        with open(reference, "rb") as a, open(os.path.join(cfg.out, "comparison.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+
 class TestDeterminism:
     def test_full_pipeline_repeat_is_byte_identical(self, tmp_path):
         out = str(tmp_path / "run")

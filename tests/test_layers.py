@@ -10,9 +10,11 @@ from uqnet.layers import (
     DropoutMode,
     LayerSpec,
     ModelSpec,
+    VARIANTS,
     build_model,
     body_forward,
     dropout,
+    forward_range,
     infer_shapes,
     miniresnet_spec,
     mlp_spec,
@@ -231,6 +233,48 @@ class TestModelForward:
         params = build_model(spec, 0)
         with pytest.raises(ValueError):
             model_forward(params, spec, np.zeros((1, 3)))
+
+
+class TestForwardRange:
+    """A body pass split at any layer is the same pass, bit for bit."""
+
+    SPECS = [(backbone, variant) for backbone in ("mlp", "miniresnet") for variant in VARIANTS]
+
+    @staticmethod
+    def make(backbone, variant):
+        if backbone == "mlp":
+            spec = mlp_spec(3, variant=variant, hidden=8)
+        else:
+            spec = miniresnet_spec((1, 6, 6), variant=variant, channels=(4, 6, 6))
+        x = np.random.default_rng(1).normal(size=(3,) + spec.input_shape)
+        return spec, build_model(spec, 5), x
+
+    @pytest.mark.parametrize("backbone,variant", SPECS)
+    @pytest.mark.parametrize("mode", [DropoutMode.EVAL_DETERMINISTIC, DropoutMode.EVAL_SAMPLING])
+    def test_every_split_composes_to_body_forward(self, backbone, variant, mode):
+        spec, params, x = self.make(backbone, variant)
+        pass_rng = PassRng(9, 2) if mode.stochastic else None
+        end = len(spec.layers)
+        whole = body_forward(params, spec, x, mode, pass_rng).data
+        for k in range(end + 1):
+            head = forward_range(params, spec, x, 0, k, mode, pass_rng)
+            tail = forward_range(params, spec, head, k, end, mode, pass_rng)
+            assert tail.data.tobytes() == whole.tobytes(), f"split at layer {k}"
+
+    def test_stochastic_range_without_dropout_needs_no_rng(self):
+        spec, params, x = self.make("miniresnet", "bayesian1")
+        first = spec.dropout_positions()[0]
+        sampled = forward_range(params, spec, x, 0, first, DropoutMode.EVAL_SAMPLING, None)
+        plain = forward_range(params, spec, x, 0, first)
+        np.testing.assert_array_equal(sampled.data, plain.data)
+        with pytest.raises(ValueError, match="rng"):
+            forward_range(params, spec, sampled, first, len(spec.layers), DropoutMode.EVAL_SAMPLING, None)
+
+    def test_range_outside_body_rejected(self):
+        spec, params, x = self.make("mlp", "bayesian2")
+        for start, stop in ((0, len(spec.layers) + 1), (3, 2), (-1, 2)):
+            with pytest.raises(ValueError, match="layer range"):
+                forward_range(params, spec, x, start, stop)
 
 
 class TestCheckpoint:

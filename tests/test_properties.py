@@ -4,9 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqnet.layers import DropoutMode, build_model, mlp_spec, model_forward
 from uqnet.metrics import ClassificationMetrics
 from uqnet.report import build_report
-from uqnet.uncertainty import kld, predictive_entropy
+from uqnet.rng import NS_EVAL_DROPOUT, PassRng
+from uqnet.tensor import no_grad
+from uqnet.uncertainty import kld, mc_probs, np_softmax, predictive_entropy
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -51,3 +54,19 @@ def test_metrics_stay_in_unit_interval(c, n, seed):
         assert np.all((arr >= 0.0) & (arr <= 1.0))
     assert 0.0 <= m.accuracy <= 1.0
     assert m.confusion.sum() == n
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(2, 8), st.integers(1, 16),
+       st.sampled_from(["bayesian1", "bayesian2"]), st.integers(2, 16))
+def test_prefix_cached_mc_equals_independent_passes(model_seed, mc_seed, T, batch, variant, hidden):
+    spec = mlp_spec(3, variant=variant, hidden=hidden)
+    params = build_model(spec, model_seed)
+    x = np.random.default_rng(model_seed).normal(size=(batch, 3))
+    with no_grad():
+        reference = np.stack([
+            np_softmax(model_forward(params, spec, x, DropoutMode.EVAL_SAMPLING,
+                                     PassRng(mc_seed, t, NS_EVAL_DROPOUT)).data)
+            for t in range(T)
+        ])
+    assert np.array_equal(mc_probs(params, spec, x, T, mc_seed), reference)

@@ -1,12 +1,15 @@
 """Uncertainty mechanisms: KLD, reparameterized sampling, MC dropout, scores."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import build_model, mlp_spec
-from uqnet.tensor import Tensor, check_gradient
+from uqnet.layers import DropoutMode, build_model, miniresnet_spec, mlp_spec, model_forward
+from uqnet.rng import NS_EVAL_DROPOUT, PassRng
+from uqnet.tensor import Tensor, check_gradient, no_grad
 from uqnet.uncertainty import (
     PosteriorSamples,
     VariationalOutput,
@@ -19,8 +22,19 @@ from uqnet.uncertainty import (
     predictive_entropy,
     reparameterized_samples,
     uncertainty_score,
+    unbiased_variance,
     variational_forward,
 )
+
+
+def independent_mc_probs(params, spec, x, T, seed):
+    """T full dropout-active passes with nothing shared between them."""
+    with no_grad():
+        return np.stack([
+            np_softmax(model_forward(params, spec, x, DropoutMode.EVAL_SAMPLING,
+                                     PassRng(seed, t, NS_EVAL_DROPOUT)).data)
+            for t in range(T)
+        ])
 
 
 def mc_kl_estimate(mu, sigma2, n_draws, seed):
@@ -204,6 +218,53 @@ class TestMcPredict:
         base = mlp_spec(2, variant="baseline")
         with pytest.raises(ValueError, match="bayesian"):
             mc_predict(build_model(base, 0), base, np.zeros(2), T=8, seed=0)
+
+
+class TestPrefixCachedMc:
+    """mc_probs runs the layers before the first dropout once and shares them
+    across passes; its output must equal T independent full passes bit for bit."""
+
+    @staticmethod
+    def make(backbone, variant, p=0.5):
+        if backbone == "mlp":
+            spec = mlp_spec(3, variant=variant, hidden=12, p=p)
+        else:
+            spec = miniresnet_spec((1, 8, 8), variant=variant, p=p, channels=(4, 6, 6))
+        return spec, build_model(spec, 7)
+
+    @pytest.mark.parametrize("backbone", ["mlp", "miniresnet"])
+    @pytest.mark.parametrize("variant", ["bayesian1", "bayesian2"])
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_equals_independent_passes(self, backbone, variant, batched, workers):
+        spec, params = self.make(backbone, variant)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=((5,) if batched else ()) + spec.input_shape)
+        cached = mc_probs(params, spec, x, T=6, seed=11, workers=workers)
+        reference = independent_mc_probs(params, spec, x, T=6, seed=11)
+        assert cached.shape == (6, 5 if batched else 1, spec.n_classes)
+        assert np.array_equal(cached, reference)
+
+    def test_shared_prefix_survives_many_threads(self):
+        spec, params = self.make("miniresnet", "bayesian2")
+        x = np.random.default_rng(6).normal(size=(4,) + spec.input_shape)
+        x_before = x.copy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cached = mc_probs(params, spec, x, T=16, seed=8, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(cached, independent_mc_probs(params, spec, x, T=16, seed=8))
+        assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize("backbone", ["mlp", "miniresnet"])
+    def test_zero_rate_equals_independent_passes_with_zero_variance(self, backbone):
+        spec, params = self.make(backbone, "bayesian2", p=0.0)
+        x = np.random.default_rng(5).normal(size=(4,) + spec.input_shape)
+        cached = mc_probs(params, spec, x, T=5, seed=2)
+        assert np.array_equal(cached, independent_mc_probs(params, spec, x, T=5, seed=2))
+        assert np.all(unbiased_variance(cached) == 0.0)
 
 
 class TestScores:
