@@ -27,8 +27,10 @@ from .layers import (
     ModelParams,
     build_model,
     body_forward,
+    eval_logits,
     forward_range,
     model_forward,
+    row_blocks,
     dropout,
     mlp_spec,
     miniresnet_spec,
@@ -75,7 +77,8 @@ __all__ = [
     "Tensor", "NonFiniteError", "ShapeError", "no_grad", "set_finite_checks",
     "finite_checks", "conv2d", "global_avg_pool", "check_gradient",
     "DropoutMode", "LayerSpec", "ModelSpec", "ModelParams", "build_model",
-    "body_forward", "forward_range", "model_forward", "dropout", "mlp_spec", "miniresnet_spec",
+    "body_forward", "eval_logits", "forward_range", "model_forward", "row_blocks", "dropout",
+    "mlp_spec", "miniresnet_spec",
     "validate_spec", "VARIANTS",
     "CheckpointError", "load_checkpoint", "save_checkpoint",
     "DataError", "Dataset", "SplitSpec", "load_csv", "load_idx", "save_csv",

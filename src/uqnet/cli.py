@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from . import artifacts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import SECTIONS, RunConfig
-from .data import DataError, save_csv, save_idx
+from .data import DataError, save_csv, save_idx, splits_sha256
 from .evaluate import compare_variants, evaluate
 from .layers import VARIANTS, build_model
 from .tensor import NonFiniteError
@@ -153,6 +153,21 @@ def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
     return cfg.with_overrides(flags)
 
 
+def _check_dataset(meta: dict, splits, ckpt_path: str) -> None:
+    """Refuse splits that differ from the ones the checkpoint was trained on.
+
+    Checkpoints written before the digest was stored carry no key and pass.
+    """
+    trained = meta.get("dataset_sha256")
+    if trained is None:
+        return
+    digest = splits_sha256(splits)
+    if digest != trained:
+        raise DataError(f"{ckpt_path}: the regenerated dataset splits differ from the ones "
+                        f"the checkpoint was trained on (sha256 {digest[:12]}, "
+                        f"trained on {trained[:12]})")
+
+
 def _prepare_out(cfg: RunConfig) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     cfg.to_file(os.path.join(cfg.out, "run_config.cfg"))
@@ -188,7 +203,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    train_ds, val_ds, _ = cfg.make_splits()
+    splits = cfg.make_splits()
+    train_ds, val_ds, _ = splits
     spec = cfg.make_spec(train_ds.input_shape)
     params = build_model(spec, cfg.seed)
     result = train(params, spec, train_ds, val_ds, cfg.train_config(), cfg.seed)
@@ -202,6 +218,7 @@ def cmd_train(args) -> int:
         "best_epoch": result.best_epoch,
         "variant": spec.variant,
         "config": cfg.to_text(),
+        "dataset_sha256": splits_sha256(splits),
     }
     save_checkpoint(ckpt, spec, result.params, meta)
     artifacts.write_train_log_csv(result.log, os.path.join(out, "train_log.csv"))
@@ -219,7 +236,9 @@ def cmd_evaluate(args) -> int:
 
     base = RunConfig.from_text(meta["config"]) if "config" in meta else RunConfig()
     cfg = resolve_config(args, base=base)
-    _, _, test_ds = cfg.make_splits()
+    splits = cfg.make_splits()
+    _check_dataset(meta, splits, ckpt_path)
+    test_ds = splits[2]
     metrics, report = evaluate(params, spec, test_ds, cfg.eval_config())
 
     out = _prepare_out(cfg)
@@ -287,7 +306,8 @@ def _compare_from_checkpoints(cfg: RunConfig, ckpt_dir: str):
         key = (base.dataset, base.seed)
         if key not in splits:
             splits[key] = base.make_splits()
-        _, _, test_ds = splits[key]
+        _check_dataset(meta, splits[key], path)
+        test_ds = splits[key][2]
         metrics, report = evaluate(params, spec, test_ds, cfg.eval_config())
         rows.append(make_comparison_row(variant, str(base.seed), metrics, report))
         reports[variant] = report

@@ -9,6 +9,7 @@ together as ``overlap`` rises (so the Bayes error is tunable), and
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,3 +358,17 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
         merged = np.sort(np.concatenate(parts[s])) if parts[s] else np.array([], dtype=int)
         out.append(ds.subset(merged))
     return out[0], out[1], out[2]
+
+
+def splits_sha256(splits) -> str:
+    """sha256 over the shapes, inputs and labels of each split, in order.
+
+    Inputs hash as little-endian float64 and labels as little-endian int64,
+    so the digest depends on the data alone, not on the machine.
+    """
+    h = hashlib.sha256()
+    for ds in splits:
+        for arr, dtype in ((ds.inputs, "<f8"), (ds.labels, "<i8")):
+            h.update(repr(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()

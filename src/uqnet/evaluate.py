@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .layers import ModelParams, ModelSpec, build_model, model_forward
+from .layers import ModelParams, ModelSpec, build_model, eval_logits
 from .metrics import ClassificationMetrics
 from .report import UncertaintyReport, build_report
-from .tensor import no_grad
 from .train import TrainConfig, TrainResult, train
 from .uncertainty import (
     MC_VARIANTS,
@@ -71,9 +70,7 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
         else:
             raise ValueError(f"unknown scoring space {cfg.space!r}")
     elif spec.variant == "baseline":
-        with no_grad():
-            logits = model_forward(params, spec, x)
-        mean_probs = np_softmax(logits.data)
+        mean_probs = np_softmax(eval_logits(params, spec, x))
         pred = mean_probs.argmax(axis=1)
         scores = predictive_entropy(mean_probs)
         method = "entropy"

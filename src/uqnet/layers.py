@@ -28,10 +28,20 @@ from enum import Enum
 import numpy as np
 
 from . import rng as _rng
-from .tensor import Tensor, ShapeError, conv2d, global_avg_pool
+from .tensor import Tensor, ShapeError, conv2d, global_avg_pool, no_grad
 
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
 BACKBONES = ("mlp", "miniresnet")
+
+# A no-grad forward runs its batch in row blocks whose largest per-layer
+# intermediate holds about this many bytes, so its working memory does not
+# grow with the batch.
+_BLOCK_BYTES = 12 << 20
+# Blocks hold a multiple of this many rows. BLAS tiles the rows of a
+# product from its first row and sends a one-row product to gemv, so
+# aligned blocks keep every output row bit-identical to the unblocked
+# product (measured with OpenBLAS on the mlp and miniresnet preset shapes).
+_BLOCK_ALIGN = 16
 
 
 class DropoutMode(Enum):
@@ -422,3 +432,56 @@ def model_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = D
         raise ValueError("model_forward handles standard-head variants; "
                          "use variational_forward for the variational variant")
     return standard_head(params, body_forward(params, spec, x, mode, pass_rng))
+
+
+# -- row-blocked evaluation ----------------------------------------------------
+
+
+def _example_bytes(spec: ModelSpec) -> int:
+    """Bytes of the largest per-example intermediate of a forward pass: a
+    conv im2col row (H * W * Cin * k^2 floats) or a layer activation."""
+    shapes = infer_shapes(spec)
+    largest = max(math.prod(shape) for shape in shapes)
+    for layer, shape in zip(spec.layers, shapes):
+        if layer.kind == "conv3x3":
+            cin = layer.in_ch
+        elif layer.kind == "residual-block" and layer.block == "conv":
+            cin = max(layer.in_ch, layer.out_ch)   # conv1 reads in_ch channels, conv2 out_ch
+        else:
+            continue
+        largest = max(largest, shape[1] * shape[2] * cin * 9)
+    return 8 * largest
+
+
+def block_rows(spec: ModelSpec) -> int:
+    """Rows per evaluation block: the byte budget over the largest
+    per-example intermediate, rounded down to the row alignment."""
+    rows = _BLOCK_BYTES // _example_bytes(spec) // _BLOCK_ALIGN * _BLOCK_ALIGN
+    return max(rows, _BLOCK_ALIGN)
+
+
+def row_blocks(spec: ModelSpec, x) -> list[tuple[slice, Tensor]]:
+    """Split the input batch ``x`` (or one example) into consecutive row blocks.
+
+    Returns ``(rows, block)`` pairs covering the batch in order, each block
+    a view of :func:`block_rows` rows, except that a tail shorter than half
+    a block joins the block before it: BLAS may round a small product
+    through a different kernel than a large one. Every no-grad forward
+    runs through this split, so its peak memory depends on the spec, not
+    on the batch size, and concatenating the block outputs reproduces the
+    unblocked forward bit for bit.
+    """
+    x = _as_batch(x, spec.input_shape)
+    n, rows = x.shape[0], block_rows(spec)
+    starts = range(0, n - rows // 2 + 1, rows)   # a tail under rows // 2 joins the block before
+    if len(starts) <= 1:
+        return [(slice(0, n), x)]
+    stops = [*starts[1:], n]
+    return [(slice(lo, hi), Tensor(x.data[lo:hi])) for lo, hi in zip(starts, stops)]
+
+
+def eval_logits(params: ModelParams, spec: ModelSpec, x) -> np.ndarray:
+    """[batch, n_classes] logits of the deterministic forward, computed in
+    row blocks with no graph recording."""
+    with no_grad():
+        return np.concatenate([model_forward(params, spec, xb).data for _, xb in row_blocks(spec, x)])

@@ -5,6 +5,12 @@ derived from ``(base seed, namespace, *key)`` via ``SeedSequence`` spawn
 keys. A stream's output depends only on its key, never on call order or
 thread scheduling, which is what makes parallel Monte Carlo passes
 bit-identical to a sequential run.
+
+An evaluation call consumes each (pass, layer) dropout stream in
+consecutive row blocks of its batch: it keeps one generator per stream
+for the whole call (one :class:`PassRng` per pass), and a generator fills
+its draws sequentially, so the masks of block b continue where those of
+block b - 1 stopped and together equal one full-batch draw.
 """
 
 from __future__ import annotations
@@ -42,12 +48,23 @@ class PassRng:
     stream per dropout layer, keyed by ``(seed, namespace, pass_index,
     layer_index)``. Pass indices are training step numbers during training
     and Monte Carlo pass numbers at evaluation (separate namespaces).
+
+    The first ``layer`` call creates the layer's generator and later calls
+    return that same generator, so one object serves one pass: an
+    evaluation call runs each pass over consecutive row blocks of its
+    batch, and each block's masks continue the layer's stream where the
+    previous block's stopped. A new pass needs a new object.
     """
 
     def __init__(self, seed: int, pass_index: int, namespace: int = NS_EVAL_DROPOUT):
         self.seed = int(seed)
         self.pass_index = int(pass_index)
         self.namespace = int(namespace)
+        self._streams: dict[int, np.random.Generator] = {}
 
     def layer(self, layer_index: int) -> np.random.Generator:
-        return stream(self.seed, self.namespace, self.pass_index, int(layer_index))
+        layer_index = int(layer_index)
+        if layer_index not in self._streams:
+            self._streams[layer_index] = stream(self.seed, self.namespace, self.pass_index,
+                                                layer_index)
+        return self._streams[layer_index]

@@ -8,11 +8,11 @@ import numpy as np
 
 from . import rng as _rng
 from .data import Dataset
-from .layers import DropoutMode, ModelParams, ModelSpec, model_forward
+from .layers import DropoutMode, ModelParams, ModelSpec, eval_logits, model_forward
 from .losses import LossBreakdown, cross_entropy, variational_loss_graph
 from .optim import OptimizerConfig
-from .tensor import NonFiniteError, Tensor, no_grad
-from .uncertainty import kld_from_logvar, variational_heads
+from .tensor import NonFiniteError, Tensor
+from .uncertainty import eval_variational_heads, kld_from_logvar, variational_heads
 
 
 class TrainingDivergedError(RuntimeError):
@@ -50,18 +50,20 @@ class TrainResult:
 
 def _deterministic_eval(params: ModelParams, spec: ModelSpec, ds: Dataset,
                         beta: float) -> tuple[LossBreakdown, float]:
-    """Loss and accuracy with dropout off; variational CE is taken at eps = 0."""
-    with no_grad():
-        if spec.head == "variational":
-            mu, logvar = variational_heads(params, spec, ds.inputs)
-            ce = float(cross_entropy(mu, ds.labels))
-            kl = float(kld_from_logvar(mu, logvar))
-            breakdown = LossBreakdown.compose(ce, kl, beta)
-            pred = mu.data.argmax(axis=1)
-        else:
-            logits = model_forward(params, spec, ds.inputs)
-            breakdown = LossBreakdown.plain(float(cross_entropy(logits, ds.labels)))
-            pred = logits.data.argmax(axis=1)
+    """Loss and accuracy with dropout off; variational CE is taken at eps = 0.
+
+    The forward runs in row blocks; the losses are taken over the whole split.
+    """
+    if spec.head == "variational":
+        mu, logvar = (Tensor(a) for a in eval_variational_heads(params, spec, ds.inputs))
+        ce = float(cross_entropy(mu, ds.labels))
+        kl = float(kld_from_logvar(mu, logvar))
+        breakdown = LossBreakdown.compose(ce, kl, beta)
+        pred = mu.data.argmax(axis=1)
+    else:
+        logits = eval_logits(params, spec, ds.inputs)
+        breakdown = LossBreakdown.plain(float(cross_entropy(logits, ds.labels)))
+        pred = logits.argmax(axis=1)
     return breakdown, float((pred == ds.labels).mean())
 
 

@@ -21,12 +21,14 @@ its N = 1 case and returns the bytes of row 0 of a one-example batch.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .layers import DropoutMode, ModelParams, ModelSpec, body_forward, forward_range, standard_head
+from .layers import (DropoutMode, ModelParams, ModelSpec, body_forward, forward_range, row_blocks,
+                     standard_head)
 from .tensor import Tensor, no_grad
 
 # log sigma^2 is clamped to this range: guarantees positive sigma^2 and
@@ -39,7 +41,12 @@ MC_VARIANTS = ("bayesian1", "bayesian2")
 
 @dataclass
 class PosteriorSamples:
-    """T stochastic class-probability vectors plus their mean and variance."""
+    """T stochastic class-probability vectors plus their mean and variance.
+
+    ``mean``, ``variance`` and ``T`` are derived from ``samples``; the
+    constructor rejects values that disagree with them (beyond 1e-12 for
+    the two arrays), so a hand-built posterior scores like its samples.
+    """
 
     samples: np.ndarray   # [T, C], each row a softmax output
     mean: np.ndarray      # [C]
@@ -54,8 +61,11 @@ class PosteriorSamples:
             raise ValueError("each sample row must sum to 1")
         if self.samples.min() < 0.0 or self.samples.max() > 1.0:
             raise ValueError("sample probabilities must lie in [0, 1]")
-        if self.variance.min() < -1e-15:
-            raise ValueError("variance must be nonnegative")
+        for name, derived in (("mean", self.samples.mean(axis=0)),
+                              ("variance", unbiased_variance(self.samples))):
+            given = np.asarray(getattr(self, name))
+            if given.shape != derived.shape or np.abs(given - derived).max() > 1e-12:
+                raise ValueError(f"{name} does not match the {name} of the samples")
 
     @property
     def predicted_label(self) -> int:
@@ -133,13 +143,15 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
              workers: int = 1) -> np.ndarray:
     """Stacked softmax outputs of T dropout-active passes: [T, batch, C].
 
-    Every layer before the first dropout is deterministic, so it runs once
-    and all passes share its output read-only: the whole body for
-    bayesian1, the stem for bayesian2. Each pass then runs the rest of the
-    body and the head, drawing its masks from streams keyed by
-    (seed, t, layer), so the result is bit-identical to T independent
-    full passes no matter how the passes are scheduled; with
-    ``workers > 1`` they run on a thread pool.
+    The batch runs in row blocks (:func:`uqnet.layers.row_blocks`), so
+    memory stays bounded at any batch size. In each block, every layer
+    before the first dropout is deterministic, so it runs once and all
+    passes share its output read-only: the whole body for bayesian1, the
+    stem for bayesian2. Each pass then runs the rest of the body and the
+    head, drawing its masks from streams keyed by (seed, t, layer) that it
+    keeps across blocks, so the result is bit-identical to T independent
+    full-batch passes no matter how the passes are scheduled; with
+    ``workers > 1`` they run on one thread pool for the whole call.
     """
     if spec.variant not in MC_VARIANTS:
         raise ValueError(f"MC dropout needs a bayesian1/bayesian2 model, got {spec.variant!r}")
@@ -147,22 +159,23 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
         raise ValueError(f"T must be >= 2 (variance is undefined otherwise), got {T}")
 
     first, end = spec.dropout_positions()[0], len(spec.layers)
-    with no_grad():
-        prefix = forward_range(params, spec, x, 0, first)
+    blocks = row_blocks(spec, x)
+    pass_rngs = [_rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT) for t in range(T)]
+    out = np.empty((T, blocks[-1][0].stop, spec.n_classes))
 
-    def one_pass(t: int) -> np.ndarray:
-        with no_grad():
-            h = forward_range(params, spec, prefix, first, end, DropoutMode.EVAL_SAMPLING,
-                              _rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT))
-            logits = standard_head(params, h)
-        return np_softmax(logits.data)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for rows, xb in blocks:
+            with no_grad():
+                prefix = forward_range(params, spec, xb, 0, first)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            passes = list(pool.map(one_pass, range(T)))
-    else:
-        passes = [one_pass(t) for t in range(T)]
-    return np.stack(passes)
+            def one_pass(t: int) -> None:
+                with no_grad():
+                    h = forward_range(params, spec, prefix, first, end,
+                                      DropoutMode.EVAL_SAMPLING, pass_rngs[t])
+                    out[t, rows] = np_softmax(standard_head(params, h).data)
+
+            list((pool.map if pool else map)(one_pass, range(T)))
+    return out
 
 
 def mc_predict(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
@@ -219,11 +232,19 @@ def variational_heads(params: ModelParams, spec: ModelSpec, x,
     return mu, logvar
 
 
+def eval_variational_heads(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, log sigma^2) arrays of shape [batch, C], computed in row blocks
+    with no graph recording."""
+    with no_grad():
+        heads = [variational_heads(params, spec, xb) for _, xb in row_blocks(spec, x)]
+    return (np.concatenate([mu.data for mu, _ in heads]),
+            np.concatenate([logvar.data for _, logvar in heads]))
+
+
 def variational_outputs(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray]:
     """(mu, sigma2) arrays of shape [batch, C] with no graph recording."""
-    with no_grad():
-        mu, logvar = variational_heads(params, spec, x)
-    return mu.data, np.exp(logvar.data)
+    mu, logvar = eval_variational_heads(params, spec, x)
+    return mu, np.exp(logvar)
 
 
 def variational_forward(params: ModelParams, spec: ModelSpec, x, S: int = 0,

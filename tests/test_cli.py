@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from uqnet.checkpoint import load_checkpoint
+from uqnet.checkpoint import load_checkpoint, save_checkpoint
 from uqnet.cli import main
 from uqnet.config import RunConfig
+from uqnet.data import splits_sha256
 
 TINY_TRAIN = ["--kind", "blobs", "--n", "200", "--overlap", "0.3", "--dim", "2",
               "--hidden", "16", "--epochs", "2", "--batch-size", "64"]
@@ -143,6 +144,85 @@ class TestEvaluate:
         saved = RunConfig.from_file(os.path.join(out, "run_config.cfg"))
         assert saved.uncertainty.T == 7
         assert (saved.seed, saved.dataset.n, saved.model.hidden) == (2, 200, 16)
+
+
+class TestDatasetFingerprint:
+    CSV_TRAIN = ["--kind", "csv", "--hidden", "16", "--epochs", "2", "--batch-size", "64"]
+
+    @staticmethod
+    def make_csv(tmp_path):
+        assert run(["generate", "--kind", "blobs", "--n", "200", "--overlap", "0.3",
+                    "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        return str(tmp_path / "data" / "dataset.csv")
+
+    def train_on(self, csv_path, out, variant="bayesian1"):
+        assert run(["train", "--variant", variant, "--csv", csv_path, "--seed", "3",
+                    "--out", out] + self.CSV_TRAIN) == 0
+        return os.path.join(out, "checkpoint.bin")
+
+    @staticmethod
+    def edit_first_value(csv_path):
+        with open(csv_path) as fh:
+            lines = fh.read().splitlines()
+        first, rest = lines[1].split(",", 1)
+        lines[1] = f"{float(first) + 0.5!r},{rest}"
+        with open(csv_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    def test_train_stores_the_split_digest(self, tmp_path):
+        csv_path = self.make_csv(tmp_path)
+        ckpt = self.train_on(csv_path, str(tmp_path / "run"))
+        _, _, meta = load_checkpoint(ckpt)
+        cfg = RunConfig.from_text(meta["config"])
+        assert meta["dataset_sha256"] == splits_sha256(cfg.make_splits())
+
+    def test_evaluate_refuses_edited_data(self, tmp_path, capsys):
+        csv_path = self.make_csv(tmp_path)
+        ckpt = self.train_on(csv_path, str(tmp_path / "run"))
+        self.edit_first_value(csv_path)
+        capsys.readouterr()
+        assert run(["evaluate", "--checkpoint", ckpt, "--T", "4",
+                    "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "differ" in err and ckpt in err
+
+    def test_compare_checkpoint_dir_refuses_edited_data(self, tmp_path, capsys):
+        csv_path = self.make_csv(tmp_path)
+        ckpt_dir = tmp_path / "ckpts"
+        ckpt_dir.mkdir()
+        for variant in ("baseline", "bayesian1", "bayesian2", "variational"):
+            ckpt = self.train_on(csv_path, str(tmp_path / variant), variant)
+            os.rename(ckpt, str(ckpt_dir / f"{variant}.bin"))
+        argv = ["compare", "--checkpoint-dir", str(ckpt_dir), "--T", "4", "--S", "4",
+                "--out", str(tmp_path / "c")]
+        assert run(argv) == 0
+        self.edit_first_value(csv_path)
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "differ" in err and "baseline.bin" in err
+
+    def test_checkpoint_without_digest_evaluates_as_before(self, tmp_path):
+        csv_path = self.make_csv(tmp_path)
+        ckpt = self.train_on(csv_path, str(tmp_path / "run"))
+        spec, params, meta = load_checkpoint(ckpt)
+        legacy = str(tmp_path / "legacy.bin")
+        save_checkpoint(legacy, spec, params,
+                        {k: v for k, v in meta.items() if k != "dataset_sha256"})
+        outs = {}
+        for name, path in (("keyed", ckpt), ("legacy", legacy)):
+            outs[name] = str(tmp_path / name)
+            assert run(["evaluate", "--checkpoint", path, "--T", "4",
+                        "--out", outs[name]]) == 0
+        keyed, legacy_digests = digest_dir(outs["keyed"]), digest_dir(outs["legacy"])
+        keyed.pop("run_config.cfg"), legacy_digests.pop("run_config.cfg")   # holds --out
+        assert keyed == legacy_digests
+        # legacy checkpoints are not checked: edited data is evaluated as it was before
+        self.edit_first_value(csv_path)
+        assert run(["evaluate", "--checkpoint", legacy, "--T", "4",
+                    "--out", outs["legacy"]]) == 0
 
 
 class TestCompare:

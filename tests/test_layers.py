@@ -253,12 +253,16 @@ class TestForwardRange:
     @pytest.mark.parametrize("mode", [DropoutMode.EVAL_DETERMINISTIC, DropoutMode.EVAL_SAMPLING])
     def test_every_split_composes_to_body_forward(self, backbone, variant, mode):
         spec, params, x = self.make(backbone, variant)
-        pass_rng = PassRng(9, 2) if mode.stochastic else None
+
+        def pass_rng():   # one object per pass: it keeps each layer's stream
+            return PassRng(9, 2) if mode.stochastic else None
+
         end = len(spec.layers)
-        whole = body_forward(params, spec, x, mode, pass_rng).data
+        whole = body_forward(params, spec, x, mode, pass_rng()).data
         for k in range(end + 1):
-            head = forward_range(params, spec, x, 0, k, mode, pass_rng)
-            tail = forward_range(params, spec, head, k, end, mode, pass_rng)
+            split_pass = pass_rng()
+            head = forward_range(params, spec, x, 0, k, mode, split_pass)
+            tail = forward_range(params, spec, head, k, end, mode, split_pass)
             assert tail.data.tobytes() == whole.tobytes(), f"split at layer {k}"
 
     def test_stochastic_range_without_dropout_needs_no_rng(self):

@@ -1,10 +1,12 @@
 """Property tests over the pure numeric functions."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqnet.layers import DropoutMode, build_model, mlp_spec, model_forward
+import uqnet.layers as layers
+from uqnet.layers import DropoutMode, block_rows, build_model, mlp_spec, model_forward
 from uqnet.metrics import ClassificationMetrics
 from uqnet.report import build_report
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
@@ -70,3 +72,18 @@ def test_prefix_cached_mc_equals_independent_passes(model_seed, mc_seed, T, batc
             for t in range(T)
         ])
     assert np.array_equal(mc_probs(params, spec, x, T, mc_seed), reference)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 100), st.integers(2, 6), st.sampled_from([16, 32, 48]),
+       st.sampled_from(["bayesian1", "bayesian2"]), st.integers(2, 16), st.integers(0, 10 ** 6))
+def test_blocked_mc_equals_one_block(n, T, rows, variant, hidden, seed):
+    spec = mlp_spec(3, variant=variant, hidden=hidden)
+    params = build_model(spec, seed)
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    whole = mc_probs(params, spec, x, T, seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(layers, "_BLOCK_BYTES", rows * layers._example_bytes(spec))
+        assert block_rows(spec) == rows
+        blocked = mc_probs(params, spec, x, T, seed)
+    assert blocked.tobytes() == whole.tobytes()

@@ -210,6 +210,22 @@ class TestMcPredict:
                                     post.samples[perm].var(axis=0, ddof=1), 40)
         assert shuffled.predicted_label == post.predicted_label
 
+    def test_rejects_fields_that_disagree_with_samples(self):
+        samples = mc_predict(build_model(mlp_spec(2, variant="bayesian2"), 4),
+                             mlp_spec(2, variant="bayesian2"), np.array([0.3, 0.9]),
+                             T=12, seed=5).samples
+        mean, variance = samples.mean(axis=0), unbiased_variance(samples)
+        with pytest.raises(ValueError, match="samples"):
+            PosteriorSamples(samples, mean, variance, 11)
+        with pytest.raises(ValueError, match="mean"):
+            PosteriorSamples(samples, mean + 1e-9, variance, 12)
+        with pytest.raises(ValueError, match="variance"):
+            PosteriorSamples(samples, mean, variance * 2.0, 12)
+        with pytest.raises(ValueError, match="variance"):
+            PosteriorSamples(samples, mean, variance[:-1], 12)
+        exact = PosteriorSamples(samples, mean, variance, 12)
+        assert uncertainty_score(exact).value == float(variance.mean())
+
     def test_validation(self):
         spec = mlp_spec(2, variant="bayesian1")
         params = build_model(spec, 1)
