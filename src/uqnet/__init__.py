@@ -21,7 +21,6 @@ from .tensor import (
     check_gradient,
 )
 from .layers import (
-    DropoutMode,
     LayerSpec,
     ModelSpec,
     ModelParams,
@@ -76,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "NonFiniteError", "ShapeError", "no_grad", "set_finite_checks",
     "finite_checks", "conv2d", "global_avg_pool", "check_gradient",
-    "DropoutMode", "LayerSpec", "ModelSpec", "ModelParams", "build_model",
+    "LayerSpec", "ModelSpec", "ModelParams", "build_model",
     "body_forward", "eval_logits", "forward_range", "model_forward", "row_blocks", "dropout",
     "mlp_spec", "miniresnet_spec",
     "validate_spec", "VARIANTS",

@@ -45,7 +45,6 @@ def spec_to_dict(spec: ModelSpec) -> dict:
         "input_shape": list(spec.input_shape),
         "variant": spec.variant,
         "backbone": spec.backbone,
-        "dropout_p": spec.dropout_p,
     }
 
 
@@ -57,7 +56,6 @@ def spec_from_dict(d: dict) -> ModelSpec:
         input_shape=tuple(int(v) for v in d["input_shape"]),
         variant=d["variant"],
         backbone=d["backbone"],
-        dropout_p=float(d.get("dropout_p", 0.5)),
     )
     validate_spec(spec)
     return spec

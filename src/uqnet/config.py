@@ -211,8 +211,6 @@ def _dump(v) -> str:
 def _parse(typ, section: str, key: str, raw: str):
     raw = str(raw).strip()
     try:
-        if typ is bool:
-            return raw.lower() in ("1", "true", "yes")
         return typ(raw)
     except ValueError as e:
         raise ValueError(f"config key {section}.{key}: cannot parse {raw!r} as {typ.__name__}") from e

@@ -15,15 +15,15 @@ The four variants differ only in dropout placement:
 * ``variational``  -- baseline body with the variational head.
 
 All dropout is inverted dropout: surviving activations are scaled by
-1/(1-p) at mask time, so the stochastic train/eval-sampling modes share one
-code path and the deterministic mode is exactly the identity.
+1/(1-p) at mask time. A forward pass draws masks exactly when it is given a
+:class:`uqnet.rng.PassRng`, whose namespace tells training passes from MC
+evaluation passes; without one, dropout is exactly the identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -42,16 +42,6 @@ _BLOCK_BYTES = 12 << 20
 # aligned blocks keep every output row bit-identical to the unblocked
 # product (measured with OpenBLAS on the mlp and miniresnet preset shapes).
 _BLOCK_ALIGN = 16
-
-
-class DropoutMode(Enum):
-    TRAIN = "train"
-    EVAL_DETERMINISTIC = "eval-deterministic"
-    EVAL_SAMPLING = "eval-sampling"
-
-    @property
-    def stochastic(self) -> bool:
-        return self is not DropoutMode.EVAL_DETERMINISTIC
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,6 @@ class ModelSpec:
     input_shape: tuple[int, ...]
     variant: str
     backbone: str
-    dropout_p: float = 0.5
 
     @property
     def head(self) -> str:
@@ -198,7 +187,7 @@ def mlp_spec(input_dim: int, n_classes: int = 4, variant: str = "baseline",
         layers.append(LayerSpec("residual-block", block="fc", in_dim=hidden))
     if variant in ("bayesian1", "bayesian2"):
         layers.append(drop)
-    spec = ModelSpec(tuple(layers), n_classes, (input_dim,), variant, "mlp", p)
+    spec = ModelSpec(tuple(layers), n_classes, (input_dim,), variant, "mlp")
     validate_spec(spec)
     return spec
 
@@ -227,7 +216,7 @@ def miniresnet_spec(input_shape: tuple[int, int, int] = (1, 16, 16), n_classes: 
     layers.append(LayerSpec("global-avg-pool"))
     if variant in ("bayesian1", "bayesian2"):
         layers.append(drop)
-    spec = ModelSpec(tuple(layers), n_classes, tuple(input_shape), variant, "miniresnet", p)
+    spec = ModelSpec(tuple(layers), n_classes, tuple(input_shape), variant, "miniresnet")
     validate_spec(spec)
     return spec
 
@@ -332,18 +321,16 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
 # -- forward -----------------------------------------------------------------
 
 
-def dropout(x: Tensor, p: float, mode: DropoutMode, gen: np.random.Generator | None) -> Tensor:
+def dropout(x: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero each element with probability p, scale survivors.
 
-    Train and eval-sampling modes are identical (same rate, same 1/(1-p)
-    scaling); eval-deterministic is the identity.
+    Masks are drawn from ``gen``; without a stream (or at p = 0) dropout is
+    the identity.
     """
     if not (0.0 <= p < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if mode is DropoutMode.EVAL_DETERMINISTIC or p == 0.0:
+    if gen is None or p == 0.0:
         return x
-    if gen is None:
-        raise ValueError("stochastic dropout mode requires a random stream")
     keep = (gen.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
     return x * Tensor(keep)
 
@@ -372,7 +359,6 @@ def _residual_block(params: ModelParams, prefix: str, layer: LayerSpec, h: Tenso
 
 
 def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int,
-                  mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
                   pass_rng: _rng.PassRng | None = None) -> Tensor:
     """Run body layers ``start`` .. ``stop - 1`` on the activations ``h``.
 
@@ -380,14 +366,10 @@ def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int
     batch) when ``start`` is 0, else the output of ``forward_range(..., start)``.
     Dropout masks come from ``pass_rng.layer(i)`` for absolute layer index i,
     so splitting a pass into consecutive ranges changes no bit of its output.
-    A stochastic mode needs a ``pass_rng`` only if the range holds a dropout.
+    Without a ``pass_rng`` every dropout is the identity.
     """
     if not 0 <= start <= stop <= len(spec.layers):
         raise ValueError(f"layer range [{start}, {stop}) is outside 0..{len(spec.layers)}")
-    if mode.stochastic and pass_rng is None and any(
-        l.kind == "dropout" and l.p > 0 for l in spec.layers[start:stop]
-    ):
-        raise ValueError(f"mode {mode.value!r} requires a pass rng for dropout masks")
     if start == 0:
         h = _as_batch(h, spec.input_shape)
     for i in range(start, stop):
@@ -402,17 +384,17 @@ def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int
         elif layer.kind == "global-avg-pool":
             h = global_avg_pool(h)
         elif layer.kind == "dropout":
-            gen = pass_rng.layer(i) if (mode.stochastic and layer.p > 0 and pass_rng is not None) else None
-            h = dropout(h, layer.p, mode, gen)
+            gen = pass_rng.layer(i) if (pass_rng is not None and layer.p > 0) else None
+            h = dropout(h, layer.p, gen)
         elif layer.kind == "residual-block":
             h = _residual_block(params, prefix, layer, h)
     return h
 
 
-def body_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
+def body_forward(params: ModelParams, spec: ModelSpec, x,
                  pass_rng: _rng.PassRng | None = None) -> Tensor:
     """Run the body layers, returning the [batch, feature_dim] features."""
-    return forward_range(params, spec, x, 0, len(spec.layers), mode, pass_rng)
+    return forward_range(params, spec, x, 0, len(spec.layers), pass_rng)
 
 
 def standard_head(params: ModelParams, h: Tensor) -> Tensor:
@@ -420,7 +402,7 @@ def standard_head(params: ModelParams, h: Tensor) -> Tensor:
     return h @ params["head.fc.w"] + params["head.fc.b"]
 
 
-def model_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
+def model_forward(params: ModelParams, spec: ModelSpec, x,
                   pass_rng: _rng.PassRng | None = None) -> Tensor:
     """Forward pass to [batch, n_classes] logits (standard-head variants).
 
@@ -431,7 +413,7 @@ def model_forward(params: ModelParams, spec: ModelSpec, x, mode: DropoutMode = D
     if spec.head != "standard":
         raise ValueError("model_forward handles standard-head variants; "
                          "use variational_forward for the variational variant")
-    return standard_head(params, body_forward(params, spec, x, mode, pass_rng))
+    return standard_head(params, body_forward(params, spec, x, pass_rng))
 
 
 # -- row-blocked evaluation ----------------------------------------------------

@@ -44,10 +44,11 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 class PassRng:
     """Per-forward-pass provider of dropout mask streams.
 
-    A model forward pass in a stochastic mode asks this object for one
-    stream per dropout layer, keyed by ``(seed, namespace, pass_index,
-    layer_index)``. Pass indices are training step numbers during training
-    and Monte Carlo pass numbers at evaluation (separate namespaces).
+    A forward pass draws dropout masks iff it is given one of these; it
+    asks for one stream per dropout layer, keyed by ``(seed, namespace,
+    pass_index, layer_index)``. Pass indices are training step numbers
+    during training and Monte Carlo pass numbers at evaluation (separate
+    namespaces).
 
     The first ``layer`` call creates the layer's generator and later calls
     return that same generator, so one object serves one pass: an

@@ -8,11 +8,11 @@ import numpy as np
 
 from . import rng as _rng
 from .data import Dataset
-from .layers import DropoutMode, ModelParams, ModelSpec, eval_logits, model_forward
+from .layers import ModelParams, ModelSpec, eval_logits, model_forward
 from .losses import LossBreakdown, cross_entropy, variational_loss_graph
 from .optim import OptimizerConfig
 from .tensor import NonFiniteError, Tensor
-from .uncertainty import eval_variational_heads, kld_from_logvar, variational_heads
+from .uncertainty import eval_variational_heads, variational_heads
 
 
 class TrainingDivergedError(RuntimeError):
@@ -55,11 +55,10 @@ def _deterministic_eval(params: ModelParams, spec: ModelSpec, ds: Dataset,
     The forward runs in row blocks; the losses are taken over the whole split.
     """
     if spec.head == "variational":
-        mu, logvar = (Tensor(a) for a in eval_variational_heads(params, spec, ds.inputs))
-        ce = float(cross_entropy(mu, ds.labels))
-        kl = float(kld_from_logvar(mu, logvar))
-        breakdown = LossBreakdown.compose(ce, kl, beta)
-        pred = mu.data.argmax(axis=1)
+        mu, logvar = eval_variational_heads(params, spec, ds.inputs)
+        _, breakdown = variational_loss_graph(Tensor(mu), Tensor(logvar), ds.labels, beta,
+                                              np.zeros_like(mu))
+        pred = mu.argmax(axis=1)
     else:
         logits = eval_logits(params, spec, ds.inputs)
         breakdown = LossBreakdown.plain(float(cross_entropy(logits, ds.labels)))
@@ -95,11 +94,11 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
             pass_rng = _rng.PassRng(seed, step, _rng.NS_TRAIN_DROPOUT)
             try:
                 if spec.head == "variational":
-                    mu, logvar = variational_heads(params, spec, x, DropoutMode.TRAIN, pass_rng)
+                    mu, logvar = variational_heads(params, spec, x, pass_rng)
                     eps = _rng.stream(seed, _rng.NS_TRAIN_NOISE, step).standard_normal(mu.shape)
                     loss, breakdown = variational_loss_graph(mu, logvar, y, cfg.beta, eps)
                 else:
-                    logits = model_forward(params, spec, x, DropoutMode.TRAIN, pass_rng)
+                    logits = model_forward(params, spec, x, pass_rng)
                     loss = cross_entropy(logits, y)
                     breakdown = LossBreakdown.plain(float(loss))
                 if not np.isfinite(breakdown.total):

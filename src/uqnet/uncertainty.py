@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .layers import (DropoutMode, ModelParams, ModelSpec, body_forward, forward_range, row_blocks,
-                     standard_head)
+from .layers import ModelParams, ModelSpec, body_forward, forward_range, row_blocks, standard_head
 from .tensor import Tensor, no_grad
 
 # log sigma^2 is clamped to this range: guarantees positive sigma^2 and
@@ -41,31 +40,31 @@ MC_VARIANTS = ("bayesian1", "bayesian2")
 
 @dataclass
 class PosteriorSamples:
-    """T stochastic class-probability vectors plus their mean and variance.
-
-    ``mean``, ``variance`` and ``T`` are derived from ``samples``; the
-    constructor rejects values that disagree with them (beyond 1e-12 for
-    the two arrays), so a hand-built posterior scores like its samples.
-    """
+    """T stochastic class-probability vectors; their mean, unbiased
+    variance and count are derived on access."""
 
     samples: np.ndarray   # [T, C], each row a softmax output
-    mean: np.ndarray      # [C]
-    variance: np.ndarray  # [C], unbiased across the T rows
-    T: int
 
     def __post_init__(self):
-        if self.samples.ndim != 2 or self.samples.shape[0] != self.T:
-            raise ValueError(f"expected [T={self.T}, C] samples, got {self.samples.shape}")
+        if self.samples.ndim != 2:
+            raise ValueError(f"expected [T, C] samples, got {self.samples.shape}")
         row_sums = self.samples.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > 1e-9:
             raise ValueError("each sample row must sum to 1")
         if self.samples.min() < 0.0 or self.samples.max() > 1.0:
             raise ValueError("sample probabilities must lie in [0, 1]")
-        for name, derived in (("mean", self.samples.mean(axis=0)),
-                              ("variance", unbiased_variance(self.samples))):
-            given = np.asarray(getattr(self, name))
-            if given.shape != derived.shape or np.abs(given - derived).max() > 1e-12:
-                raise ValueError(f"{name} does not match the {name} of the samples")
+
+    @property
+    def T(self) -> int:
+        return len(self.samples)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.samples.mean(axis=0)
+
+    @property
+    def variance(self) -> np.ndarray:
+        return unbiased_variance(self.samples)
 
     @property
     def predicted_label(self) -> int:
@@ -73,8 +72,7 @@ class PosteriorSamples:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "PosteriorSamples":
-        samples = np.asarray(samples, dtype=np.float64)
-        return cls(samples, samples.mean(axis=0), unbiased_variance(samples), samples.shape[0])
+        return cls(np.asarray(samples, dtype=np.float64))
 
 
 @dataclass
@@ -96,11 +94,9 @@ class VariationalOutput:
 
 @dataclass(frozen=True)
 class NoiseDraw:
-    """A standard-normal vector, reproducible from (seed, index)."""
+    """A standard-normal array, reproducible from the (seed, index) it was drawn with."""
 
     epsilon: np.ndarray
-    seed: int
-    index: int
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,7 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
 
             def one_pass(t: int) -> None:
                 with no_grad():
-                    h = forward_range(params, spec, prefix, first, end,
-                                      DropoutMode.EVAL_SAMPLING, pass_rngs[t])
+                    h = forward_range(params, spec, prefix, first, end, pass_rngs[t])
                     out[t, rows] = np_softmax(standard_head(params, h).data)
 
             list((pool.map if pool else map)(one_pass, range(T)))
@@ -194,7 +189,7 @@ def noise_draw(seed: int, index: int, shape) -> NoiseDraw:
     """Evaluation-noise draw ``index``; streams fill sequentially, so a
     (1, C) draw equals a (C,) draw."""
     eps = _rng.stream(seed, _rng.NS_EVAL_NOISE, index).standard_normal(shape)
-    return NoiseDraw(eps, int(seed), int(index))
+    return NoiseDraw(eps)
 
 
 def _batched_eval_noise(seed: int, S: int, shape) -> np.ndarray:
@@ -221,12 +216,11 @@ def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: in
 
 
 def variational_heads(params: ModelParams, spec: ModelSpec, x,
-                      mode: DropoutMode = DropoutMode.EVAL_DETERMINISTIC,
                       pass_rng: _rng.PassRng | None = None) -> tuple[Tensor, Tensor]:
     """Graph-mode (mu, log sigma^2) tensors of shape [batch, C]."""
     if spec.head != "variational":
         raise ValueError(f"model variant {spec.variant!r} has no variational head")
-    h = body_forward(params, spec, x, mode, pass_rng)
+    h = body_forward(params, spec, x, pass_rng)
     mu = h @ params["head.mu.w"] + params["head.mu.b"]
     logvar = (h @ params["head.logvar.w"] + params["head.logvar.b"]).clip(LOGVAR_MIN, LOGVAR_MAX)
     return mu, logvar
@@ -269,17 +263,18 @@ def variational_forward(params: ModelParams, spec: ModelSpec, x, S: int = 0,
 
 
 def kld(mu, sigma2):
-    """KL(N(mu, diag sigma2) || N(0, I)) = -1/2 sum(1 + log s2 - mu^2 - s2).
+    """KL(N(mu, diag sigma2) || N(0, I)) = -1/2 sum(1 + log s2 - mu^2 - s2):
+    the one-row :func:`kld_from_logvar` with logvar = log sigma2.
 
     Accepts plain arrays (returns a float) or Tensors (returns a scalar
-    Tensor so gradients flow to both arguments). Always nonnegative, zero
-    exactly at mu = 0, sigma2 = 1.
+    Tensor so gradients flow to both arguments). Zero exactly at mu = 0,
+    sigma2 = 1.
     """
     mu_t = mu if isinstance(mu, Tensor) else Tensor(mu)
     s2_t = sigma2 if isinstance(sigma2, Tensor) else Tensor(sigma2)
     if np.any(s2_t.data <= 0):
         raise ValueError("sigma2 must be strictly positive")
-    out = (1.0 + s2_t.log() - mu_t.square() - s2_t).sum() * -0.5
+    out = kld_from_logvar(mu_t.reshape((1, -1)), s2_t.log().reshape((1, -1)))
     return out if isinstance(mu, Tensor) or isinstance(sigma2, Tensor) else float(out)
 
 

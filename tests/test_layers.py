@@ -1,5 +1,6 @@
 """Layer semantics, model construction, variant invariants, checkpoints."""
 
+import json
 import os
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from uqnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from uqnet.layers import (
-    DropoutMode,
     LayerSpec,
     ModelSpec,
     VARIANTS,
@@ -32,6 +32,16 @@ class _AllKeep:
         return np.full(shape, 0.99)
 
 
+def _add_spec_key(path, key, value):
+    """Rewrite the checkpoint at ``path`` with ``key: value`` added to its spec."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + n])
+    header["spec"][key] = value
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + n:])
+
+
 class _CountingRng(PassRng):
     def __init__(self, seed, pass_index):
         super().__init__(seed, pass_index, NS_EVAL_DROPOUT)
@@ -45,30 +55,30 @@ class _CountingRng(PassRng):
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        for mode in DropoutMode:
-            out = dropout(x, 0.0, mode, None)
+        for gen in (None, _AllKeep()):
+            out = dropout(x, 0.0, gen)
             np.testing.assert_array_equal(out.data, x.data)
 
     def test_eval_deterministic_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = dropout(x, 0.9, DropoutMode.EVAL_DETERMINISTIC, None)
+        out = dropout(x, 0.9, None)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_all_keep_mask_scales_by_two(self):
         x = Tensor(np.arange(1.0, 7.0).reshape(2, 3))
-        out = dropout(x, 0.5, DropoutMode.TRAIN, _AllKeep())
+        out = dropout(x, 0.5, _AllKeep())
         np.testing.assert_allclose(out.data, 2.0 * x.data)
 
     def test_invalid_rate(self):
         x = Tensor([1.0])
         with pytest.raises(ValueError):
-            dropout(x, 1.0, DropoutMode.TRAIN, _AllKeep())
+            dropout(x, 1.0, _AllKeep())
         with pytest.raises(ValueError):
-            dropout(x, -0.1, DropoutMode.TRAIN, _AllKeep())
+            dropout(x, -0.1, _AllKeep())
 
     def test_deterministic_mode_gradient_is_identity(self):
         err = check_gradient(
-            lambda x: dropout(x, 0.5, DropoutMode.EVAL_DETERMINISTIC, None).sum(),
+            lambda x: dropout(x, 0.5, None).sum(),
             np.random.default_rng(0).normal(size=6),
         )
         assert err < 1e-4
@@ -84,7 +94,7 @@ class TestDropout:
             gen = np.random.default_rng(1234)
             acc = np.zeros((1, 4))
             for _ in range(n):
-                acc += dropout(x, 0.5, DropoutMode.EVAL_SAMPLING, gen).data @ w
+                acc += dropout(x, 0.5, gen).data @ w
             return acc / n
 
         dev100 = np.linalg.norm(mc_mean(100) - det) / np.linalg.norm(det)
@@ -196,8 +206,8 @@ class TestModelForward:
         spec = mlp_spec(2, variant="bayesian2")
         params = build_model(spec, 1)
         x = np.random.default_rng(2).normal(size=(3, 2))
-        a = model_forward(params, spec, x, DropoutMode.EVAL_SAMPLING, PassRng(9, 0)).data
-        b = model_forward(params, spec, x, DropoutMode.EVAL_SAMPLING, PassRng(9, 0)).data
+        a = model_forward(params, spec, x, PassRng(9, 0)).data
+        b = model_forward(params, spec, x, PassRng(9, 0)).data
         np.testing.assert_array_equal(a, b)
 
     def test_eval_deterministic_is_bit_identical(self):
@@ -213,14 +223,8 @@ class TestModelForward:
         n_blocks = sum(1 for l in spec.layers if l.kind == "residual-block")
         params = build_model(spec, 6)
         counter = _CountingRng(0, 0)
-        model_forward(params, spec, np.zeros((1, 16, 16)), DropoutMode.TRAIN, counter)
+        model_forward(params, spec, np.zeros((1, 16, 16)), counter)
         assert len(counter.layers_touched) == n_blocks + 1
-
-    def test_stochastic_mode_requires_rng(self):
-        spec = mlp_spec(2, variant="bayesian1")
-        params = build_model(spec, 0)
-        with pytest.raises(ValueError, match="rng"):
-            model_forward(params, spec, np.zeros((1, 2)), DropoutMode.TRAIN, None)
 
     def test_variational_spec_rejected(self):
         spec = mlp_spec(2, variant="variational")
@@ -250,29 +254,20 @@ class TestForwardRange:
         return spec, build_model(spec, 5), x
 
     @pytest.mark.parametrize("backbone,variant", SPECS)
-    @pytest.mark.parametrize("mode", [DropoutMode.EVAL_DETERMINISTIC, DropoutMode.EVAL_SAMPLING])
-    def test_every_split_composes_to_body_forward(self, backbone, variant, mode):
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_every_split_composes_to_body_forward(self, backbone, variant, sampled):
         spec, params, x = self.make(backbone, variant)
 
         def pass_rng():   # one object per pass: it keeps each layer's stream
-            return PassRng(9, 2) if mode.stochastic else None
+            return PassRng(9, 2) if sampled else None
 
         end = len(spec.layers)
-        whole = body_forward(params, spec, x, mode, pass_rng()).data
+        whole = body_forward(params, spec, x, pass_rng()).data
         for k in range(end + 1):
             split_pass = pass_rng()
-            head = forward_range(params, spec, x, 0, k, mode, split_pass)
-            tail = forward_range(params, spec, head, k, end, mode, split_pass)
+            head = forward_range(params, spec, x, 0, k, split_pass)
+            tail = forward_range(params, spec, head, k, end, split_pass)
             assert tail.data.tobytes() == whole.tobytes(), f"split at layer {k}"
-
-    def test_stochastic_range_without_dropout_needs_no_rng(self):
-        spec, params, x = self.make("miniresnet", "bayesian1")
-        first = spec.dropout_positions()[0]
-        sampled = forward_range(params, spec, x, 0, first, DropoutMode.EVAL_SAMPLING, None)
-        plain = forward_range(params, spec, x, 0, first)
-        np.testing.assert_array_equal(sampled.data, plain.data)
-        with pytest.raises(ValueError, match="rng"):
-            forward_range(params, spec, sampled, first, len(spec.layers), DropoutMode.EVAL_SAMPLING, None)
 
     def test_range_outside_body_rejected(self):
         spec, params, x = self.make("mlp", "bayesian2")
@@ -327,13 +322,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
-    def test_loaded_model_produces_identical_logits(self, tmp_path):
-        spec = miniresnet_spec((1, 8, 8))
+    @pytest.mark.parametrize("legacy_dropout_p", [False, True])
+    def test_loaded_model_produces_identical_logits(self, tmp_path, legacy_dropout_p):
+        spec = miniresnet_spec((1, 8, 8), variant="bayesian1", p=0.3)
         params = build_model(spec, 9)
         x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
         before = model_forward(params, spec, x).data
-        path = str(tmp_path / "m.bin")
-        save_checkpoint(path, spec, params)
-        spec2, params2, _ = load_checkpoint(path)
+        path = tmp_path / "m.bin"
+        save_checkpoint(str(path), spec, params)
+        if legacy_dropout_p:   # older writers stored a spec-level rate that readers ignore
+            _add_spec_key(path, "dropout_p", 0.5)
+        spec2, params2, _ = load_checkpoint(str(path))
+        assert spec2 == spec
         after = model_forward(params2, spec2, x).data
-        np.testing.assert_array_equal(before, after)
+        assert after.tobytes() == before.tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqnet.layers as layers
-from uqnet.layers import DropoutMode, block_rows, build_model, mlp_spec, model_forward
+from uqnet.layers import block_rows, build_model, mlp_spec, model_forward
 from uqnet.metrics import ClassificationMetrics
 from uqnet.report import build_report
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
@@ -67,8 +67,7 @@ def test_prefix_cached_mc_equals_independent_passes(model_seed, mc_seed, T, batc
     x = np.random.default_rng(model_seed).normal(size=(batch, 3))
     with no_grad():
         reference = np.stack([
-            np_softmax(model_forward(params, spec, x, DropoutMode.EVAL_SAMPLING,
-                                     PassRng(mc_seed, t, NS_EVAL_DROPOUT)).data)
+            np_softmax(model_forward(params, spec, x, PassRng(mc_seed, t, NS_EVAL_DROPOUT)).data)
             for t in range(T)
         ])
     assert np.array_equal(mc_probs(params, spec, x, T, mc_seed), reference)

@@ -6,7 +6,9 @@ import pytest
 from uqnet.data import Dataset, SplitSpec, split, synth_blobs
 from uqnet.layers import build_model, mlp_spec
 from uqnet.optim import OptimizerConfig
+from uqnet.tensor import Tensor, cross_entropy
 from uqnet.train import TrainConfig, TrainingDivergedError, train
+from uqnet.uncertainty import eval_variational_heads, kld_from_logvar
 
 
 def quick_splits(seed=0, n=600, overlap=0.2):
@@ -52,6 +54,11 @@ class TestLog:
             assert stats.split in ("train", "val")
             bd = stats.loss
             assert bd.total == bd.cross_entropy + bd.kld_weight * bd.kld
+        # the epoch-end loss is the objective at eps = 0: CE of mu, exactly
+        mu, logvar = (Tensor(a) for a in eval_variational_heads(params, spec, va.inputs))
+        last = result.log[-1].loss
+        assert last.cross_entropy == float(cross_entropy(mu, va.labels))
+        assert last.kld == float(kld_from_logvar(mu, logvar))
 
     def test_best_epoch_tracks_max_val_accuracy(self):
         tr, va, _ = quick_splits()

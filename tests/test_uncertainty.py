@@ -7,7 +7,7 @@ import pytest
 
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import DropoutMode, build_model, miniresnet_spec, mlp_spec, model_forward
+from uqnet.layers import build_model, miniresnet_spec, mlp_spec, model_forward
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
 from uqnet.tensor import Tensor, check_gradient, no_grad
 from uqnet.uncertainty import (
@@ -31,8 +31,7 @@ def independent_mc_probs(params, spec, x, T, seed):
     """T full dropout-active passes with nothing shared between them."""
     with no_grad():
         return np.stack([
-            np_softmax(model_forward(params, spec, x, DropoutMode.EVAL_SAMPLING,
-                                     PassRng(seed, t, NS_EVAL_DROPOUT)).data)
+            np_softmax(model_forward(params, spec, x, PassRng(seed, t, NS_EVAL_DROPOUT)).data)
             for t in range(T)
         ])
 
@@ -206,25 +205,17 @@ class TestMcPredict:
         params = build_model(spec, 4)
         post = mc_predict(params, spec, np.array([0.3, 0.9]), T=40, seed=5)
         perm = np.random.default_rng(0).permutation(40)
-        shuffled = PosteriorSamples(post.samples[perm], post.samples[perm].mean(axis=0),
-                                    post.samples[perm].var(axis=0, ddof=1), 40)
+        shuffled = PosteriorSamples(post.samples[perm])
         assert shuffled.predicted_label == post.predicted_label
 
-    def test_rejects_fields_that_disagree_with_samples(self):
-        samples = mc_predict(build_model(mlp_spec(2, variant="bayesian2"), 4),
-                             mlp_spec(2, variant="bayesian2"), np.array([0.3, 0.9]),
-                             T=12, seed=5).samples
-        mean, variance = samples.mean(axis=0), unbiased_variance(samples)
-        with pytest.raises(ValueError, match="samples"):
-            PosteriorSamples(samples, mean, variance, 11)
-        with pytest.raises(ValueError, match="mean"):
-            PosteriorSamples(samples, mean + 1e-9, variance, 12)
-        with pytest.raises(ValueError, match="variance"):
-            PosteriorSamples(samples, mean, variance * 2.0, 12)
-        with pytest.raises(ValueError, match="variance"):
-            PosteriorSamples(samples, mean, variance[:-1], 12)
-        exact = PosteriorSamples(samples, mean, variance, 12)
-        assert uncertainty_score(exact).value == float(variance.mean())
+    def test_statistics_are_derived_from_samples(self):
+        spec = mlp_spec(2, variant="bayesian2")
+        post = mc_predict(build_model(spec, 4), spec, np.array([0.3, 0.9]), T=12, seed=5)
+        samples = post.samples
+        assert post.T == len(samples) == 12
+        assert post.mean.tobytes() == samples.mean(0).tobytes()
+        assert post.variance.tobytes() == unbiased_variance(samples).tobytes()
+        assert uncertainty_score(post).value == float(post.variance.mean())
 
     def test_validation(self):
         spec = mlp_spec(2, variant="bayesian1")
@@ -296,7 +287,7 @@ class TestScores:
         samples = np.zeros((T, 4))
         samples[0::2, 0] = 1.0
         samples[1::2, 1] = 1.0
-        post = PosteriorSamples(samples, samples.mean(axis=0), samples.var(axis=0, ddof=1), T)
+        post = PosteriorSamples(samples)
         v = 0.25 * T / (T - 1)
         np.testing.assert_allclose(post.variance, [v, v, 0.0, 0.0], atol=1e-12)
         assert abs(uncertainty_score(post).value - v / 2.0) < 1e-12
