@@ -226,6 +226,19 @@ class TestModelForward:
         model_forward(params, spec, np.zeros((1, 16, 16)), counter)
         assert len(counter.layers_touched) == n_blocks + 1
 
+    def test_stochastic_mode_requires_rng(self):
+        # The pass stream is the only dropout switch: with it the forward
+        # samples masks, without it every dropout is the identity.
+        spec = mlp_spec(2, variant="bayesian1")
+        params = build_model(spec, 0)
+        x = np.random.default_rng(4).normal(size=(3, 2))
+        plain = model_forward(params, spec, x).data
+        counter = _CountingRng(3, 0)
+        sampled = model_forward(params, spec, x, counter).data
+        assert counter.layers_touched == spec.dropout_positions()
+        assert not np.array_equal(sampled, plain)
+        np.testing.assert_array_equal(model_forward(params, spec, x).data, plain)
+
     def test_variational_spec_rejected(self):
         spec = mlp_spec(2, variant="variational")
         params = build_model(spec, 0)
@@ -268,6 +281,17 @@ class TestForwardRange:
             head = forward_range(params, spec, x, 0, k, split_pass)
             tail = forward_range(params, spec, head, k, end, split_pass)
             assert tail.data.tobytes() == whole.tobytes(), f"split at layer {k}"
+
+    def test_stochastic_range_without_dropout_needs_no_rng(self):
+        spec, params, x = self.make("miniresnet", "bayesian1")
+        first = spec.dropout_positions()[0]
+        counter = _CountingRng(9, 2)
+        sampled = forward_range(params, spec, x, 0, first, counter)
+        plain = forward_range(params, spec, x, 0, first)
+        np.testing.assert_array_equal(sampled.data, plain.data)
+        assert counter.layers_touched == []
+        forward_range(params, spec, sampled, first, len(spec.layers), counter)
+        assert counter.layers_touched == spec.dropout_positions()
 
     def test_range_outside_body_rejected(self):
         spec, params, x = self.make("mlp", "bayesian2")
