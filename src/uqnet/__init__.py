@@ -26,8 +26,9 @@ from .layers import (
     ModelParams,
     build_model,
     body_forward,
-    eval_logits,
+    eval_heads,
     forward_range,
+    head_forward,
     model_forward,
     row_blocks,
     dropout,
@@ -50,7 +51,6 @@ from .data import (
     synth_textures,
 )
 from .uncertainty import (
-    NoiseDraw,
     PosteriorSamples,
     UncertaintyScore,
     VariationalOutput,
@@ -63,7 +63,7 @@ from .uncertainty import (
     variational_forward,
 )
 from .optim import Adam, OptimizerConfig, SGD
-from .losses import LossBreakdown, cross_entropy, variational_loss
+from .losses import LossBreakdown, cross_entropy, objective, variational_loss
 from .metrics import ClassificationMetrics, confusion_matrix
 from .report import UncertaintyReport, build_report
 from .train import TrainConfig, TrainResult, TrainingDivergedError, train
@@ -76,17 +76,18 @@ __all__ = [
     "Tensor", "NonFiniteError", "ShapeError", "no_grad", "set_finite_checks",
     "finite_checks", "conv2d", "global_avg_pool", "check_gradient",
     "LayerSpec", "ModelSpec", "ModelParams", "build_model",
-    "body_forward", "eval_logits", "forward_range", "model_forward", "row_blocks", "dropout",
+    "body_forward", "eval_heads", "forward_range", "head_forward", "model_forward", "row_blocks",
+    "dropout",
     "mlp_spec", "miniresnet_spec",
     "validate_spec", "VARIANTS",
     "CheckpointError", "load_checkpoint", "save_checkpoint",
     "DataError", "Dataset", "SplitSpec", "load_csv", "load_idx", "save_csv",
     "save_idx", "split", "synth_blobs", "synth_textures",
-    "NoiseDraw", "PosteriorSamples", "UncertaintyScore", "VariationalOutput",
+    "PosteriorSamples", "UncertaintyScore", "VariationalOutput",
     "kld", "mc_predict", "mc_probs", "predictive_entropy",
     "reparameterized_samples", "uncertainty_score", "variational_forward",
     "Adam", "OptimizerConfig", "SGD",
-    "LossBreakdown", "cross_entropy", "variational_loss",
+    "LossBreakdown", "cross_entropy", "objective", "variational_loss",
     "ClassificationMetrics", "confusion_matrix",
     "UncertaintyReport", "build_report",
     "TrainConfig", "TrainResult", "TrainingDivergedError", "train",

@@ -21,7 +21,7 @@ from . import artifacts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import SECTIONS, RunConfig
 from .data import DataError, save_csv, save_idx, splits_sha256
-from .evaluate import compare_variants, evaluate
+from .evaluate import SPACES, compare_variants, evaluate
 from .layers import VARIANTS, build_model
 from .tensor import NonFiniteError
 from .train import TrainingDivergedError, train
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     def uncertainty_flags(p):
         p.add_argument("--T", type=_mc_passes, help="MC dropout passes (>= 2)")
         p.add_argument("--S", type=int, help="variational reparameterized draws")
-        p.add_argument("--space", choices=["analytic", "sampled"],
+        p.add_argument("--space", choices=SPACES,
                        help="variational uncertainty space")
         p.add_argument("--workers", type=int, help="threads for MC passes")
 

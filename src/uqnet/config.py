@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, field, fields, replace
 
 from .data import Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
-from .evaluate import EvalConfig
+from .evaluate import SPACES, EvalConfig
 from .layers import ModelSpec, miniresnet_spec, mlp_spec
 from .optim import OptimizerConfig
 from .train import TrainConfig
@@ -159,6 +159,9 @@ class RunConfig:
             raise ValueError(f"model.dropout must lie in [0, 1), got {self.model.dropout}")
         if self.uncertainty.T < 2:
             raise ValueError(f"uncertainty.T must be >= 2, got {self.uncertainty.T}")
+        if self.uncertainty.space not in SPACES:
+            raise ValueError(f"uncertainty.space must be one of {SPACES}, "
+                             f"got {self.uncertainty.space!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -2,7 +2,9 @@
 
 Predictions follow the variant's rule: argmax of the MC-mean probabilities
 for the dropout variants, argmax of the predicted mean for the variational
-variant, argmax of the logits for the baseline. Uncertainty scores follow
+variant, argmax of the softmax probabilities for the baseline (rounding
+in the softmax can tie two classes whose logits differ, so this is not
+always the argmax of the logits). Uncertainty scores follow
 :func:`uqnet.uncertainty.uncertainty_score`; the baseline has no sampling
 mechanism, so its score column carries predictive entropy instead and is
 excluded from ratio comparisons against the sampling variants.
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .layers import ModelParams, ModelSpec, build_model, eval_logits
+from .layers import ModelParams, ModelSpec, build_model, eval_heads
 from .metrics import ClassificationMetrics
 from .report import UncertaintyReport, build_report
 from .train import TrainConfig, TrainResult, train
@@ -29,6 +31,8 @@ from .uncertainty import (
     variance_score,
     variational_outputs,
 )
+
+SPACES = ("analytic", "sampled")   # variational scoring spaces
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,8 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
         else:
             raise ValueError(f"unknown scoring space {cfg.space!r}")
     elif spec.variant == "baseline":
-        mean_probs = np_softmax(eval_logits(params, spec, x))
+        logits, _ = eval_heads(params, spec, x)
+        mean_probs = np_softmax(logits)
         pred = mean_probs.argmax(axis=1)
         scores = predictive_entropy(mean_probs)
         method = "entropy"

@@ -18,6 +18,12 @@ All dropout is inverted dropout: surviving activations are scaled by
 1/(1-p) at mask time. A forward pass draws masks exactly when it is given a
 :class:`uqnet.rng.PassRng`, whose namespace tells training passes from MC
 evaluation passes; without one, dropout is exactly the identity.
+
+This module is the one place that turns a spec into computation:
+:func:`body_forward` (or :func:`forward_range` for part of the body) runs
+the body, :func:`head_forward` is the only reader of the ``head.*``
+parameters, returning ``(logits, None)`` or ``(mu, log sigma^2)``, and
+:func:`eval_heads` is the one row-blocked, no-grad evaluator of both.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ _BLOCK_BYTES = 12 << 20
 # aligned blocks keep every output row bit-identical to the unblocked
 # product (measured with OpenBLAS on the mlp and miniresnet preset shapes).
 _BLOCK_ALIGN = 16
+
+# log sigma^2 of the variational head is clamped to this range: guarantees
+# positive sigma^2 and keeps the KLD term finite early in training
+LOGVAR_MIN = -10.0
+LOGVAR_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -397,23 +408,29 @@ def body_forward(params: ModelParams, spec: ModelSpec, x,
     return forward_range(params, spec, x, 0, len(spec.layers), pass_rng)
 
 
-def standard_head(params: ModelParams, h: Tensor) -> Tensor:
-    """Logits of the standard linear head on [batch, feature_dim] features."""
-    return h @ params["head.fc.w"] + params["head.fc.b"]
+def head_forward(params: ModelParams, spec: ModelSpec, h: Tensor) -> tuple[Tensor, Tensor | None]:
+    """The head on [batch, feature_dim] features: ``(logits, None)`` for the
+    standard head, ``(mu, log sigma^2)`` for the variational head, with
+    log sigma^2 clipped to [LOGVAR_MIN, LOGVAR_MAX]."""
+    if spec.head == "standard":
+        return h @ params["head.fc.w"] + params["head.fc.b"], None
+    mu = h @ params["head.mu.w"] + params["head.mu.b"]
+    logvar = (h @ params["head.logvar.w"] + params["head.logvar.b"]).clip(LOGVAR_MIN, LOGVAR_MAX)
+    return mu, logvar
 
 
 def model_forward(params: ModelParams, spec: ModelSpec, x,
                   pass_rng: _rng.PassRng | None = None) -> Tensor:
     """Forward pass to [batch, n_classes] logits (standard-head variants).
 
-    Variational models produce a (mu, sigma^2) pair instead of logits; use
-    :func:`uqnet.uncertainty.variational_heads` (graph mode) or
-    :func:`uqnet.uncertainty.variational_outputs` (arrays) for those.
+    Variational models produce a (mu, log sigma^2) pair instead of logits;
+    use :func:`head_forward` (graph mode) or :func:`eval_heads` (arrays).
     """
     if spec.head != "standard":
-        raise ValueError("model_forward handles standard-head variants; "
-                         "use variational_forward for the variational variant")
-    return standard_head(params, body_forward(params, spec, x, pass_rng))
+        raise ValueError("model_forward handles standard-head variants; use head_forward "
+                         "or eval_heads for the variational variant")
+    logits, _ = head_forward(params, spec, body_forward(params, spec, x, pass_rng))
+    return logits
 
 
 # -- row-blocked evaluation ----------------------------------------------------
@@ -462,8 +479,13 @@ def row_blocks(spec: ModelSpec, x) -> list[tuple[slice, Tensor]]:
     return [(slice(lo, hi), Tensor(x.data[lo:hi])) for lo, hi in zip(starts, stops)]
 
 
-def eval_logits(params: ModelParams, spec: ModelSpec, x) -> np.ndarray:
-    """[batch, n_classes] logits of the deterministic forward, computed in
-    row blocks with no graph recording."""
+def eval_heads(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`head_forward` of the deterministic forward as [batch, n_classes]
+    arrays, computed in row blocks with no graph recording."""
     with no_grad():
-        return np.concatenate([model_forward(params, spec, xb).data for _, xb in row_blocks(spec, x)])
+        heads = [head_forward(params, spec, body_forward(params, spec, xb))
+                 for _, xb in row_blocks(spec, x)]
+    out = np.concatenate([o.data for o, _ in heads])
+    if heads[0][1] is None:
+        return out, None
+    return out, np.concatenate([logvar.data for _, logvar in heads])

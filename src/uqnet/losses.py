@@ -1,4 +1,4 @@
-"""Loss functions and the composite variational objective."""
+"""Loss functions and the one training objective of both heads."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, cross_entropy, no_grad
+from .tensor import Tensor, _as_tensor, cross_entropy, no_grad
 from .uncertainty import VariationalOutput, kld_from_logvar, noise_draw
 
-__all__ = ["cross_entropy", "LossBreakdown", "variational_loss", "variational_loss_graph"]
+__all__ = ["cross_entropy", "LossBreakdown", "objective", "variational_loss", "variational_loss_graph"]
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class LossBreakdown:
         return cls(ce + beta * kld_value, ce, kld_value, beta)
 
     @classmethod
-    def plain(cls, ce: float, beta: float = 0.0) -> "LossBreakdown":
-        return cls(ce, ce, 0.0, beta)
+    def plain(cls, ce: float) -> "LossBreakdown":
+        return cls(ce, ce, 0.0, 0.0)
 
 
 def variational_loss_graph(mu: Tensor, logvar: Tensor, targets, beta: float,
@@ -35,8 +35,9 @@ def variational_loss_graph(mu: Tensor, logvar: Tensor, targets, beta: float,
     """Training objective from graph tensors: CE on one reparameterized
     sample per example, plus beta times the batch-mean KLD.
 
-    ``eps`` is [batch, C] standard-normal noise; gradients flow into both
-    heads through the sample y = mu + exp(logvar/2) * eps.
+    ``eps`` is [batch, C] standard-normal noise, or a scalar 0 to take the
+    CE at the mean; gradients flow into both heads through the sample
+    y = mu + exp(logvar/2) * eps.
     """
     sample = mu + (logvar * 0.5).exp() * Tensor(eps)
     ce_t = cross_entropy(sample, targets)
@@ -45,12 +46,23 @@ def variational_loss_graph(mu: Tensor, logvar: Tensor, targets, beta: float,
     return total_t, LossBreakdown.compose(float(ce_t), float(kld_t), float(beta))
 
 
+def objective(out, logvar, targets, beta: float, eps) -> tuple[Tensor, LossBreakdown]:
+    """The training objective of either head, from :func:`uqnet.layers.head_forward`
+    tensors or :func:`uqnet.layers.eval_heads` arrays: the cross-entropy of the
+    logits ``out`` when ``logvar`` is None, else :func:`variational_loss_graph`
+    with ``mu = out`` (``beta`` and ``eps`` apply to that case only)."""
+    if logvar is None:
+        ce = cross_entropy(out, targets)
+        return ce, LossBreakdown.plain(float(ce))
+    return variational_loss_graph(_as_tensor(out), _as_tensor(logvar), targets, beta, eps)
+
+
 def variational_loss(out: VariationalOutput, target: int, beta: float,
                      eps: np.ndarray | None = None, seed: int = 0) -> LossBreakdown:
     """Single-example loss CE(mu + sigma*eps) + beta*KLD: the batch-of-one
     :func:`variational_loss_graph` with logvar = log(sigma2)."""
     if eps is None:
-        eps = noise_draw(seed, 0, out.mu.shape).epsilon
+        eps = noise_draw(seed, 0, out.mu.shape)
     with no_grad():
         _, breakdown = variational_loss_graph(
             Tensor(out.mu[None, :]), Tensor(np.log(out.sigma2)[None, :]),

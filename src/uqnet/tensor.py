@@ -128,9 +128,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
@@ -140,9 +137,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     # -- graph construction ------------------------------------------------
 
@@ -203,8 +197,18 @@ def _is_scalar(a: np.ndarray) -> bool:
     return a.ndim == 0
 
 
-def _sum_to_bias(g: np.ndarray) -> np.ndarray:
-    # collapse everything but the last axis
+def _is_bias(v: np.ndarray, m: np.ndarray) -> bool:
+    """Whether ``v`` broadcasts over ``m`` as a rank-1 bias along its last axis."""
+    return v.ndim == 1 and m.ndim >= 2 and m.shape[-1] == v.shape[0]
+
+
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce the gradient ``g`` of a broadcast result to an operand's ``shape``:
+    the same shape, a scalar, or a rank-1 bias along the last axis."""
+    if g.shape == shape:
+        return g
+    if shape == ():
+        return np.asarray(g.sum())
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
@@ -213,47 +217,26 @@ def _sum_to_bias(g: np.ndarray) -> np.ndarray:
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
-    if A.shape == B.shape:
-        def back(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-    elif _is_scalar(B):
-        def back(g):
-            _accumulate(a, g)
-            _accumulate(b, np.asarray(g.sum()))
-    elif _is_scalar(A):
-        def back(g):
-            _accumulate(a, np.asarray(g.sum()))
-            _accumulate(b, g)
-    elif B.ndim == 1 and A.ndim >= 2 and A.shape[-1] == B.shape[0]:
-        def back(g):
-            _accumulate(a, g)
-            _accumulate(b, _sum_to_bias(g))
-    elif A.ndim == 1 and B.ndim >= 2 and B.shape[-1] == A.shape[0]:
-        def back(g):
-            _accumulate(a, _sum_to_bias(g))
-            _accumulate(b, g)
-    else:
+    if not (A.shape == B.shape or _is_scalar(A) or _is_scalar(B)
+            or _is_bias(A, B) or _is_bias(B, A)):
         raise ShapeError(f"add: unsupported shapes {A.shape} + {B.shape}")
+
+    def back(g):
+        _accumulate(a, _sum_to(g, A.shape))
+        _accumulate(b, _sum_to(g, B.shape))
+
     return _from_op(A + B, (a, b), "add", back)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
-    if A.shape == B.shape:
-        def back(g):
-            _accumulate(a, g * B)
-            _accumulate(b, g * A)
-    elif _is_scalar(B):
-        def back(g):
-            _accumulate(a, g * B)
-            _accumulate(b, np.asarray((g * A).sum()))
-    elif _is_scalar(A):
-        def back(g):
-            _accumulate(a, np.asarray((g * B).sum()))
-            _accumulate(b, g * A)
-    else:
+    if not (A.shape == B.shape or _is_scalar(A) or _is_scalar(B)):
         raise ShapeError(f"mul: unsupported shapes {A.shape} * {B.shape}")
+
+    def back(g):
+        _accumulate(a, _sum_to(g * B, A.shape))
+        _accumulate(b, _sum_to(g * A, B.shape))
+
     return _from_op(A * B, (a, b), "mul", back)
 
 

@@ -8,11 +8,10 @@ import numpy as np
 
 from . import rng as _rng
 from .data import Dataset
-from .layers import ModelParams, ModelSpec, eval_logits, model_forward
-from .losses import LossBreakdown, cross_entropy, variational_loss_graph
+from .layers import ModelParams, ModelSpec, body_forward, eval_heads, head_forward
+from .losses import LossBreakdown, objective
 from .optim import OptimizerConfig
 from .tensor import NonFiniteError, Tensor
-from .uncertainty import eval_variational_heads, variational_heads
 
 
 class TrainingDivergedError(RuntimeError):
@@ -54,16 +53,9 @@ def _deterministic_eval(params: ModelParams, spec: ModelSpec, ds: Dataset,
 
     The forward runs in row blocks; the losses are taken over the whole split.
     """
-    if spec.head == "variational":
-        mu, logvar = eval_variational_heads(params, spec, ds.inputs)
-        _, breakdown = variational_loss_graph(Tensor(mu), Tensor(logvar), ds.labels, beta,
-                                              np.zeros_like(mu))
-        pred = mu.argmax(axis=1)
-    else:
-        logits = eval_logits(params, spec, ds.inputs)
-        breakdown = LossBreakdown.plain(float(cross_entropy(logits, ds.labels)))
-        pred = logits.argmax(axis=1)
-    return breakdown, float((pred == ds.labels).mean())
+    out, logvar = eval_heads(params, spec, ds.inputs)
+    _, breakdown = objective(out, logvar, ds.labels, beta, 0.0)
+    return breakdown, float((out.argmax(axis=1) == ds.labels).mean())
 
 
 def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Dataset,
@@ -76,6 +68,8 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
     """
     if cfg.epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if spec.input_shape != train_ds.input_shape:
         raise ValueError(f"model expects inputs {spec.input_shape}, "
                          f"dataset provides {train_ds.input_shape}")
@@ -93,14 +87,10 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
             y = train_ds.labels[idx]
             pass_rng = _rng.PassRng(seed, step, _rng.NS_TRAIN_DROPOUT)
             try:
-                if spec.head == "variational":
-                    mu, logvar = variational_heads(params, spec, x, pass_rng)
-                    eps = _rng.stream(seed, _rng.NS_TRAIN_NOISE, step).standard_normal(mu.shape)
-                    loss, breakdown = variational_loss_graph(mu, logvar, y, cfg.beta, eps)
-                else:
-                    logits = model_forward(params, spec, x, pass_rng)
-                    loss = cross_entropy(logits, y)
-                    breakdown = LossBreakdown.plain(float(loss))
+                out, logvar = head_forward(params, spec, body_forward(params, spec, x, pass_rng))
+                eps = (None if logvar is None else
+                       _rng.stream(seed, _rng.NS_TRAIN_NOISE, step).standard_normal(out.shape))
+                loss, breakdown = objective(out, logvar, y, cfg.beta, eps)
                 if not np.isfinite(breakdown.total):
                     raise TrainingDivergedError(step, epoch, f"loss = {breakdown.total}")
                 opt.zero_grad()

@@ -16,6 +16,9 @@ Scalar uncertainty is the mean over classes of the per-class variance
 logit-space sigma^2 for the analytic variational mode).
 Each mechanism has one batched implementation; the single-example API is
 its N = 1 case and returns the bytes of row 0 of a one-example batch.
+Both heads themselves are computed by :mod:`uqnet.layers`
+(``head_forward`` and ``eval_heads``); this module only samples and scores
+their outputs.
 """
 
 from __future__ import annotations
@@ -27,13 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .layers import ModelParams, ModelSpec, body_forward, forward_range, row_blocks, standard_head
+from .layers import ModelParams, ModelSpec, eval_heads, forward_range, head_forward, row_blocks
 from .tensor import Tensor, no_grad
-
-# log sigma^2 is clamped to this range: guarantees positive sigma^2 and
-# keeps the KLD term finite early in training
-LOGVAR_MIN = -10.0
-LOGVAR_MAX = 10.0
 
 MC_VARIANTS = ("bayesian1", "bayesian2")
 
@@ -90,13 +88,6 @@ class VariationalOutput:
     @property
     def predicted_label(self) -> int:
         return int(self.mu.argmax())
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """A standard-normal array, reproducible from the (seed, index) it was drawn with."""
-
-    epsilon: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,7 +158,8 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
             def one_pass(t: int) -> None:
                 with no_grad():
                     h = forward_range(params, spec, prefix, first, end, pass_rngs[t])
-                    out[t, rows] = np_softmax(standard_head(params, h).data)
+                    logits, _ = head_forward(params, spec, h)
+                    out[t, rows] = np_softmax(logits.data)
 
             list((pool.map if pool else map)(one_pass, range(T)))
     return out
@@ -185,16 +177,15 @@ def mc_predict(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
 # -- variational head ----------------------------------------------------------
 
 
-def noise_draw(seed: int, index: int, shape) -> NoiseDraw:
-    """Evaluation-noise draw ``index``; streams fill sequentially, so a
-    (1, C) draw equals a (C,) draw."""
-    eps = _rng.stream(seed, _rng.NS_EVAL_NOISE, index).standard_normal(shape)
-    return NoiseDraw(eps)
+def noise_draw(seed: int, index: int, shape) -> np.ndarray:
+    """Evaluation-noise draw ``index``, standard normal and reproducible from
+    (seed, index); streams fill sequentially, so a (1, C) draw equals a (C,) draw."""
+    return _rng.stream(seed, _rng.NS_EVAL_NOISE, index).standard_normal(shape)
 
 
 def _batched_eval_noise(seed: int, S: int, shape) -> np.ndarray:
     """[S, *shape] standard-normal draws; draw i is ``noise_draw(seed, i, shape)``."""
-    return np.stack([noise_draw(seed, i, shape).epsilon for i in range(S)])
+    return np.stack([noise_draw(seed, i, shape) for i in range(S)])
 
 
 def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int,
@@ -215,29 +206,12 @@ def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: in
     return mu + np.sqrt(sigma2) * eps
 
 
-def variational_heads(params: ModelParams, spec: ModelSpec, x,
-                      pass_rng: _rng.PassRng | None = None) -> tuple[Tensor, Tensor]:
-    """Graph-mode (mu, log sigma^2) tensors of shape [batch, C]."""
+def variational_outputs(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, sigma2) arrays of shape [batch, C], computed in row blocks with
+    no graph recording."""
     if spec.head != "variational":
         raise ValueError(f"model variant {spec.variant!r} has no variational head")
-    h = body_forward(params, spec, x, pass_rng)
-    mu = h @ params["head.mu.w"] + params["head.mu.b"]
-    logvar = (h @ params["head.logvar.w"] + params["head.logvar.b"]).clip(LOGVAR_MIN, LOGVAR_MAX)
-    return mu, logvar
-
-
-def eval_variational_heads(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, log sigma^2) arrays of shape [batch, C], computed in row blocks
-    with no graph recording."""
-    with no_grad():
-        heads = [variational_heads(params, spec, xb) for _, xb in row_blocks(spec, x)]
-    return (np.concatenate([mu.data for mu, _ in heads]),
-            np.concatenate([logvar.data for _, logvar in heads]))
-
-
-def variational_outputs(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, sigma2) arrays of shape [batch, C] with no graph recording."""
-    mu, logvar = eval_variational_heads(params, spec, x)
+    mu, logvar = eval_heads(params, spec, x)
     return mu, np.exp(logvar)
 
 

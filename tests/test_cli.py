@@ -1,6 +1,7 @@
 """CLI contract: artifacts, exit codes, determinism, config plumbing."""
 
 import hashlib
+import importlib
 import os
 
 import numpy as np
@@ -363,6 +364,19 @@ class TestRunConfig:
         merged = cfg.with_overrides({"dataset": {"n": "99"}})
         assert merged.dataset.n == 99
         assert merged.dataset.overlap == 0.1
+
+    def test_unknown_space_in_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        # the module, not the uqnet.evaluate function that the package exports
+        monkeypatch.setattr(importlib.import_module("uqnet.evaluate"), "train", no_training)
+        path = tmp_path / "c.cfg"
+        path.write_text("[uncertainty]\nspace = bogus\n")
+        out = str(tmp_path / "c")
+        assert run(["compare", "--config", str(path), "--out", out] + TINY_TRAIN) == 1
+        assert "uncertainty.space" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="overlap"):

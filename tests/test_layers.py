@@ -242,7 +242,7 @@ class TestModelForward:
     def test_variational_spec_rejected(self):
         spec = mlp_spec(2, variant="variational")
         params = build_model(spec, 0)
-        with pytest.raises(ValueError, match="variational_forward"):
+        with pytest.raises(ValueError, match="head_forward or eval_heads"):
             model_forward(params, spec, np.zeros((1, 2)))
 
     def test_shape_mismatch_rejected(self):

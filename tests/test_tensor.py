@@ -97,18 +97,34 @@ class TestBackward:
 
 
 class TestShapeRules:
+    # Each case runs with the broadcast operand on either side of the op.
+    # The cases are looped, not parametrized, so the test ids stay stable.
+
     def test_bias_add_last_axis(self):
-        x = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        (x + b).sum().backward()
-        np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        upstream = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        for combine in (lambda x, b: x + b, lambda x, b: b + x):
+            x = Tensor(np.ones((2, 3)), requires_grad=True)
+            b = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+            y = combine(x, b)
+            np.testing.assert_array_equal(y.data, [[2.0, 3.0, 4.0]] * 2)
+            (y * Tensor(upstream)).sum().backward()
+            np.testing.assert_array_equal(b.grad, [5.0, 7.0, 9.0])
+            np.testing.assert_array_equal(x.grad, upstream)
 
     def test_scalar_broadcast(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        s = Tensor(3.0, requires_grad=True)
-        (x * s).sum().backward()
-        assert float(s.grad) == 4.0
+        cases = [
+            (lambda x, s: x * s, 3.0, 10.0),
+            (lambda x, s: s * x, 3.0, 10.0),
+            (lambda x, s: x + s, 1.0, 4.0),
+            (lambda x, s: s + x, 1.0, 4.0),
+        ]
+        for combine, x_grad, s_grad in cases:
+            x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+            s = Tensor(3.0, requires_grad=True)
+            combine(x, s).sum().backward()
+            assert s.grad.shape == ()
+            assert float(s.grad) == s_grad
+            np.testing.assert_array_equal(x.grad, np.full((2, 2), x_grad))
 
     def test_general_broadcast_rejected(self):
         with pytest.raises(ShapeError):

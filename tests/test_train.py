@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from uqnet.data import Dataset, SplitSpec, split, synth_blobs
-from uqnet.layers import build_model, mlp_spec
+from uqnet.layers import build_model, eval_heads, mlp_spec
 from uqnet.optim import OptimizerConfig
 from uqnet.tensor import Tensor, cross_entropy
 from uqnet.train import TrainConfig, TrainingDivergedError, train
-from uqnet.uncertainty import eval_variational_heads, kld_from_logvar
+from uqnet.uncertainty import kld_from_logvar
 
 
 def quick_splits(seed=0, n=600, overlap=0.2):
@@ -55,7 +55,7 @@ class TestLog:
             bd = stats.loss
             assert bd.total == bd.cross_entropy + bd.kld_weight * bd.kld
         # the epoch-end loss is the objective at eps = 0: CE of mu, exactly
-        mu, logvar = (Tensor(a) for a in eval_variational_heads(params, spec, va.inputs))
+        mu, logvar = (Tensor(a) for a in eval_heads(params, spec, va.inputs))
         last = result.log[-1].loss
         assert last.cross_entropy == float(cross_entropy(mu, va.labels))
         assert last.kld == float(kld_from_logvar(mu, logvar))
@@ -106,6 +106,14 @@ class TestFailureModes:
         spec = mlp_spec(2, hidden=32)
         with pytest.raises(ValueError, match="epochs"):
             train(build_model(spec, 0), spec, tr, va, TrainConfig(epochs=0), seed=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_must_be_positive(self, batch_size):
+        tr, va, _ = quick_splits()
+        spec = mlp_spec(2, hidden=32)
+        params = build_model(spec, 0)
+        with pytest.raises(ValueError, match="batch_size"):
+            train(params, spec, tr, va, TrainConfig(epochs=1, batch_size=batch_size), seed=0)
 
     def test_input_shape_mismatch(self):
         tr, va, _ = quick_splits()

@@ -134,8 +134,8 @@ class TestReparameterization:
         a = reparameterized_samples(np.zeros(3), np.ones(3), 50, seed=7)
         b = reparameterized_samples(np.zeros(3), np.ones(3), 50, seed=7)
         np.testing.assert_array_equal(a, b)
-        assert noise_draw(7, 3, 3).epsilon.shape == (3,)
-        np.testing.assert_array_equal(noise_draw(7, 3, 3).epsilon, noise_draw(7, 3, 3).epsilon)
+        assert noise_draw(7, 3, 3).shape == (3,)
+        np.testing.assert_array_equal(noise_draw(7, 3, 3), noise_draw(7, 3, 3))
 
 
 class TestVariationalForward:
