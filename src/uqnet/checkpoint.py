@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .layers import LayerSpec, ModelParams, ModelSpec, validate_spec
+from .layers import LayerSpec, ModelParams, ModelSpec, param_shapes, validate_spec
 from .tensor import Tensor
 
 MAGIC = b"UQNNCKP1"
@@ -119,6 +119,15 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ModelParams, dict]:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
+    expected = param_shapes(spec)
+    for name in sorted(expected.keys() | tensors.keys()):
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing array {name!r}")
+        if name not in expected:
+            raise CheckpointError(f"{path}: array {name!r} is not a parameter of its spec")
+        if tensors[name].shape != expected[name]:
+            raise CheckpointError(f"{path}: array {name!r} has shape {tensors[name].shape}, "
+                                  f"its spec needs {expected[name]}")
 
     params = ModelParams(tensors, int(meta.get("seed", 0)))
     return spec, params, meta

@@ -43,11 +43,13 @@ def _unit_float(raw: str) -> float:
     return v
 
 
-def _mc_passes(raw: str) -> int:
-    v = int(raw)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"T must be >= 2, got {raw}")
-    return v
+def _int_at_least(lo: int, name: str):
+    def integer(raw: str) -> int:
+        v = int(raw)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}, got {raw}")
+        return v
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, help="KLD weight for the variational loss")
 
     def uncertainty_flags(p):
-        p.add_argument("--T", type=_mc_passes, help="MC dropout passes (>= 2)")
+        p.add_argument("--T", type=_int_at_least(2, "T"), help="MC dropout passes (>= 2)")
         p.add_argument("--S", type=int, help="variational reparameterized draws")
         p.add_argument("--space", choices=SPACES,
                        help="variational uncertainty space")
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags(p)
     training_flags(p)
     uncertainty_flags(p)
-    p.add_argument("--seeds", type=int, default=None,
+    p.add_argument("--seeds", type=_int_at_least(1, "seeds"), default=1,
                    help="number of seeds (seed, seed+1, ...); default 1")
     p.add_argument("--checkpoint-dir", dest="checkpoint_dir",
                    help="evaluate existing <dir>/<variant>.bin checkpoints instead of training")
@@ -258,8 +260,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = resolve_config(args)
-    n_seeds = args.seeds or 1
-    seeds = [cfg.seed + i for i in range(n_seeds)]
+    seeds = [cfg.seed + i for i in range(args.seeds)]
     out = _prepare_out(cfg)
 
     if args.checkpoint_dir:

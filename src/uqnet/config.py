@@ -162,6 +162,9 @@ class RunConfig:
         if self.uncertainty.space not in SPACES:
             raise ValueError(f"uncertainty.space must be one of {SPACES}, "
                              f"got {self.uncertainty.space!r}")
+        if self.uncertainty.space == "sampled" and self.uncertainty.S < 2:
+            raise ValueError(f"uncertainty.S must be >= 2 for space = sampled, "
+                             f"got {self.uncertainty.S}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

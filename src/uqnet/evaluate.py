@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .layers import ModelParams, ModelSpec, build_model, eval_heads
+from .layers import MC_VARIANTS, ModelParams, ModelSpec, build_model, eval_heads
 from .metrics import ClassificationMetrics
 from .report import UncertaintyReport, build_report
 from .train import TrainConfig, TrainResult, train
 from .uncertainty import (
-    MC_VARIANTS,
     _batched_eval_noise,
     mc_probs,
     np_softmax,

@@ -6,13 +6,14 @@ either a single linear layer (``standard``) or two parallel linear layers
 predicting the mean and log-variance of a Gaussian over class scores
 (``variational``).
 
-The four variants differ only in dropout placement:
-
-* ``baseline``     -- no dropout;
-* ``bayesian1``    -- one dropout immediately before the final linear head;
-* ``bayesian2``    -- dropout immediately before every residual block, plus
-  the ``bayesian1`` placement;
-* ``variational``  -- baseline body with the variational head.
+The four variants differ only in dropout placement, a rule written once in
+``_place_dropout``: ``baseline`` has none, ``bayesian1`` one dropout just
+before the final linear head, ``bayesian2`` also one before every residual
+block, and ``variational`` is the baseline body with the variational head.
+Both presets apply the rule to a dropout-free body, and :func:`validate_spec`
+checks a spec by applying it again. The parameter layout is one table,
+``_param_groups``, read by :func:`build_model`, by :func:`param_shapes`
+(which checkpoint readers check against) and by the row-block sizing.
 
 All dropout is inverted dropout: surviving activations are scaled by
 1/(1-p) at mask time. A forward pass draws masks exactly when it is given a
@@ -37,6 +38,7 @@ from . import rng as _rng
 from .tensor import Tensor, ShapeError, conv2d, global_avg_pool, no_grad
 
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
+MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled at evaluation
 BACKBONES = ("mlp", "miniresnet")
 
 # A no-grad forward runs its batch in row blocks whose largest per-layer
@@ -163,22 +165,26 @@ def validate_spec(spec: ModelSpec) -> None:
     infer_shapes(spec)  # raises on inconsistent shapes
     _ = spec.feature_dim
 
-    positions = spec.dropout_positions()
-    last = len(spec.layers) - 1
-    if spec.variant in ("baseline", "variational"):
-        if positions:
-            raise ValueError(f"{spec.variant} must have no dropout layers, found {len(positions)}")
-    elif spec.variant == "bayesian1":
-        if positions != [last]:
-            raise ValueError("bayesian1 must have exactly one dropout layer, last before the head")
-    elif spec.variant == "bayesian2":
-        expected = [i - 1 for i, l in enumerate(spec.layers) if l.kind == "residual-block"]
-        expected.append(last)
-        if positions != expected:
-            raise ValueError(
-                "bayesian2 must have dropout immediately before every residual block "
-                f"and before the head; expected positions {expected}, found {positions}"
-            )
+    body = [layer for layer in spec.layers if layer.kind != "dropout"]
+    expected = [layer.kind for layer in _place_dropout(body, spec.variant, 0.0)]
+    found = [layer.kind for layer in spec.layers]
+    if found != expected:
+        raise ValueError(f"{spec.variant} dropout placement: expected {expected}, found {found}")
+
+
+def _place_dropout(body, variant: str, p: float) -> tuple[LayerSpec, ...]:
+    """The variant's dropout placement on a dropout-free ``body``: bayesian2
+    puts a dropout before every residual block, and both MC variants put one
+    after the last body layer, just before the head."""
+    drop = LayerSpec("dropout", p=p)
+    layers: list[LayerSpec] = []
+    for layer in body:
+        if variant == "bayesian2" and layer.kind == "residual-block":
+            layers.append(drop)
+        layers.append(layer)
+    if variant in MC_VARIANTS:
+        layers.append(drop)
+    return tuple(layers)
 
 
 # -- presets -----------------------------------------------------------------
@@ -187,18 +193,9 @@ def validate_spec(spec: ModelSpec) -> None:
 def mlp_spec(input_dim: int, n_classes: int = 4, variant: str = "baseline",
              hidden: int = 64, p: float = 0.5) -> ModelSpec:
     """Vector-input backbone: stem linear + 2 residual fc blocks."""
-    drop = LayerSpec("dropout", p=p)
-    layers: list[LayerSpec] = [
-        LayerSpec("linear", in_dim=input_dim, out_dim=hidden),
-        LayerSpec("relu"),
-    ]
-    for _ in range(2):
-        if variant == "bayesian2":
-            layers.append(drop)
-        layers.append(LayerSpec("residual-block", block="fc", in_dim=hidden))
-    if variant in ("bayesian1", "bayesian2"):
-        layers.append(drop)
-    spec = ModelSpec(tuple(layers), n_classes, (input_dim,), variant, "mlp")
+    body = [LayerSpec("linear", in_dim=input_dim, out_dim=hidden), LayerSpec("relu")]
+    body += [LayerSpec("residual-block", block="fc", in_dim=hidden)] * 2
+    spec = ModelSpec(_place_dropout(body, variant, p), n_classes, (input_dim,), variant, "mlp")
     validate_spec(spec)
     return spec
 
@@ -212,22 +209,12 @@ def miniresnet_spec(input_shape: tuple[int, int, int] = (1, 16, 16), n_classes: 
     the channel count changes), relu after the add. Stride 1 throughout, so
     every block preserves the spatial size.
     """
-    drop = LayerSpec("dropout", p=p)
-    stem = channels[0]
-    layers: list[LayerSpec] = [
-        LayerSpec("conv3x3", in_ch=input_shape[0], out_ch=stem),
-        LayerSpec("relu"),
-    ]
-    prev = stem
-    for ch in channels:
-        if variant == "bayesian2":
-            layers.append(drop)
-        layers.append(LayerSpec("residual-block", block="conv", in_ch=prev, out_ch=ch))
-        prev = ch
-    layers.append(LayerSpec("global-avg-pool"))
-    if variant in ("bayesian1", "bayesian2"):
-        layers.append(drop)
-    spec = ModelSpec(tuple(layers), n_classes, tuple(input_shape), variant, "miniresnet")
+    body = [LayerSpec("conv3x3", in_ch=input_shape[0], out_ch=channels[0]), LayerSpec("relu")]
+    body += [LayerSpec("residual-block", block="conv", in_ch=cin, out_ch=cout)
+             for cin, cout in zip((channels[0], *channels), channels)]
+    body.append(LayerSpec("global-avg-pool"))
+    spec = ModelSpec(_place_dropout(body, variant, p), n_classes, tuple(input_shape),
+                     variant, "miniresnet")
     validate_spec(spec)
     return spec
 
@@ -270,62 +257,63 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _layer_param_specs(layer: LayerSpec) -> list[tuple[str, tuple[int, ...], int]]:
-    """(suffix, shape, fan_in) for each weight of a body layer; biases implied."""
-    if layer.kind == "linear":
-        return [("w", (layer.in_dim, layer.out_dim), layer.in_dim)]
-    if layer.kind == "conv3x3":
-        return [("w", (layer.out_ch, layer.in_ch, 3, 3), layer.in_ch * 9)]
-    if layer.kind == "residual-block":
-        if layer.block == "conv":
-            specs = [
-                ("conv1.w", (layer.out_ch, layer.in_ch, 3, 3), layer.in_ch * 9),
-                ("conv2.w", (layer.out_ch, layer.out_ch, 3, 3), layer.out_ch * 9),
-            ]
+def _param_groups(spec: ModelSpec) -> list[tuple[int, str, list]]:
+    """The parameter table in init-stream order: one ``(layer index, name
+    prefix, [(weight name, shape, fan_in)])`` group per parameterized body
+    layer, then ``head.fc``, or ``head.mu`` and ``head.logvar``. The layer
+    index points into :func:`infer_shapes` at the group's input (the head's
+    is the feature vector); every weight ``<name>.w`` has a bias ``<name>.b``."""
+    groups = []
+    for i, layer in enumerate(spec.layers):
+        if layer.kind == "linear":
+            weights = [("w", (layer.in_dim, layer.out_dim), layer.in_dim)]
+        elif layer.kind == "conv3x3":
+            weights = [("w", (layer.out_ch, layer.in_ch, 3, 3), layer.in_ch * 9)]
+        elif layer.kind == "residual-block" and layer.block == "conv":
+            weights = [("conv1.w", (layer.out_ch, layer.in_ch, 3, 3), layer.in_ch * 9),
+                       ("conv2.w", (layer.out_ch, layer.out_ch, 3, 3), layer.out_ch * 9)]
             if layer.in_ch != layer.out_ch:
-                specs.append(("proj.w", (layer.out_ch, layer.in_ch, 1, 1), layer.in_ch))
-            return specs
-        return [
-            ("fc1.w", (layer.in_dim, layer.in_dim), layer.in_dim),
-            ("fc2.w", (layer.in_dim, layer.in_dim), layer.in_dim),
-        ]
-    return []
+                weights.append(("proj.w", (layer.out_ch, layer.in_ch, 1, 1), layer.in_ch))
+        elif layer.kind == "residual-block":
+            d = layer.in_dim
+            weights = [("fc1.w", (d, d), d), ("fc2.w", (d, d), d)]
+        else:
+            continue
+        groups.append((i, f"body.{i}", weights))
+    feat = spec.feature_dim
+    heads = ("fc",) if spec.head == "standard" else ("mu", "logvar")
+    groups += [(len(spec.layers), f"head.{h}", [("w", (feat, spec.n_classes), feat)])
+               for h in heads]
+    return groups
+
+
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in init order: each weight of the
+    parameter table followed by its bias, which is sized by the weight's
+    output axis (the last of a matmul weight, the first of a conv weight)."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for _, prefix, weights in _param_groups(spec):
+        for name, shape, _ in weights:
+            shapes[f"{prefix}.{name}"] = shape
+            shapes[f"{prefix}.{name[:-1]}b"] = (shape[-1] if len(shape) == 2 else shape[0],)
+    return shapes
 
 
 def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     """He-initialized parameters, deterministic in (spec, seed).
 
     Weights are zero-mean Gaussian with variance 2/fan_in, biases zero.
-    Each parameterized layer draws from its own stream keyed by the ordinal
-    of the layer among parameterized layers, so variants that differ only in
-    (parameter-free) dropout placement get bit-identical tensors.
+    Each group of the parameter table draws from its own stream keyed by
+    its ordinal, so variants that differ only in (parameter-free) dropout
+    placement get bit-identical tensors.
     """
     validate_spec(spec)
-    tensors: dict[str, Tensor] = {}
-    ordinal = 0
-    for i, layer in enumerate(spec.layers):
-        param_specs = _layer_param_specs(layer)
-        if not param_specs:
-            continue
+    # zeros in init order; the loop replaces each weight, so only biases stay zero
+    tensors = {name: _zeros(shape) for name, shape in param_shapes(spec).items()}
+    for ordinal, (_, prefix, weights) in enumerate(_param_groups(spec)):
         gen = _rng.stream(seed, _rng.NS_INIT, ordinal)
-        for suffix, shape, fan_in in param_specs:
-            tensors[f"body.{i}.{suffix}"] = _he_weight(gen, shape, fan_in)
-            tensors[f"body.{i}.{suffix[:-1]}b"] = _zeros(shape[1] if layer.kind == "linear" or suffix.startswith("fc") else shape[0])
-        ordinal += 1
-
-    feat = spec.feature_dim
-    c = spec.n_classes
-    if spec.head == "standard":
-        gen = _rng.stream(seed, _rng.NS_INIT, ordinal)
-        tensors["head.fc.w"] = _he_weight(gen, (feat, c), feat)
-        tensors["head.fc.b"] = _zeros(c)
-    else:
-        gen = _rng.stream(seed, _rng.NS_INIT, ordinal)
-        tensors["head.mu.w"] = _he_weight(gen, (feat, c), feat)
-        tensors["head.mu.b"] = _zeros(c)
-        gen = _rng.stream(seed, _rng.NS_INIT, ordinal + 1)
-        tensors["head.logvar.w"] = _he_weight(gen, (feat, c), feat)
-        tensors["head.logvar.b"] = _zeros(c)
+        for name, shape, fan_in in weights:
+            tensors[f"{prefix}.{name}"] = _he_weight(gen, shape, fan_in)
     return ModelParams(tensors, int(seed))
 
 
@@ -438,17 +426,13 @@ def model_forward(params: ModelParams, spec: ModelSpec, x,
 
 def _example_bytes(spec: ModelSpec) -> int:
     """Bytes of the largest per-example intermediate of a forward pass: a
-    conv im2col row (H * W * Cin * k^2 floats) or a layer activation."""
+    layer activation or a conv's im2col row (H * W * fan_in floats)."""
     shapes = infer_shapes(spec)
     largest = max(math.prod(shape) for shape in shapes)
-    for layer, shape in zip(spec.layers, shapes):
-        if layer.kind == "conv3x3":
-            cin = layer.in_ch
-        elif layer.kind == "residual-block" and layer.block == "conv":
-            cin = max(layer.in_ch, layer.out_ch)   # conv1 reads in_ch channels, conv2 out_ch
-        else:
-            continue
-        largest = max(largest, shape[1] * shape[2] * cin * 9)
+    for i, _, weights in _param_groups(spec):
+        for _, shape, fan_in in weights:
+            if len(shape) == 4:
+                largest = max(largest, shapes[i][1] * shapes[i][2] * fan_in)
     return 8 * largest
 
 

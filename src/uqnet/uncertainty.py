@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .layers import ModelParams, ModelSpec, eval_heads, forward_range, head_forward, row_blocks
+from .layers import (MC_VARIANTS, ModelParams, ModelSpec, eval_heads, forward_range,
+                     head_forward, row_blocks)
 from .tensor import Tensor, no_grad
-
-MC_VARIANTS = ("bayesian1", "bayesian2")
 
 
 @dataclass

@@ -255,6 +255,19 @@ class TestCompare:
         assert run(["compare", "--checkpoint-dir", str(ckpt_dir), "--out", out]) == 1
         assert "bayesian1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_is_usage_error(self, seeds, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(importlib.import_module("uqnet.evaluate"), "train", no_training)
+        out = str(tmp_path / "c")
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--seeds", seeds, "--out", out] + TINY_TRAIN)
+        assert exc.value.code == 2
+        assert "seeds must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
     def test_checkpoint_dir_makes_one_split_per_dataset(self, tmp_path, monkeypatch):
         from uqnet import artifacts
@@ -377,6 +390,19 @@ class TestRunConfig:
         assert run(["compare", "--config", str(path), "--out", out] + TINY_TRAIN) == 1
         assert "uncertainty.space" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_sampled_space_with_one_draw_fails_before_training(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(importlib.import_module("uqnet.evaluate"), "train", no_training)
+        out = str(tmp_path / "c")
+        assert run(["compare", "--space", "sampled", "--S", "1", "--out", out] + TINY_TRAIN) == 1
+        assert "uncertainty.S" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        # the analytic space draws no samples, so it ignores S
+        assert RunConfig.from_text("[uncertainty]\nspace = analytic\nS = 1\n").uncertainty.S == 1
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="overlap"):

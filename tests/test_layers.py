@@ -126,6 +126,31 @@ class TestSpecs:
         with pytest.raises(ValueError, match="bayesian1"):
             validate_spec(bad)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("preset", [lambda v: mlp_spec(2, variant=v),
+                                        lambda v: miniresnet_spec((1, 8, 8), variant=v)],
+                             ids=["mlp", "miniresnet"])
+    def test_placement_rule_accepts_presets_and_rejects_any_other(self, preset, variant):
+        spec = preset(variant)
+        validate_spec(spec)
+        drop = LayerSpec("dropout", p=0.5)
+        layers = list(spec.layers)
+        others = []
+        for i in range(len(layers) + 1):   # add one dropout anywhere
+            others.append(layers[:i] + [drop] + layers[i:])
+        for d in spec.dropout_positions():
+            rest = layers[:d] + layers[d + 1:]
+            others.append(rest)           # drop one
+            for i in range(len(rest) + 1):   # or move it anywhere else
+                others.append(rest[:i] + [layers[d]] + rest[i:])
+        kinds = [l.kind for l in layers]
+        for other in others:
+            if [l.kind for l in other] == kinds:
+                continue   # moving a dropout to where it was, or past another dropout
+            with pytest.raises(ValueError, match=f"{variant} dropout placement"):
+                validate_spec(ModelSpec(tuple(other), spec.n_classes, spec.input_shape,
+                                        variant, spec.backbone))
+
     def test_inconsistent_shapes_rejected(self):
         spec = ModelSpec(
             (LayerSpec("linear", in_dim=3, out_dim=4), LayerSpec("linear", in_dim=5, out_dim=2)),
@@ -345,6 +370,23 @@ class TestCheckpoint:
         path.write_bytes(blob[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("head.fc.b"), "missing array 'head.fc.b'"),
+        (lambda t: t.update({"head.fc.w": Tensor(np.zeros((3, 4)))}),
+         r"array 'head.fc.w' has shape \(3, 4\), its spec needs \(64, 4\)"),
+        (lambda t: t.update({"head.extra.w": Tensor(np.zeros(4))}),
+         "array 'head.extra.w' is not a parameter of its spec"),
+    ], ids=["missing", "wrong-shape", "extra"])
+    def test_arrays_must_match_the_spec(self, tmp_path, edit, message):
+        spec = mlp_spec(2)
+        params = build_model(spec, 1)
+        edit(params.tensors)
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), spec, params)
+        with pytest.raises(CheckpointError, match=message) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("legacy_dropout_p", [False, True])
     def test_loaded_model_produces_identical_logits(self, tmp_path, legacy_dropout_p):
