@@ -398,6 +398,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
 
     ``x`` is [N, Cin, H, W], ``weight`` [Cout, Cin, k, k] with odd k, and
     ``bias`` [Cout]. Default padding k//2 keeps the spatial size.
+
+    Shapes are NCHW, but the kernel works channels-last in memory: the
+    padded input, the im2col patches and the output buffer are all
+    [N, H, W, C], and the result is an NCHW view of that buffer. An input
+    in either memory layout is accepted; the padding copy converts it.
     """
     X, W, B = x.data, weight.data, bias.data
     if X.ndim != 4 or W.ndim != 4:
@@ -410,32 +415,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     if B.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {B.shape} does not match {cout} output channels")
     p = k // 2 if padding is None else int(padding)
+    if p < 0:
+        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
 
     n, _, h, w = X.shape
-    xp = np.pad(X, ((0, 0), (0, 0), (p, p), (p, p))) if p > 0 else X
     ho = h + 2 * p - k + 1
     wo = w + 2 * p - k + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    # [N, Cin, Ho, Wo, k, k] -> [N*Ho*Wo, Cin*k*k]
-    patches = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * k * k)
-    wmat = W.reshape(cout, cin * k * k)
+    padded = (n, h + 2 * p, w + 2 * p, cin)
+    xp = np.zeros(padded)
+    xp[:, p:p + h, p:p + w] = X.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    # [N, Ho, Wo, Cin, k, k] -> [N*Ho*Wo, k*k*Cin]
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
+    wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (patches @ wmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2) + B[None, :, None, None]
+        out = patches @ wmat
+        out += B
 
     def back(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-        _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        _accumulate(weight, (gmat.T @ patches).reshape(cout, cin, k, k))
+        _accumulate(bias, gmat.sum(axis=0))
+        dw = (patches.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+        _accumulate(weight, np.ascontiguousarray(dw))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(padded)
             for dy in range(k):
                 for dx in range(k):
-                    # [N,Cout,Ho,Wo] x [Cout,Cin] -> [N,Ho,Wo,Cin]
-                    contrib = np.tensordot(g, W[:, :, dy, dx], axes=([1], [0]))
-                    gxp[:, :, dy:dy + ho, dx:dx + wo] += contrib.transpose(0, 3, 1, 2)
-            _accumulate(x, gxp[:, :, p:p + h, p:p + w] if p > 0 else gxp)
+                    # [N*Ho*Wo, Cout] x [Cout, Cin] -> [N, Ho, Wo, Cin]
+                    tap = wmat[(dy * k + dx) * cin:(dy * k + dx + 1) * cin]
+                    gxp[:, dy:dy + ho, dx:dx + wo] += (gmat @ tap.T).reshape(n, ho, wo, cin)
+            _accumulate(x, gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
 
-    return _from_op(np.ascontiguousarray(out), (x, weight, bias), "conv2d", back)
+    return _from_op(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), (x, weight, bias), "conv2d", back)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -219,7 +219,45 @@ class TestBuildModel:
         np.testing.assert_array_equal(base["head.fc.w"].data, var["head.mu.w"].data)
 
 
+def _reference_forward(params, spec, x, pass_rng):
+    """A standard-head MiniResNet forward in plain NCHW numpy: einsum
+    convolutions over sliding windows, masks drawn from ``pass_rng``."""
+    def conv(h, prefix):
+        w, b = params[f"{prefix}.w"].data, params[f"{prefix}.b"].data
+        k = w.shape[-1]
+        hp = np.pad(h, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+        windows = np.lib.stride_tricks.sliding_window_view(hp, (k, k), axis=(2, 3))
+        return np.einsum("nchwyx,ocyx->nohw", windows, w) + b[None, :, None, None]
+
+    h = x
+    for i, layer in enumerate(spec.layers):
+        prefix = f"body.{i}"
+        if layer.kind == "conv3x3":
+            h = conv(h, prefix)
+        elif layer.kind == "relu":
+            h = np.maximum(h, 0.0)
+        elif layer.kind == "dropout":
+            h = h * ((pass_rng.layer(i).random(h.shape) >= layer.p) / (1.0 - layer.p))
+        elif layer.kind == "residual-block":
+            y = conv(np.maximum(conv(h, f"{prefix}.conv1"), 0.0), f"{prefix}.conv2")
+            shortcut = conv(h, f"{prefix}.proj") if layer.in_ch != layer.out_ch else h
+            h = np.maximum(y + shortcut, 0.0)
+        elif layer.kind == "global-avg-pool":
+            h = h.mean(axis=(2, 3))
+    return h @ params["head.fc.w"].data + params["head.fc.b"].data
+
+
 class TestModelForward:
+    def test_miniresnet_matches_nchw_reference_up_to_rounding(self):
+        # conv2d computes in channels-last memory; the masks are still drawn
+        # in NCHW order, so only the rounding of the sums may differ.
+        spec = miniresnet_spec((1, 16, 16), n_classes=4, variant="bayesian2")
+        params = build_model(spec, 7)
+        x = np.random.default_rng(8).normal(size=(3, 1, 16, 16))
+        got = model_forward(params, spec, x, PassRng(5, 1)).data
+        want = _reference_forward(params, spec, x, PassRng(5, 1))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_zero_input_baseline_logits(self):
         spec = miniresnet_spec((1, 16, 16), n_classes=4)
         params = build_model(spec, 0)

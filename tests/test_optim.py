@@ -89,3 +89,28 @@ class TestOptimizerConfig:
         import pytest
         with pytest.raises(ValueError, match="unknown optimizer"):
             OptimizerConfig("lbfgs").build(one_param([0.0]))
+
+    def test_five_steps_byte_identical_to_formula(self):
+        # The in-place update keeps the formula's operation order, so
+        # parameters and both moments match it bit for bit; a parameter
+        # without a gradient is skipped and keeps zero moments.
+        rng = np.random.default_rng(0)
+        # weights at the scale of one update, so a rounding change in the step shows
+        w0, u0 = 0.01 * rng.normal(size=(3, 4)), rng.normal(size=5)
+        params = ModelParams({"w": Tensor(w0.copy(), requires_grad=True),
+                              "u": Tensor(u0.copy(), requires_grad=True)}, seed=0)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr, b1, b2, eps)
+        w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+        for t in range(1, 6):
+            g = rng.normal(size=w0.shape)
+            params["w"].grad = g.copy()
+            opt.step()
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for got, want in ((params["w"].data, w), (opt.m["w"], m), (opt.v["w"], v),
+                          (params["u"].data, u0), (opt.m["u"], np.zeros(5)), (opt.v["u"], np.zeros(5))):
+            assert got.tobytes() == want.tobytes()

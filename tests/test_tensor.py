@@ -183,10 +183,64 @@ class TestConvOps:
         expected = np.einsum("oc,nchw->nohw", w[:, :, 0, 0], x)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
+    def test_conv2d_matches_einsum_reference_in_both_layouts(self):
+        # Forward and all three gradients against an einsum over the same
+        # sliding windows, for inputs stored NCHW and channels-last.
+        rng = np.random.default_rng(5)
+        for cin in (1, 3):
+            for k in (1, 3):
+                for p in (0, k // 2):
+                    x = rng.normal(size=(2, cin, 5, 6))
+                    w = rng.normal(size=(4, cin, k, k))
+                    b = rng.normal(size=4)
+                    g = rng.normal(size=(2, 4, 6 + 2 * p - k, 7 + 2 * p - k))
+                    want = _conv_reference(x, w, b, p, g)
+                    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+                    for stored in (x, channels_last):
+                        tx = Tensor(stored, requires_grad=True)
+                        tw = Tensor(w, requires_grad=True)
+                        tb = Tensor(b, requires_grad=True)
+                        y = conv2d(tx, tw, tb, padding=p)
+                        (y * Tensor(g)).sum().backward()
+                        for got, ref in zip((y.data, tx.grad, tw.grad, tb.grad), want):
+                            assert got.shape == ref.shape
+                            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_conv2d_output_is_channels_last_in_memory(self):
+        # The speed of conv2d rests on this layout; the NCHW shape is a view.
+        rng = np.random.default_rng(6)
+        for k in (1, 3):
+            out = conv2d(Tensor(rng.normal(size=(2, 3, 4, 4))), Tensor(rng.normal(size=(5, 3, k, k))),
+                         Tensor(np.zeros(5))).data
+            assert out.shape == (2, 5, 4, 4)
+            assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_conv2d_negative_padding_rejected(self):
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        w = Tensor(np.ones((1, 1, 3, 3)))
+        with pytest.raises(ShapeError, match="-1"):
+            conv2d(x, w, Tensor(np.zeros(1)), padding=-1)
+
     def test_global_avg_pool(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         out = global_avg_pool(Tensor(x))
         np.testing.assert_allclose(out.data, [[7.5]])
+
+
+def _conv_reference(x, w, b, p, g):
+    """NCHW convolution by einsum over sliding windows, and the gradients of
+    sum(out * g) with respect to x, w and b."""
+    k = w.shape[-1]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    out = np.einsum("nchwyx,ocyx->nohw", windows, w) + b[None, :, None, None]
+    dxp = np.zeros_like(xp)
+    ho, wo = out.shape[2:]
+    for dy in range(k):
+        for dx in range(k):
+            dxp[:, :, dy:dy + ho, dx:dx + wo] += np.einsum("nohw,oc->nchw", g, w[:, :, dy, dx])
+    dx = dxp[:, :, p:p + x.shape[2], p:p + x.shape[3]]
+    return out, dx, np.einsum("nchwyx,nohw->ocyx", windows, g), g.sum(axis=(0, 2, 3))
 
 
 class TestCrossEntropyValues:
