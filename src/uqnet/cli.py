@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import artifacts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import SECTIONS, RunConfig
+from .config import DATASET_KINDS, SECTIONS, RunConfig
 from .data import DataError, save_csv, save_idx, splits_sha256
-from .evaluate import SPACES, compare_variants, evaluate
-from .layers import VARIANTS, build_model
+from .evaluate import SPACES, compare_variants, evaluate, make_comparison_row
+from .layers import BACKBONES, VARIANTS, build_model
+from .optim import OPTIMIZERS
 from .tensor import NonFiniteError
 from .train import TrainingDivergedError, train
 
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (all artifacts land here)")
 
     def dataset_flags(p):
-        p.add_argument("--kind", choices=["blobs", "textures", "csv", "idx"])
+        p.add_argument("--kind", choices=DATASET_KINDS)
         p.add_argument("--n", type=int, help="number of synthetic examples")
         p.add_argument("--classes", type=int)
         p.add_argument("--overlap", type=_unit_float, help="blobs: cluster overlap in [0, 1]")
@@ -81,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def model_flags(p):
         p.add_argument("--variant", choices=list(VARIANTS))
-        p.add_argument("--backbone", choices=["mlp", "miniresnet"])
+        p.add_argument("--backbone", choices=BACKBONES)
         p.add_argument("--dropout", type=float, help="dropout rate p in [0, 1)")
         p.add_argument("--hidden", type=int, help="mlp hidden width")
 
     def training_flags(p):
-        p.add_argument("--optimizer", choices=["adam", "sgd-momentum"])
+        p.add_argument("--optimizer", choices=OPTIMIZERS)
         p.add_argument("--lr", type=float)
         p.add_argument("--momentum", type=float)
         p.add_argument("--epochs", type=int)
@@ -143,31 +144,48 @@ def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = cfg.with_text(fh.read())
-    flags: dict[str, dict[str, str]] = {"run": {}}
-    if getattr(args, "seed", None) is not None:
-        flags["run"]["seed"] = str(args.seed)
-    if getattr(args, "out", None):
-        flags["run"]["out"] = args.out
-    for section in SECTIONS:
-        names = (f.name for f in fields(getattr(cfg, section)))
-        flags[section] = {key: str(getattr(args, key)) for key in names
-                          if getattr(args, key, None) is not None}
-    return cfg.with_overrides(flags)
+    return cfg.with_overrides({
+        section: {key: str(getattr(args, key)) for key in cfg.section(section)
+                  if getattr(args, key, None) is not None}
+        for section in SECTIONS})
 
 
-def _check_dataset(meta: dict, splits, ckpt_path: str) -> None:
-    """Refuse splits that differ from the ones the checkpoint was trained on.
+def _score_checkpoint(args, path: str, splits: dict):
+    """Load and score the checkpoint at ``path``: it fixes the data, the flags the scoring.
 
-    Checkpoints written before the digest was stored carry no key and pass.
+    The saved config (or, for a checkpoint without one, the flags) and its
+    seed regenerate the splits; dataset flags still layer over it, and the
+    stored digest refuses splits that differ. Flags and ``--config`` over the
+    saved config choose T, S, space, workers and the evaluation seed.
+    ``splits`` caches the splits by (dataset, seed) across calls.
+    Returns (resolved config, spec, data seed, metrics, report).
     """
-    trained = meta.get("dataset_sha256")
-    if trained is None:
-        return
-    digest = splits_sha256(splits)
-    if digest != trained:
-        raise DataError(f"{ckpt_path}: the regenerated dataset splits differ from the ones "
+    spec, params, meta = load_checkpoint(path)
+    base = RunConfig.from_text(meta["config"]) if "config" in meta else resolve_config(args)
+    cfg = resolve_config(args, base)
+    key = (cfg.dataset, base.seed)
+    if key not in splits:
+        splits[key] = replace(cfg, seed=base.seed).make_splits()
+    trained = meta.get("dataset_sha256")   # absent from checkpoints older than the digest
+    digest = splits_sha256(splits[key])
+    if trained is not None and digest != trained:
+        raise DataError(f"{path}: the regenerated dataset splits differ from the ones "
                         f"the checkpoint was trained on (sha256 {digest[:12]}, "
                         f"trained on {trained[:12]})")
+    metrics, report = evaluate(params, spec, splits[key][2], cfg.eval_config())
+    return cfg, spec, base.seed, metrics, report
+
+
+def _write_report(report, out: str, variant: str, tag: str = "") -> None:
+    """histogram<tag>.csv, uncertainty_box<tag>.svg and uncertainty_hist<tag>.svg."""
+    artifacts.write_histogram_csv(report, os.path.join(out, f"histogram{tag}.csv"))
+    artifacts.write_report_figures(report, os.path.join(out, f"uncertainty_box{tag}.svg"),
+                                   os.path.join(out, f"uncertainty_hist{tag}.svg"),
+                                   title_suffix=f" ({variant})")
+
+
+def _ratio_text(ratio: float | None) -> str:
+    return "undefined" if ratio is None else f"{ratio:.3f}"
 
 
 def _prepare_out(cfg: RunConfig) -> str:
@@ -232,27 +250,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    flags_cfg = resolve_config(args)
-    ckpt_path = args.checkpoint or os.path.join(flags_cfg.out, "checkpoint.bin")
-    spec, params, meta = load_checkpoint(ckpt_path)
-
-    base = RunConfig.from_text(meta["config"]) if "config" in meta else RunConfig()
-    cfg = resolve_config(args, base=base)
-    splits = cfg.make_splits()
-    _check_dataset(meta, splits, ckpt_path)
-    test_ds = splits[2]
-    metrics, report = evaluate(params, spec, test_ds, cfg.eval_config())
+    ckpt_path = args.checkpoint or os.path.join(resolve_config(args).out, "checkpoint.bin")
+    cfg, spec, _, metrics, report = _score_checkpoint(args, ckpt_path, {})
 
     out = _prepare_out(cfg)
     artifacts.write_metrics_csv(metrics, report, os.path.join(out, "metrics.csv"))
     artifacts.write_per_example_csv(report, os.path.join(out, "per_example.csv"))
-    artifacts.write_histogram_csv(report, os.path.join(out, "histogram.csv"))
-    artifacts.write_report_figures(report, os.path.join(out, "uncertainty_box.svg"),
-                                   os.path.join(out, "uncertainty_hist.svg"),
-                                   title_suffix=f" ({spec.variant})")
-    ratio = "undefined" if report.ratio is None else f"{report.ratio:.3f}"
-    print(f"evaluated {spec.variant} on {test_ds.n} examples: "
-          f"accuracy {metrics.accuracy:.4f}, uncertainty ratio {ratio}")
+    _write_report(report, out, spec.variant)
+    print(f"evaluated {spec.variant} on {len(report.y_true)} examples: "
+          f"accuracy {metrics.accuracy:.4f}, uncertainty ratio {_ratio_text(report.ratio)}")
     print(f"wrote {out}/metrics.csv per_example.csv histogram.csv "
           f"uncertainty_box.svg uncertainty_hist.svg")
     return 0
@@ -260,59 +266,38 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = resolve_config(args)
-    seeds = [cfg.seed + i for i in range(args.seeds)]
     out = _prepare_out(cfg)
 
     if args.checkpoint_dir:
-        rows, reports = _compare_from_checkpoints(cfg, args.checkpoint_dir)
+        rows, reports, splits = [], {}, {}   # checkpoints of one run share one split
+        for variant in VARIANTS:
+            path = os.path.join(args.checkpoint_dir, f"{variant}.bin")
+            if not os.path.exists(path):
+                raise FileNotFoundError(f"missing checkpoint for variant {variant!r}: {path}")
+            _, _, seed, metrics, reports[variant] = _score_checkpoint(args, path, splits)
+            rows.append(make_comparison_row(variant, str(seed), metrics, reports[variant]))
     else:
-        def make_splits(seed):
-            return replace(cfg, seed=seed).make_splits()
+        first = cfg.make_splits()   # also gives the input shape
 
-        probe = cfg.make_dataset()
+        def make_splits(seed):
+            return first if seed == cfg.seed else replace(cfg, seed=seed).make_splits()
 
         def make_spec(variant):
-            return cfg.make_spec(probe.input_shape, variant)
+            return cfg.make_spec(first[0].input_shape, variant)
 
+        seeds = [cfg.seed + i for i in range(args.seeds)]
         rows, runs = compare_variants(make_splits, make_spec, cfg.train_config(),
                                       cfg.eval_config(), seeds)
-        reports = {run.variant: run.report for run in runs if run.seed == seeds[0]}
+        reports = {run.variant: run.report for run in runs if run.seed == cfg.seed}
 
     artifacts.write_comparison_csv(rows, os.path.join(out, "comparison.csv"))
     for variant, report in reports.items():
-        artifacts.write_histogram_csv(report, os.path.join(out, f"histogram_{variant}.csv"))
-        artifacts.write_report_figures(
-            report, os.path.join(out, f"uncertainty_box_{variant}.svg"),
-            os.path.join(out, f"uncertainty_hist_{variant}.svg"),
-            title_suffix=f" ({variant})")
+        _write_report(report, out, variant, f"_{variant}")
     for row in rows:
-        ratio = "undefined" if row.ratio is None else f"{row.ratio:.3f}"
         print(f"{row.variant:12s} seed={row.seed:6s} accuracy={row.accuracy:.4f} "
-              f"macro_f1={row.macro_f1:.4f} ratio={ratio}")
+              f"macro_f1={row.macro_f1:.4f} ratio={_ratio_text(row.ratio)}")
     print(f"wrote {out}/comparison.csv")
     return 0
-
-
-def _compare_from_checkpoints(cfg: RunConfig, ckpt_dir: str):
-    from .evaluate import make_comparison_row
-    rows = []
-    reports = {}
-    splits = {}   # (dataset, seed) -> splits: checkpoints of one run share one dataset
-    for variant in VARIANTS:
-        path = os.path.join(ckpt_dir, f"{variant}.bin")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing checkpoint for variant {variant!r}: {path}")
-        spec, params, meta = load_checkpoint(path)
-        base = RunConfig.from_text(meta["config"]) if "config" in meta else cfg
-        key = (base.dataset, base.seed)
-        if key not in splits:
-            splits[key] = base.make_splits()
-        _check_dataset(meta, splits[key], path)
-        test_ds = splits[key][2]
-        metrics, report = evaluate(params, spec, test_ds, cfg.eval_config())
-        rows.append(make_comparison_row(variant, str(base.seed), metrics, report))
-        reports[variant] = report
-    return rows, reports
 
 
 def main(argv=None) -> int:

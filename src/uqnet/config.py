@@ -14,12 +14,12 @@ from dataclasses import dataclass, field, fields, replace
 
 from .data import Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
 from .evaluate import SPACES, EvalConfig
-from .layers import ModelSpec, miniresnet_spec, mlp_spec
-from .optim import OptimizerConfig
+from .layers import BACKBONES, ModelSpec, miniresnet_spec, mlp_spec
+from .optim import OPTIMIZERS, OptimizerConfig
 from .train import TrainConfig
 
 DATASET_KINDS = ("blobs", "textures", "csv", "idx")
-SECTIONS = ("dataset", "model", "training", "uncertainty")  # besides [run]
+SECTIONS = ("run", "dataset", "model", "training", "uncertainty")
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class DatasetSection:
 
 @dataclass(frozen=True)
 class ModelSection:
-    backbone: str = "mlp"     # mlp | miniresnet
+    backbone: str = "mlp"     # layers.BACKBONES
     variant: str = "baseline"
     dropout: float = 0.5
     hidden: int = 64          # mlp width
@@ -50,7 +50,7 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class TrainingSection:
-    optimizer: str = "adam"   # adam | sgd-momentum
+    optimizer: str = "adam"   # optim.OPTIMIZERS
     lr: float = 1e-3
     momentum: float = 0.9
     beta1: float = 0.9
@@ -82,10 +82,8 @@ class RunConfig:
     def to_text(self) -> str:
         cp = configparser.ConfigParser()
         cp.optionxform = str  # keep key case (uncertainty.T)
-        cp["run"] = {"seed": str(self.seed), "out": self.out}
         for name in SECTIONS:
-            section = getattr(self, name)
-            cp[name] = {f.name: _dump(getattr(section, f.name)) for f in fields(section)}
+            cp[name] = {key: _dump(value) for key, value in self.section(name).items()}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -112,34 +110,28 @@ class RunConfig:
         except configparser.Error as e:
             raise ValueError(f"malformed config: {e}") from e
         for section in cp.sections():
-            if section != "run" and section not in SECTIONS:
+            if section not in SECTIONS:
                 raise ValueError(f"unknown config section [{section}]")
         return self.with_overrides({section: dict(cp[section]) for section in cp.sections()})
+
+    def section(self, name: str) -> dict:
+        """Key -> value of config section ``name``; ``[run]`` holds the top-level keys."""
+        holder = self if name == "run" else getattr(self, name)
+        return {f.name: getattr(holder, f.name) for f in fields(holder) if f.name not in SECTIONS}
 
     def with_overrides(self, overrides: dict[str, dict[str, str]]) -> "RunConfig":
         """Apply string-valued per-section overrides (file keys or CLI flags)."""
         cfg = self
         for section, values in overrides.items():
-            if not values:
-                continue
-            if section == "run":
-                for key, raw in values.items():
-                    if key == "seed":
-                        cfg = replace(cfg, seed=_parse(int, "run", "seed", raw))
-                    elif key == "out":
-                        cfg = replace(cfg, out=str(raw))
-                    else:
-                        raise ValueError(f"unknown config key run.{key}")
-                continue
-            current = getattr(cfg, section)
-            by_name = {f.name: f for f in fields(current)}
+            current = cfg.section(section)
             updates = {}
             for key, raw in values.items():
-                if key not in by_name:
+                if key not in current:
                     raise ValueError(f"unknown config key {section}.{key}")
-                typ = type(getattr(current, key))
-                updates[key] = _parse(typ, section, key, raw)
-            cfg = replace(cfg, **{section: replace(current, **updates)})
+                updates[key] = _parse(type(current[key]), section, key, raw)
+            if section != "run":
+                updates = {section: replace(getattr(cfg, section), **updates)}
+            cfg = replace(cfg, **updates)
         cfg.validate()
         return cfg
 
@@ -153,10 +145,14 @@ class RunConfig:
             raise ValueError(f"dataset.overlap must lie in [0, 1], got {d.overlap}")
         if d.noise < 0:
             raise ValueError("dataset.noise must be nonnegative")
-        if self.model.backbone not in ("mlp", "miniresnet"):
-            raise ValueError(f"model.backbone must be mlp or miniresnet, got {self.model.backbone!r}")
+        if self.model.backbone not in BACKBONES:
+            raise ValueError(f"model.backbone must be one of {BACKBONES}, "
+                             f"got {self.model.backbone!r}")
         if not (0.0 <= self.model.dropout < 1.0):
             raise ValueError(f"model.dropout must lie in [0, 1), got {self.model.dropout}")
+        if self.training.optimizer not in OPTIMIZERS:
+            raise ValueError(f"training.optimizer must be one of {OPTIMIZERS}, "
+                             f"got {self.training.optimizer!r}")
         if self.uncertainty.T < 2:
             raise ValueError(f"uncertainty.T must be >= 2, got {self.uncertainty.T}")
         if self.uncertainty.space not in SPACES:

@@ -8,6 +8,8 @@ import numpy as np
 
 from .layers import ModelParams
 
+OPTIMIZERS = ("adam", "sgd-momentum")   # OptimizerConfig.kind
+
 
 class SGD:
     """Stochastic gradient descent with classical momentum."""
@@ -17,13 +19,11 @@ class SGD:
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.velocity = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
-        self.t = 0
 
     def zero_grad(self):
         self.params.zero_grad()
 
     def step(self):
-        self.t += 1
         for name, p in self.params.tensors.items():
             if p.grad is None:
                 continue
@@ -86,7 +86,7 @@ class Adam:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"          # "adam" | "sgd-momentum"
+    kind: str = "adam"          # one of OPTIMIZERS
     lr: float = 1e-3
     momentum: float = 0.9       # sgd only
     beta1: float = 0.9
@@ -94,8 +94,8 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def build(self, params: ModelParams):
+        if self.kind not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {OPTIMIZERS}")
         if self.kind == "adam":
             return Adam(params, self.lr, self.beta1, self.beta2, self.eps)
-        if self.kind == "sgd-momentum":
-            return SGD(params, self.lr, self.momentum)
-        raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        return SGD(params, self.lr, self.momentum)

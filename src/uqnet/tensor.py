@@ -417,8 +417,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     p = k // 2 if padding is None else int(padding)
     if p < 0:
         raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
-
     n, _, h, w = X.shape
+    if min(h, w) + 2 * p < k:
+        raise ShapeError(f"conv2d: kernel {W.shape} is larger than input {X.shape} "
+                         f"padded by {p}")
+
     ho = h + 2 * p - k + 1
     wo = w + 2 * p - k + 1
     padded = (n, h + 2 * p, w + 2 * p, cin)

@@ -1,5 +1,6 @@
 """CLI contract: artifacts, exit codes, determinism, config plumbing."""
 
+import csv
 import hashlib
 import importlib
 import os
@@ -146,6 +147,18 @@ class TestEvaluate:
         assert saved.uncertainty.T == 7
         assert (saved.seed, saved.dataset.n, saved.model.hidden) == (2, 200, 16)
 
+    def test_other_seed_rescores_the_training_split(self, tmp_path):
+        out = self._train(tmp_path)   # bayesian1 at seed 2
+        columns = {}
+        for seed in ("2", "4"):
+            assert run(["evaluate", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                        "--T", "8", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+            with open(tmp_path / seed / "per_example.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            columns[seed] = ([r["true"] for r in rows], [r["score"] for r in rows])
+        assert columns["4"][0] == columns["2"][0]   # the same test split
+        assert columns["4"][1] != columns["2"][1]   # other MC masks
+
 
 class TestDatasetFingerprint:
     CSV_TRAIN = ["--kind", "csv", "--hidden", "16", "--epochs", "2", "--batch-size", "64"]
@@ -282,13 +295,14 @@ class TestCompare:
                        + TINY_TRAIN) == 0
             os.rename(os.path.join(run_dir, "checkpoint.bin"), str(ckpt_dir / f"{variant}.bin"))
 
-        cfg = RunConfig(out=str(tmp_path / "c")).with_overrides(
-            {"uncertainty": {"T": "4", "S": "4"}})
+        # each checkpoint is scored on its own split, with the flags over its own config
         rows = []
         for variant in seeds:
             spec, params, meta = load_checkpoint(str(ckpt_dir / f"{variant}.bin"))
             base = RunConfig.from_text(meta["config"])
-            metrics, report = evaluate(params, spec, base.make_splits()[2], cfg.eval_config())
+            scoring = base.with_overrides({"uncertainty": {"T": "4", "S": "4"}})
+            metrics, report = evaluate(params, spec, base.make_splits()[2],
+                                       scoring.eval_config())
             rows.append(make_comparison_row(variant, str(base.seed), metrics, report))
         reference = str(tmp_path / "reference.csv")
         artifacts.write_comparison_csv(rows, reference)
@@ -301,11 +315,42 @@ class TestCompare:
             return make_splits(self)
 
         monkeypatch.setattr(RunConfig, "make_splits", counted)
+        out = str(tmp_path / "c")
         assert run(["compare", "--checkpoint-dir", str(ckpt_dir), "--T", "4", "--S", "4",
-                    "--out", cfg.out]) == 0
+                    "--out", out]) == 0
         assert calls == [1, 2]
-        with open(reference, "rb") as a, open(os.path.join(cfg.out, "comparison.csv"), "rb") as b:
+        with open(reference, "rb") as a, open(os.path.join(out, "comparison.csv"), "rb") as b:
             assert a.read() == b.read()
+
+    def test_checkpoint_dir_reproduces_training_compare(self, tmp_path):
+        ckpt_dir = tmp_path / "ckpts"
+        ckpt_dir.mkdir()
+        for variant in ("baseline", "bayesian1", "bayesian2", "variational"):
+            run_dir = str(tmp_path / variant)
+            assert run(["train", "--variant", variant, "--seed", "3", "--out", run_dir]
+                       + TINY_TRAIN) == 0
+            os.rename(os.path.join(run_dir, "checkpoint.bin"), str(ckpt_dir / f"{variant}.bin"))
+        scored, trained = str(tmp_path / "scored"), str(tmp_path / "trained")
+        assert run(["compare", "--checkpoint-dir", str(ckpt_dir), "--T", "4", "--S", "4",
+                    "--out", scored]) == 0
+        assert run(["compare", "--seed", "3", "--T", "4", "--S", "4", "--out", trained]
+                   + TINY_TRAIN) == 0
+        a, b = digest_dir(scored), digest_dir(trained)
+        a.pop("run_config.cfg"), b.pop("run_config.cfg")   # holds --out and the flags
+        assert len(a) == 13 and a == b
+
+    def test_training_compare_builds_each_dataset_once(self, tmp_path, monkeypatch):
+        calls = []
+        make_dataset = RunConfig.make_dataset
+
+        def counted(self):
+            calls.append(self.seed)
+            return make_dataset(self)
+
+        monkeypatch.setattr(RunConfig, "make_dataset", counted)
+        assert run(["compare", "--seeds", "2", "--seed", "5", "--T", "4", "--S", "4",
+                    "--out", str(tmp_path / "c")] + TINY_TRAIN) == 0
+        assert calls == [5, 6]
 
 
 class TestDeterminism:
@@ -364,6 +409,13 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_text("[dataset]\nflavor = spicy\n")
+        with pytest.raises(ValueError, match=r"^unknown config key run\.flavor$"):
+            RunConfig.from_text("[run]\nflavor = spicy\n")
+
+    def test_run_section_text(self):
+        cfg = RunConfig.from_text("[run]\nseed = 7\nout = runs/x\n")
+        assert (cfg.seed, cfg.out) == (7, "runs/x")
+        assert cfg.to_text().startswith("[run]\nseed = 7\nout = runs/x\n\n[dataset]\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown config section"):
@@ -409,3 +461,5 @@ class TestRunConfig:
             RunConfig.from_text("[dataset]\noverlap = 1.5\n")
         with pytest.raises(ValueError, match="T must be"):
             RunConfig.from_text("[uncertainty]\nT = 1\n")
+        with pytest.raises(ValueError, match="training.optimizer"):
+            RunConfig.from_text("[training]\noptimizer = bogus\n")

@@ -221,6 +221,13 @@ class TestConvOps:
         with pytest.raises(ShapeError, match="-1"):
             conv2d(x, w, Tensor(np.zeros(1)), padding=-1)
 
+    def test_conv2d_kernel_larger_than_padded_input_rejected(self):
+        x = Tensor(np.ones((1, 1, 2, 2)))
+        w = Tensor(np.ones((1, 1, 5, 5)))
+        with pytest.raises(ShapeError, match=r"\(1, 1, 5, 5\).*\(1, 1, 2, 2\)"):
+            conv2d(x, w, Tensor(np.zeros(1)), padding=0)
+        assert conv2d(x, w, Tensor(np.zeros(1)), padding=2).shape == (1, 1, 2, 2)
+
     def test_global_avg_pool(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         out = global_avg_pool(Tensor(x))
