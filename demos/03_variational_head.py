@@ -35,7 +35,7 @@ params = build_model(spec, SEED)
 cfg = TrainConfig(OptimizerConfig("adam", lr=1e-3), epochs=20, batch_size=64, beta=0.01)
 result = train(params, spec, tr, va, cfg, SEED)
 last = [s for s in result.log if s.split == "train"][-1].loss
-print(f"final training loss {last.total:.4f} = CE {last.cross_entropy:.4f} "
+print(f"last epoch's mean step objective {last.total:.4f} = CE {last.cross_entropy:.4f} "
       f"+ beta {last.kld_weight} * KLD {last.kld:.4f}")
 
 print("\n== head output for one input ==")

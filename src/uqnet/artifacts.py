@@ -13,7 +13,10 @@ Schemas:
 * comparison.csv   -- variant,seed,accuracy,macro_precision,macro_recall,
                       macro_f1,mean_uncertainty_correct,
                       mean_uncertainty_incorrect,ratio
-* train_log.csv    -- epoch,split,total,cross_entropy,kld,accuracy
+* train_log.csv    -- epoch,split,total,cross_entropy,kld,accuracy; the
+                      ``train`` row is the example-weighted mean of the
+                      epoch's step objectives (dropout and noise on), the
+                      ``val`` row a deterministic pass; they are not comparable
 
 An undefined ratio (a group is empty) is written as ``undefined``.
 """

@@ -126,10 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags(p)
     training_flags(p)
     uncertainty_flags(p)
-    p.add_argument("--seeds", type=_int_at_least(1, "seeds"), default=1,
-                   help="number of seeds (seed, seed+1, ...); default 1")
-    p.add_argument("--checkpoint-dir", dest="checkpoint_dir",
-                   help="evaluate existing <dir>/<variant>.bin checkpoints instead of training")
+    # checkpoints carry their own seed; --seeds has no default value so that
+    # argparse also refuses an explicit --seeds 1 beside --checkpoint-dir
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--seeds", type=_int_at_least(1, "seeds"),
+                        help="number of seeds (seed, seed+1, ...); default 1")
+    source.add_argument("--checkpoint-dir", dest="checkpoint_dir",
+                        help="evaluate existing <dir>/<variant>.bin checkpoints "
+                             "instead of training")
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -266,7 +270,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = resolve_config(args)
-    out = _prepare_out(cfg)
 
     if args.checkpoint_dir:
         rows, reports, splits = [], {}, {}   # checkpoints of one run share one split
@@ -274,9 +277,13 @@ def cmd_compare(args) -> int:
             path = os.path.join(args.checkpoint_dir, f"{variant}.bin")
             if not os.path.exists(path):
                 raise FileNotFoundError(f"missing checkpoint for variant {variant!r}: {path}")
-            _, _, seed, metrics, reports[variant] = _score_checkpoint(args, path, splits)
+            scored, _, seed, metrics, reports[variant] = _score_checkpoint(args, path, splits)
+            if not rows:   # run_config.cfg describes the data the first checkpoint fixed
+                cfg = replace(scored, seed=seed, out=cfg.out)
             rows.append(make_comparison_row(variant, str(seed), metrics, reports[variant]))
+        out = _prepare_out(cfg)
     else:
+        out = _prepare_out(cfg)
         first = cfg.make_splits()   # also gives the input shape
 
         def make_splits(seed):
@@ -285,7 +292,7 @@ def cmd_compare(args) -> int:
         def make_spec(variant):
             return cfg.make_spec(first[0].input_shape, variant)
 
-        seeds = [cfg.seed + i for i in range(args.seeds)]
+        seeds = [cfg.seed + i for i in range(args.seeds or 1)]
         rows, runs = compare_variants(make_splits, make_spec, cfg.train_config(),
                                       cfg.eval_config(), seeds)
         reports = {run.variant: run.report for run in runs if run.seed == cfg.seed}

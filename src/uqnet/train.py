@@ -44,6 +44,8 @@ class TrainResult:
     params: ModelParams          # best-validation snapshot
     log: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
+    # total of the last epoch's train row: the mean step objective with
+    # dropout and noise on, as the steps saw it before each update
     final_train_loss: float = float("nan")
 
 
@@ -51,7 +53,8 @@ def _deterministic_eval(params: ModelParams, spec: ModelSpec, ds: Dataset,
                         beta: float) -> tuple[LossBreakdown, float]:
     """Loss and accuracy with dropout off; variational CE is taken at eps = 0.
 
-    The forward runs in row blocks; the losses are taken over the whole split.
+    Called once per epoch, on the validation split. The forward runs in row
+    blocks; the losses are taken over the whole split.
     """
     out, logvar = eval_heads(params, spec, ds.inputs)
     _, breakdown = objective(out, logvar, ds.labels, beta, 0.0)
@@ -61,6 +64,13 @@ def _deterministic_eval(params: ModelParams, spec: ModelSpec, ds: Dataset,
 def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Dataset,
           cfg: TrainConfig, seed: int) -> TrainResult:
     """Train in place; return the best-validation parameter snapshot and log.
+
+    Each epoch logs two rows. The ``train`` row is the example-weighted mean
+    of the epoch's step objectives (dropout on, reparameterization noise on,
+    accuracy from the step's logits or ``mu``), taken before each update; it
+    is not comparable to the ``val`` row, which :func:`_deterministic_eval`
+    computes with dropout off and eps = 0 and which alone selects the best
+    epoch.
 
     Fully deterministic in (initial params, datasets, cfg, seed): batch
     order, dropout masks, and reparameterization noise all come from
@@ -80,6 +90,8 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
     step = 0
 
     for epoch in range(cfg.epochs):
+        ce_sum = kld_sum = 0.0   # example-weighted sums over the epoch's steps
+        correct = 0
         order = _rng.stream(seed, _rng.NS_TRAIN_SHUFFLE, epoch).permutation(train_ds.n)
         for lo in range(0, train_ds.n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
@@ -93,6 +105,9 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
                 loss, breakdown = objective(out, logvar, y, cfg.beta, eps)
                 if not np.isfinite(breakdown.total):
                     raise TrainingDivergedError(step, epoch, f"loss = {breakdown.total}")
+                ce_sum += breakdown.cross_entropy * len(idx)
+                kld_sum += breakdown.kld * len(idx)
+                correct += int((out.data.argmax(axis=1) == y).sum())
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
@@ -100,9 +115,11 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
                 raise TrainingDivergedError(step, epoch, str(e)) from e
             step += 1
 
-        train_loss, train_acc = _deterministic_eval(params, spec, train_ds, cfg.beta)
+        ce, kld = ce_sum / train_ds.n, kld_sum / train_ds.n
+        train_loss = (LossBreakdown.plain(ce) if logvar is None
+                      else LossBreakdown.compose(ce, kld, cfg.beta))
         val_loss, val_acc = _deterministic_eval(params, spec, val_ds, cfg.beta)
-        result.log.append(EpochStats(epoch, "train", train_loss, train_acc))
+        result.log.append(EpochStats(epoch, "train", train_loss, correct / train_ds.n))
         result.log.append(EpochStats(epoch, "val", val_loss, val_acc))
         result.final_train_loss = train_loss.total
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,14 @@ class TestCompare:
         assert "seeds must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("seeds", ["1", "3"])
+    def test_seeds_with_checkpoint_dir_is_usage_error(self, seeds, tmp_path, capsys):
+        out = str(tmp_path / "c")
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--checkpoint-dir", str(tmp_path), "--seeds", seeds, "--out", out])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_checkpoint_dir_makes_one_split_per_dataset(self, tmp_path, monkeypatch):
         from uqnet import artifacts
@@ -336,8 +345,13 @@ class TestCompare:
         assert run(["compare", "--seed", "3", "--T", "4", "--S", "4", "--out", trained]
                    + TINY_TRAIN) == 0
         a, b = digest_dir(scored), digest_dir(trained)
-        a.pop("run_config.cfg"), b.pop("run_config.cfg")   # holds --out and the flags
+        a.pop("run_config.cfg"), b.pop("run_config.cfg")
         assert len(a) == 13 and a == b
+        # the scored run records the checkpoints' data (seed 3, n 200), not the defaults
+        written = RunConfig.from_file(os.path.join(scored, "run_config.cfg"))
+        assert written.seed == 3 and written.dataset.n == 200
+        assert written == replace(RunConfig.from_file(os.path.join(trained, "run_config.cfg")),
+                                  out=scored)
 
     def test_training_compare_builds_each_dataset_once(self, tmp_path, monkeypatch):
         calls = []

@@ -1,5 +1,7 @@
 """Training loop: determinism, logging, divergence, capacity sanity check."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,50 @@ class TestLog:
         last = result.log[-1].loss
         assert last.cross_entropy == float(cross_entropy(mu, va.labels))
         assert last.kld == float(kld_from_logvar(mu, logvar))
+
+    @pytest.mark.parametrize("variant", ["baseline", "bayesian2", "variational"])
+    def test_train_rows_are_the_weighted_mean_of_the_steps(self, monkeypatch, variant):
+        tr, va, _ = quick_splits()
+        calls, evals = [], []
+        module = importlib.import_module("uqnet.train")
+        objective, deterministic_eval = module.objective, module._deterministic_eval
+
+        def recording_objective(out, logvar, targets, beta, eps):
+            loss, bd = objective(out, logvar, targets, beta, eps)
+            logits = np.asarray(getattr(out, "data", out))
+            calls.append((bd, len(targets), int((logits.argmax(axis=1) == targets).sum())))
+            return loss, bd
+
+        def recording_eval(params, spec, ds, beta):
+            evals.append(ds)
+            return deterministic_eval(params, spec, ds, beta)
+
+        monkeypatch.setattr(module, "objective", recording_objective)
+        monkeypatch.setattr(module, "_deterministic_eval", recording_eval)
+        spec = mlp_spec(2, variant=variant, hidden=32)
+        cfg = TrainConfig(OptimizerConfig("adam"), epochs=3, batch_size=64, beta=0.5)
+        result = train(build_model(spec, 5), spec, tr, va, cfg, seed=5)
+
+        assert len(evals) == cfg.epochs and all(ds is va for ds in evals)
+        steps = -(-tr.n // cfg.batch_size)
+        assert len(calls) == cfg.epochs * (steps + 1)   # the steps, then the val eval
+        rows = [s for s in result.log if s.split == "train"]
+        for epoch, row in enumerate(rows):
+            epoch_calls = calls[epoch * (steps + 1):(epoch + 1) * (steps + 1)]
+            assert epoch_calls[-1][1] == va.n
+            ce = kld = 0.0
+            correct = 0
+            for bd, n, hits in epoch_calls[:-1]:
+                ce += bd.cross_entropy * n
+                kld += bd.kld * n
+                correct += hits
+            assert row.loss.cross_entropy == ce / tr.n
+            assert row.loss.kld == kld / tr.n
+            assert row.accuracy == correct / tr.n
+            bd = row.loss
+            assert bd.kld_weight == (0.5 if variant == "variational" else 0.0)
+            assert bd.total == bd.cross_entropy + bd.kld_weight * bd.kld
+        assert result.final_train_loss == rows[-1].loss.total
 
     def test_best_epoch_tracks_max_val_accuracy(self):
         tr, va, _ = quick_splits()
