@@ -42,6 +42,12 @@ class EvalConfig:
     space: str = "analytic"   # variational scoring: "analytic" | "sampled"
     workers: int = 1
 
+    def __post_init__(self):
+        if self.space not in SPACES:
+            raise ValueError(f"unknown scoring space {self.space!r}, expected one of {SPACES}")
+        if self.space == "sampled" and self.S < 2:
+            raise ValueError(f"sampled scoring needs S >= 2, got {self.S}")
+
 
 def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
              cfg: EvalConfig = EvalConfig()) -> tuple[ClassificationMetrics, UncertaintyReport]:
@@ -63,15 +69,11 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
         if cfg.space == "analytic":
             scores = sigma2.mean(axis=1)
             method = "variational-analytic"
-        elif cfg.space == "sampled":
-            if cfg.S < 2:
-                raise ValueError("sampled scoring needs S >= 2")
+        else:
             eps = _batched_eval_noise(cfg.seed, cfg.S, mu.shape)           # [S, N, C]
             draws = reparameterized_samples(mu, sigma2, cfg.S, cfg.seed, eps)
             scores = variance_score(np_softmax(draws))
             method = "variational-sampled"
-        else:
-            raise ValueError(f"unknown scoring space {cfg.space!r}")
     elif spec.variant == "baseline":
         logits, _ = eval_heads(params, spec, x)
         mean_probs = np_softmax(logits)

@@ -400,9 +400,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     ``bias`` [Cout]. Default padding k//2 keeps the spatial size.
 
     Shapes are NCHW, but the kernel works channels-last in memory: the
-    padded input, the im2col patches and the output buffer are all
-    [N, H, W, C], and the result is an NCHW view of that buffer. An input
-    in either memory layout is accepted; the padding copy converts it.
+    padded input and the output buffer are [N, H, W, C], the im2col
+    patches are [N*Ho*Wo, k*k*Cin] rows with Cin innermost, and the result
+    is an NCHW view of the output buffer. An input in either memory layout
+    is accepted; the padding copy converts it.
+
+    In graph mode the node keeps only its input, which its parent holds
+    anyway: the forward drops the padded input and the patches after its
+    GEMM, and the backward rebuilds the patches from ``x.data`` for the
+    weight gradient. They are the same patches in the same order, so every
+    gradient is bit-identical to keeping them, at the cost of one more
+    im2col copy per backward and no extra GEMM.
     """
     X, W, B = x.data, weight.data, bias.data
     if X.ndim != 4 or W.ndim != 4:
@@ -425,20 +433,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     ho = h + 2 * p - k + 1
     wo = w + 2 * p - k + 1
     padded = (n, h + 2 * p, w + 2 * p, cin)
-    xp = np.zeros(padded)
-    xp[:, p:p + h, p:p + w] = X.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    # [N, Ho, Wo, Cin, k, k] -> [N*Ho*Wo, k*k*Cin]
-    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
+
+    def im2col():
+        xp = np.zeros(padded)
+        xp[:, p:p + h, p:p + w] = x.data.transpose(0, 2, 3, 1)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+        # [N, Ho, Wo, Cin, k, k] -> [N*Ho*Wo, k*k*Cin]
+        return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
+
     wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = patches @ wmat
+        out = im2col() @ wmat
         out += B
 
     def back(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
         _accumulate(bias, gmat.sum(axis=0))
-        dw = (patches.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+        dw = (im2col().T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
         _accumulate(weight, np.ascontiguousarray(dw))
         if x.requires_grad:
             gxp = np.zeros(padded)

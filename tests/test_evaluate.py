@@ -1,5 +1,7 @@
 """Evaluation harness: per-variant prediction rules, report plumbing, comparison."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,20 @@ class TestVariantRules:
         spec, params, te = trained("variational")
         with pytest.raises(ValueError, match="space"):
             evaluate(params, spec, te, EvalConfig(space="orbital"))
+
+    def test_bad_scoring_config_fails_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        # the module, not the uqnet.evaluate function that the package exports
+        monkeypatch.setattr(importlib.import_module("uqnet.evaluate"), "train", no_training)
+        spec = mlp_spec(2, variant="baseline", hidden=8)
+        te = synth_blobs(40, 4, dim=2, seed=0)
+        with pytest.raises(ValueError, match="space"):
+            evaluate(build_model(spec, 0), spec, te, EvalConfig(space="bogus"))
+        with pytest.raises(ValueError, match="S >= 2"):
+            compare_variants(lambda seed: (te, te, te), lambda v: mlp_spec(2, variant=v, hidden=8),
+                             TRAIN_CFG, EvalConfig(S=1, space="sampled"), seeds=[0])
 
     def test_class_count_mismatch_rejected(self):
         spec, params, _ = trained("baseline")

@@ -1,13 +1,19 @@
-"""Bounded evaluation memory: the peak of ``evaluate`` does not grow with
-the test set beyond the arrays that hold its outputs."""
+"""Bounded memory in evaluation and training.
+
+Evaluation: the peak of ``evaluate`` does not grow with the test set beyond
+the arrays that hold its outputs. Training: a graph-mode forward holds little
+more than its nodes' values until the backward (``conv2d`` keeps its input,
+not its im2col patches)."""
 
 import tracemalloc
 
 import numpy as np
 
+from uqnet import rng
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import block_rows, build_model, miniresnet_spec
+from uqnet.layers import block_rows, build_model, miniresnet_spec, model_forward
+from uqnet.tensor import Tensor, cross_entropy
 
 T, CLASSES = 3, 4
 
@@ -37,3 +43,36 @@ def test_miniresnet_mc_evaluation_peak_does_not_grow_with_n():
     small = evaluate_peak(spec, params, 64)
     large = evaluate_peak(spec, params, 640)
     assert large - output_bytes(640) <= 1.25 * small, (small, large)
+
+
+def node_value_bytes(root):
+    """Summed nbytes of the distinct base arrays of every node value in the
+    graph that ends at ``root``."""
+    seen, bases, stack = set(), {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        base = t.data
+        while base.base is not None:
+            base = base.base
+        bases[id(base)] = base.nbytes
+        stack.extend(t._parents)
+    return sum(bases.values())
+
+
+def test_miniresnet_training_graph_holds_only_its_node_values():
+    spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
+    params = build_model(spec, 0)
+    x = np.random.default_rng(0).normal(size=(32,) + spec.input_shape)
+    y = np.arange(32) % CLASSES
+    tracemalloc.start()
+    try:
+        pass_rng = rng.PassRng(0, 0, rng.NS_TRAIN_DROPOUT)
+        loss = cross_entropy(model_forward(params, spec, Tensor(x), pass_rng), y)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    values = node_value_bytes(loss)
+    assert held <= 1.25 * values, (held, values)

@@ -206,6 +206,30 @@ class TestConvOps:
                             assert got.shape == ref.shape
                             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
+    def test_conv2d_is_byte_identical_to_kept_patches(self):
+        # Graph mode keeps only the input and rebuilds the im2col patches in
+        # the backward; the output and all three gradients must equal, bit for
+        # bit, the formula that kept the forward's patches until the backward.
+        rng = np.random.default_rng(7)
+        for cin in (1, 3):
+            for k in (1, 3):
+                for p in (0, 1, 2):
+                    x = rng.normal(size=(2, cin, 5, 6))
+                    w = rng.normal(size=(4, cin, k, k))
+                    b = rng.normal(size=4)
+                    g = rng.normal(size=(2, 4, 6 + 2 * p - k, 7 + 2 * p - k))
+                    want = _kept_patches_conv(x, w, b, p, g)
+                    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+                    for stored in (x, channels_last):
+                        tx = Tensor(stored, requires_grad=True)
+                        tw = Tensor(w, requires_grad=True)
+                        tb = Tensor(b, requires_grad=True)
+                        y = conv2d(tx, tw, tb, padding=p)
+                        (y * Tensor(g)).sum().backward()
+                        for got, ref in zip((y.data, tx.grad, tw.grad, tb.grad), want):
+                            assert got.shape == ref.shape
+                            assert np.array_equal(got, ref), (cin, k, p)
+
     def test_conv2d_output_is_channels_last_in_memory(self):
         # The speed of conv2d rests on this layout; the NCHW shape is a view.
         rng = np.random.default_rng(6)
@@ -262,3 +286,28 @@ class TestCrossEntropyValues:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             cross_entropy(Tensor(np.zeros((1, 4))), np.array([4]))
+
+
+def _kept_patches_conv(x, w, b, p, g):
+    """conv2d's im2col formula with the patches built once in the forward and
+    reused by the backward: the output and the gradients of sum(out * g) with
+    respect to x, w and b."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    ho, wo = h + 2 * p - k + 1, wd + 2 * p - k + 1
+    xp = np.zeros((n, h + 2 * p, wd + 2 * p, cin))
+    xp[:, p:p + h, p:p + wd] = x.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
+    wmat = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
+    out = patches @ wmat
+    out += b
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
+    dw = (patches.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+    gxp = np.zeros(xp.shape)
+    for dy in range(k):
+        for dx in range(k):
+            tap = wmat[(dy * k + dx) * cin:(dy * k + dx + 1) * cin]
+            gxp[:, dy:dy + ho, dx:dx + wo] += (gmat @ tap.T).reshape(n, ho, wo, cin)
+    dx = gxp[:, p:p + h, p:p + wd].transpose(0, 3, 1, 2)
+    return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), dx, dw, gmat.sum(axis=0)
