@@ -28,9 +28,8 @@ c0 = ds.inputs[ds.labels == 0].mean(axis=0)
 c1 = ds.inputs[ds.labels == 1].mean(axis=0)
 for name, x in (("easy", c0), ("boundary", (c0 + c1) / 2.0)):
     post = mc_predict(result.params, spec, x, T=100, seed=SEED)
-    score = uncertainty_score(post)
     print(f"{name:9s} mean probs {np.round(post.mean, 3)}  "
-          f"uncertainty {score.value:.4f}")
+          f"uncertainty {uncertainty_score(post):.4f}")
 
 print("\n== uncertainty split by correctness over the test set ==")
 metrics, report = evaluate(result.params, spec, te, EvalConfig(T=100, seed=SEED))

@@ -52,7 +52,6 @@ from .data import (
 )
 from .uncertainty import (
     PosteriorSamples,
-    UncertaintyScore,
     VariationalOutput,
     kld,
     mc_predict,
@@ -83,7 +82,7 @@ __all__ = [
     "CheckpointError", "load_checkpoint", "save_checkpoint",
     "DataError", "Dataset", "SplitSpec", "load_csv", "load_idx", "save_csv",
     "save_idx", "split", "synth_blobs", "synth_textures",
-    "PosteriorSamples", "UncertaintyScore", "VariationalOutput",
+    "PosteriorSamples", "VariationalOutput",
     "kld", "mc_predict", "mc_probs", "predictive_entropy",
     "reparameterized_samples", "uncertainty_score", "variational_forward",
     "Adam", "OptimizerConfig", "SGD",

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--S", type=int, help="variational reparameterized draws")
         p.add_argument("--space", choices=SPACES,
                        help="variational uncertainty space")
-        p.add_argument("--workers", type=int, help="threads for MC passes")
+        p.add_argument("--workers", type=_int_at_least(1, "workers"), help="threads for MC passes")
 
     p = sub.add_parser("generate", help="write a synthetic dataset to disk")
     common(p)
@@ -283,8 +283,8 @@ def cmd_compare(args) -> int:
             rows.append(make_comparison_row(variant, str(seed), metrics, reports[variant]))
         out = _prepare_out(cfg)
     else:
-        out = _prepare_out(cfg)
         first = cfg.make_splits()   # also gives the input shape
+        out = _prepare_out(cfg)
 
         def make_splits(seed):
             return first if seed == cfg.seed else replace(cfg, seed=seed).make_splits()

@@ -12,7 +12,7 @@ import configparser
 import io
 from dataclasses import dataclass, field, fields, replace
 
-from .data import Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
+from .data import DataError, Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
 from .evaluate import SPACES, EvalConfig
 from .layers import BACKBONES, ModelSpec, miniresnet_spec, mlp_spec
 from .optim import OPTIMIZERS, OptimizerConfig
@@ -153,6 +153,8 @@ class RunConfig:
         if self.training.optimizer not in OPTIMIZERS:
             raise ValueError(f"training.optimizer must be one of {OPTIMIZERS}, "
                              f"got {self.training.optimizer!r}")
+        if self.uncertainty.workers < 1:
+            raise ValueError(f"uncertainty.workers must be >= 1, got {self.uncertainty.workers}")
         if self.uncertainty.T < 2:
             raise ValueError(f"uncertainty.T must be >= 2, got {self.uncertainty.T}")
         if self.uncertainty.space not in SPACES:
@@ -163,6 +165,7 @@ class RunConfig:
                              f"got {self.uncertainty.S}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        self.train_config()   # checks epochs and batch_size
 
     def make_dataset(self) -> Dataset:
         d = self.dataset
@@ -173,10 +176,15 @@ class RunConfig:
         if d.kind == "csv":
             if not d.csv_path:
                 raise ValueError("dataset.csv_path is required for kind = csv")
-            return load_csv(d.csv_path, d.label_column)
-        if not (d.images_path and d.labels_path):
+            ds = load_csv(d.csv_path, d.label_column)
+        elif not (d.images_path and d.labels_path):
             raise ValueError("dataset.images_path and dataset.labels_path are required for kind = idx")
-        return load_idx(d.images_path, d.labels_path)
+        else:
+            ds = load_idx(d.images_path, d.labels_path)
+        if ds.n_classes != d.classes:
+            raise DataError(f"the {d.kind} labels give {ds.n_classes} classes but dataset.classes "
+                            f"is {d.classes}; pass --classes {ds.n_classes}")
+        return ds
 
     def make_splits(self) -> tuple[Dataset, Dataset, Dataset]:
         d = self.dataset

@@ -1,12 +1,12 @@
 """Test-set evaluation and the four-variant comparison.
 
-Predictions follow the variant's rule: argmax of the MC-mean probabilities
-for the dropout variants, argmax of the predicted mean for the variational
-variant, argmax of the softmax probabilities for the baseline (rounding
-in the softmax can tie two classes whose logits differ, so this is not
-always the argmax of the logits). Uncertainty scores follow
-:func:`uqnet.uncertainty.uncertainty_score`; the baseline has no sampling
-mechanism, so its score column carries predictive entropy instead and is
+A sampling variant's predictions and scores are its test-set posterior's
+``predicted_label`` (argmax of the MC-mean probabilities, or of the
+predicted mean) and :func:`uqnet.uncertainty.uncertainty_score`: the rules
+that score one example. The baseline predicts the argmax of its softmax
+probabilities (rounding in the softmax can tie two classes whose logits
+differ, so this is not always the argmax of the logits); it has no
+sampling mechanism, so its score column carries predictive entropy and is
 excluded from ratio comparisons against the sampling variants.
 """
 
@@ -22,12 +22,14 @@ from .metrics import ClassificationMetrics
 from .report import UncertaintyReport, build_report
 from .train import TrainConfig, TrainResult, train
 from .uncertainty import (
+    PosteriorSamples,
+    VariationalOutput,
     _batched_eval_noise,
     mc_probs,
     np_softmax,
     predictive_entropy,
     reparameterized_samples,
-    variance_score,
+    uncertainty_score,
     variational_outputs,
 )
 
@@ -56,34 +58,24 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
         raise ValueError(f"dataset has {test.n_classes} classes, model expects {spec.n_classes}")
     x = test.inputs
 
-    if spec.variant in MC_VARIANTS:
-        passes = mc_probs(params, spec, x, cfg.T, cfg.seed, cfg.workers)   # [T, N, C]
-        mean_probs = passes.mean(axis=0)
-        scores = variance_score(passes)
-        pred = mean_probs.argmax(axis=1)
-        method = "mc-dropout"
-    elif spec.variant == "variational":
-        mu, sigma2 = variational_outputs(params, spec, x)                  # [N, C] each
-        mean_probs = np_softmax(mu)
-        pred = mu.argmax(axis=1)
-        if cfg.space == "analytic":
-            scores = sigma2.mean(axis=1)
-            method = "variational-analytic"
-        else:
-            eps = _batched_eval_noise(cfg.seed, cfg.S, mu.shape)           # [S, N, C]
-            draws = reparameterized_samples(mu, sigma2, cfg.S, cfg.seed, eps)
-            scores = variance_score(np_softmax(draws))
-            method = "variational-sampled"
-    elif spec.variant == "baseline":
-        logits, _ = eval_heads(params, spec, x)
-        mean_probs = np_softmax(logits)
-        pred = mean_probs.argmax(axis=1)
-        scores = predictive_entropy(mean_probs)
-        method = "entropy"
+    if spec.variant == "baseline":
+        probs = np_softmax(eval_heads(params, spec, x)[0])
+        pred, method = probs.argmax(axis=1), "entropy"
+        scores = entropies = predictive_entropy(probs)
     else:
-        raise ValueError(f"unknown variant {spec.variant!r}")
+        if spec.variant in MC_VARIANTS:
+            post = PosteriorSamples(mc_probs(params, spec, x, cfg.T, cfg.seed, cfg.workers))
+            probs, method = post.mean, "mc-dropout"
+        else:
+            mu, sigma2 = variational_outputs(params, spec, x)              # [N, C] each
+            post = VariationalOutput(mu, sigma2)
+            if cfg.space == "sampled":
+                eps = _batched_eval_noise(cfg.seed, cfg.S, mu.shape)       # [S, N, C]
+                post.samples = reparameterized_samples(mu, sigma2, cfg.S, cfg.seed, eps)
+            probs, method = np_softmax(mu), f"variational-{cfg.space}"
+        pred, scores = post.predicted_label, uncertainty_score(post, cfg.space)
+        entropies = predictive_entropy(probs)
 
-    entropies = scores if method == "entropy" else predictive_entropy(mean_probs)
     metrics = ClassificationMetrics.from_predictions(test.labels, pred, spec.n_classes)
     report = build_report(test.labels, pred, scores, entropies, method)
     return metrics, report

@@ -30,6 +30,12 @@ class TrainConfig:
     batch_size: int = 64
     beta: float = 1.0  # KLD weight for the variational variant
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -76,10 +82,6 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
     order, dropout masks, and reparameterization noise all come from
     streams keyed by the seed and the step/epoch index.
     """
-    if cfg.epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if spec.input_shape != train_ds.input_shape:
         raise ValueError(f"model expects inputs {spec.input_shape}, "
                          f"dataset provides {train_ds.input_shape}")

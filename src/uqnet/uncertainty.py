@@ -14,8 +14,9 @@ Two mechanisms produce a posterior over class predictions:
 Scalar uncertainty is the mean over classes of the per-class variance
 (probability-space for MC dropout and the sampled variational mode,
 logit-space sigma^2 for the analytic variational mode).
-Each mechanism has one batched implementation; the single-example API is
-its N = 1 case and returns the bytes of row 0 of a one-example batch.
+Each mechanism has one batched implementation, and one posterior type holds
+a batch or one example under the same labelling and scoring rules; the
+single-example API is its N = 1 case and returns the bytes of row 0.
 Both heads themselves are computed by :mod:`uqnet.layers`
 (``head_forward`` and ``eval_heads``); this module only samples and scores
 their outputs.
@@ -37,15 +38,15 @@ from .tensor import Tensor, no_grad
 
 @dataclass
 class PosteriorSamples:
-    """T stochastic class-probability vectors; their mean, unbiased
-    variance and count are derived on access."""
+    """T class-probability draws for one example ([T, C]) or a batch ([T, N, C]);
+    their mean, unbiased variance and count are derived on access."""
 
-    samples: np.ndarray   # [T, C], each row a softmax output
+    samples: np.ndarray   # [T, C] or [T, N, C], each row a softmax output
 
     def __post_init__(self):
-        if self.samples.ndim != 2:
-            raise ValueError(f"expected [T, C] samples, got {self.samples.shape}")
-        row_sums = self.samples.sum(axis=1)
+        if self.samples.ndim not in (2, 3):
+            raise ValueError(f"expected [T, C] or [T, N, C] samples, got {self.samples.shape}")
+        row_sums = self.samples.sum(axis=-1)
         if np.abs(row_sums - 1.0).max() > 1e-9:
             raise ValueError("each sample row must sum to 1")
         if self.samples.min() < 0.0 or self.samples.max() > 1.0:
@@ -64,8 +65,8 @@ class PosteriorSamples:
         return unbiased_variance(self.samples)
 
     @property
-    def predicted_label(self) -> int:
-        return int(self.mean.argmax())
+    def predicted_label(self):
+        return _label(self.mean)
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "PosteriorSamples":
@@ -74,29 +75,25 @@ class PosteriorSamples:
 
 @dataclass
 class VariationalOutput:
-    """Gaussian posterior over class scores, with optional reparameterized draws."""
+    """Gaussian posterior over the class scores of one example or a batch, with optional draws."""
 
-    mu: np.ndarray                 # [C]
-    sigma2: np.ndarray             # [C], strictly positive
-    samples: np.ndarray | None = None  # [S, C]
+    mu: np.ndarray                 # [C] or [N, C]
+    sigma2: np.ndarray             # shaped like mu, strictly positive
+    samples: np.ndarray | None = None  # [S, *mu.shape]
 
     def __post_init__(self):
         if np.any(self.sigma2 <= 0):
             raise ValueError("sigma2 must be strictly positive")
 
     @property
-    def predicted_label(self) -> int:
-        return int(self.mu.argmax())
+    def predicted_label(self):
+        return _label(self.mu)
 
 
-@dataclass(frozen=True)
-class UncertaintyScore:
-    value: float
-    method: str  # mc-dropout | variational-analytic | variational-sampled | entropy
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("uncertainty must be nonnegative")
+def _label(scores: np.ndarray):
+    """Argmax over classes: an int for one example, an [N] array for a batch."""
+    label = scores.argmax(axis=-1)
+    return int(label) if label.ndim == 0 else label
 
 
 def np_softmax(z: np.ndarray) -> np.ndarray:
@@ -225,11 +222,10 @@ def variational_forward(params: ModelParams, spec: ModelSpec, x, S: int = 0,
     mu, sigma2 = variational_outputs(params, spec, x)
     if mu.shape[0] != 1:
         raise ValueError("variational_forward takes a single example; use variational_outputs for batches")
-    mu, sigma2 = mu[0], sigma2[0]
-    samples = None
+    post = VariationalOutput(mu[0], sigma2[0])
     if S > 0 or eps is not None:
-        samples = reparameterized_samples(mu, sigma2, S, seed, eps)
-    return VariationalOutput(mu, sigma2, samples)
+        post.samples = reparameterized_samples(post.mu, post.sigma2, S, seed, eps)
+    return post
 
 
 # -- closed-form KL divergence ---------------------------------------------------
@@ -261,8 +257,9 @@ def kld_from_logvar(mu: Tensor, logvar: Tensor) -> Tensor:
 # -- scalar scores -----------------------------------------------------------------
 
 
-def uncertainty_score(post, space: str = "analytic") -> UncertaintyScore:
-    """Reduce a posterior to a single nonnegative uncertainty value.
+def uncertainty_score(post, space: str = "analytic"):
+    """Reduce a posterior to its nonnegative uncertainty: a float for one
+    example, an [N] array for a batch.
 
     MC dropout: mean over classes of the per-class probability variance.
     Variational: mean predicted sigma^2 (logit space) in ``analytic`` mode;
@@ -270,17 +267,18 @@ def uncertainty_score(post, space: str = "analytic") -> UncertaintyScore:
     MC dropout.
     """
     if isinstance(post, PosteriorSamples):
-        return UncertaintyScore(float(variance_score(post.samples)), "mc-dropout")
-    if isinstance(post, VariationalOutput):
-        if space == "analytic":
-            return UncertaintyScore(float(post.sigma2.mean()), "variational-analytic")
-        if space == "sampled":
-            if post.samples is None or len(post.samples) < 2:
-                raise ValueError("sampled scoring needs at least 2 reparameterized draws")
-            return UncertaintyScore(float(variance_score(np_softmax(post.samples))),
-                                    "variational-sampled")
+        score = variance_score(post.samples)
+    elif not isinstance(post, VariationalOutput):
+        raise TypeError(f"cannot score {type(post).__name__}")
+    elif space == "analytic":
+        score = post.sigma2.mean(axis=-1)
+    elif space == "sampled":
+        if post.samples is None or len(post.samples) < 2:
+            raise ValueError("sampled scoring needs at least 2 reparameterized draws")
+        score = variance_score(np_softmax(post.samples))
+    else:
         raise ValueError(f"unknown scoring space {space!r}")
-    raise TypeError(f"cannot score {type(post).__name__}")
+    return float(score) if np.ndim(score) == 0 else score
 
 
 def predictive_entropy(probs):

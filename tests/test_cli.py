@@ -22,6 +22,17 @@ def run(argv):
     return main(argv)
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any command starts training."""
+    def train(*args, **kwargs):
+        raise AssertionError("training started")
+
+    # the modules, not the uqnet.evaluate function that the package exports
+    for module in ("uqnet.cli", "uqnet.evaluate"):
+        monkeypatch.setattr(importlib.import_module(module), "train", train)
+
+
 def digest_dir(path):
     out = {}
     for name in sorted(os.listdir(path)):
@@ -92,6 +103,32 @@ class TestTrain:
         assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
         assert os.path.exists(os.path.join(out, "train_log.csv"))
         assert os.path.exists(os.path.join(out, "run_config.cfg"))
+
+    @staticmethod
+    def three_class_csv(tmp_path):
+        data = str(tmp_path / "data")
+        assert run(["generate", "--kind", "blobs", "--n", "90", "--classes", "3",
+                    "--overlap", "0.3", "--seed", "2", "--out", data]) == 0
+        return ["--kind", "csv", "--csv", os.path.join(data, "dataset.csv"),
+                "--hidden", "16", "--epochs", "2", "--batch-size", "64"]
+
+    @pytest.mark.parametrize("argv", [["train"], ["compare", "--T", "4", "--S", "4"]])
+    def test_csv_class_count_other_than_classes_fails_before_training(
+            self, argv, tmp_path, no_training, capsys):
+        csv_train = self.three_class_csv(tmp_path)
+        out = str(tmp_path / "t")
+        capsys.readouterr()
+        assert run(argv + ["--out", out] + csv_train) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "3 classes" in err and "dataset.classes is 4" in err and "--classes 3" in err
+        assert not os.path.exists(out)
+
+    def test_csv_trains_and_evaluates_with_its_class_count(self, tmp_path):
+        out = str(tmp_path / "t")
+        assert run(["train", "--classes", "3", "--out", out]
+                   + self.three_class_csv(tmp_path)) == 0
+        assert run(["evaluate", "--T", "4", "--out", out]) == 0
 
 
 class TestEvaluate:
@@ -270,11 +307,7 @@ class TestCompare:
         assert "bayesian1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
-    def test_seeds_below_one_is_usage_error(self, seeds, tmp_path, monkeypatch, capsys):
-        def no_training(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(importlib.import_module("uqnet.evaluate"), "train", no_training)
+    def test_seeds_below_one_is_usage_error(self, seeds, tmp_path, no_training, capsys):
         out = str(tmp_path / "c")
         with pytest.raises(SystemExit) as exc:
             run(["compare", "--seeds", seeds, "--out", out] + TINY_TRAIN)
@@ -444,12 +477,7 @@ class TestRunConfig:
         assert merged.dataset.n == 99
         assert merged.dataset.overlap == 0.1
 
-    def test_unknown_space_in_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
-        def no_training(*args, **kwargs):
-            raise AssertionError("training started")
-
-        # the module, not the uqnet.evaluate function that the package exports
-        monkeypatch.setattr(importlib.import_module("uqnet.evaluate"), "train", no_training)
+    def test_unknown_space_in_file_fails_before_training(self, tmp_path, no_training, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("[uncertainty]\nspace = bogus\n")
         out = str(tmp_path / "c")
@@ -457,18 +485,39 @@ class TestRunConfig:
         assert "uncertainty.space" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_sampled_space_with_one_draw_fails_before_training(self, tmp_path, monkeypatch,
+    def test_sampled_space_with_one_draw_fails_before_training(self, tmp_path, no_training,
                                                                 capsys):
-        def no_training(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(importlib.import_module("uqnet.evaluate"), "train", no_training)
         out = str(tmp_path / "c")
         assert run(["compare", "--space", "sampled", "--S", "1", "--out", out] + TINY_TRAIN) == 1
         assert "uncertainty.S" in capsys.readouterr().err
         assert not os.path.exists(out)
         # the analytic space draws no samples, so it ignores S
         assert RunConfig.from_text("[uncertainty]\nspace = analytic\nS = 1\n").uncertainty.S == 1
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
+    def test_bad_training_config_leaves_no_out(self, flag, tmp_path, no_training, capsys):
+        out = str(tmp_path / "c")
+        assert run(["compare", "--out", out] + TINY_TRAIN + [flag, "0"]) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, workers, tmp_path, no_training, capsys):
+        out = str(tmp_path / "c")
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--workers", workers, "--out", out] + TINY_TRAIN)
+        assert exc.value.code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_workers_below_one_in_file_fails_before_training(self, tmp_path, no_training,
+                                                              capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("[uncertainty]\nworkers = 0\n")
+        out = str(tmp_path / "c")
+        assert run(["compare", "--config", str(path), "--out", out] + TINY_TRAIN) == 1
+        assert "uncertainty.workers must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="overlap"):

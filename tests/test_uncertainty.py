@@ -7,7 +7,8 @@ import pytest
 
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import build_model, miniresnet_spec, mlp_spec, model_forward
+from uqnet.layers import (MC_VARIANTS, build_model, miniresnet_spec, mlp_spec, model_forward,
+                          row_blocks)
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
 from uqnet.tensor import Tensor, check_gradient, no_grad
 from uqnet.uncertainty import (
@@ -24,6 +25,7 @@ from uqnet.uncertainty import (
     uncertainty_score,
     unbiased_variance,
     variational_forward,
+    variational_outputs,
 )
 
 
@@ -215,7 +217,7 @@ class TestMcPredict:
         assert post.T == len(samples) == 12
         assert post.mean.tobytes() == samples.mean(0).tobytes()
         assert post.variance.tobytes() == unbiased_variance(samples).tobytes()
-        assert uncertainty_score(post).value == float(post.variance.mean())
+        assert uncertainty_score(post) == float(post.variance.mean())
 
     def test_validation(self):
         spec = mlp_spec(2, variant="bayesian1")
@@ -278,7 +280,7 @@ class TestScores:
     def test_zero_variance_posterior_scores_zero(self):
         samples = np.tile(np.array([[0.7, 0.1, 0.1, 0.1]]), (10, 1))
         post = PosteriorSamples.from_samples(samples)
-        assert uncertainty_score(post).value == 0.0
+        assert uncertainty_score(post) == 0.0
 
     def test_alternating_samples_variance(self):
         # rows alternate between two one-hot vectors; unbiased per-class
@@ -290,27 +292,24 @@ class TestScores:
         post = PosteriorSamples(samples)
         v = 0.25 * T / (T - 1)
         np.testing.assert_allclose(post.variance, [v, v, 0.0, 0.0], atol=1e-12)
-        assert abs(uncertainty_score(post).value - v / 2.0) < 1e-12
+        assert abs(uncertainty_score(post) - v / 2.0) < 1e-12
 
     def test_variational_analytic_score_is_mean_sigma2(self):
         out = VariationalOutput(np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4]))
-        score = uncertainty_score(out)
-        assert score.method == "variational-analytic"
-        assert abs(score.value - 0.25) < 1e-15
+        assert abs(uncertainty_score(out) - 0.25) < 1e-15
 
     def test_variational_sampled_scores_probability_space(self):
         mu = np.array([2.0, 0.0, 0.0, 0.0])
         s2 = np.full(4, 0.5)
         out = VariationalOutput(mu, s2, reparameterized_samples(mu, s2, 500, seed=8))
         score = uncertainty_score(out, space="sampled")
-        assert score.method == "variational-sampled"
         probs = np_softmax(out.samples)
-        assert abs(score.value - probs.var(axis=0, ddof=1).mean()) < 1e-15
+        assert abs(score - probs.var(axis=0, ddof=1).mean()) < 1e-15
 
     def test_identical_sampled_draws_score_exactly_zero(self):
         row = np.array([0.3, -1.7, 2.2, 0.05])
         out = VariationalOutput(row, np.ones(4), np.tile(row, (10, 1)))
-        assert uncertainty_score(out, space="sampled").value == 0.0
+        assert uncertainty_score(out, space="sampled") == 0.0
 
     def test_sampled_space_requires_draws(self):
         out = VariationalOutput(np.zeros(4), np.ones(4))
@@ -352,7 +351,7 @@ class TestSingleExampleIsBatchOfOne:
         passes = mc_probs(params, spec, self.x[None, :], T=16, seed=3)
         assert post.samples.tobytes() == passes[:, 0, :].tobytes()
         _, report = evaluate(params, spec, self.one_example(), EvalConfig(T=16, seed=3))
-        assert np.float64(uncertainty_score(post).value).tobytes() == report.scores.tobytes()
+        assert np.float64(uncertainty_score(post)).tobytes() == report.scores.tobytes()
 
     def test_variational_sampled_score_is_evaluate_row(self):
         spec = mlp_spec(2, variant="variational")
@@ -361,7 +360,7 @@ class TestSingleExampleIsBatchOfOne:
         _, report = evaluate(params, spec, self.one_example(),
                              EvalConfig(S=32, seed=5, space="sampled"))
         score = uncertainty_score(out, space="sampled")
-        assert np.float64(score.value).tobytes() == report.scores.tobytes()
+        assert np.float64(score).tobytes() == report.scores.tobytes()
 
     def test_entropy_rows_match_single_calls_and_loop_reference(self):
         p = np_softmax(np.random.default_rng(0).normal(scale=3.0, size=(300, 4)))
@@ -372,3 +371,60 @@ class TestSingleExampleIsBatchOfOne:
         assert batched.tobytes() == np.array([predictive_entropy(r) for r in p]).tobytes()
         loop = np.array([-(r[r > 0] * np.log(r[r > 0])).sum() for r in p])
         assert batched.tobytes() == loop.tobytes()
+
+
+class TestBatchPosteriorIsItsRows:
+    """A batch posterior labels and scores each row exactly as that row's own
+    posterior does, and ``evaluate`` reports what its batch posterior gives."""
+
+    N = 100   # blocks of 32, 32 and 36 rows on the 16x16 MiniResNet preset
+
+    def make(self, backbone, variant):
+        if backbone == "mlp":
+            spec = mlp_spec(3, variant=variant, hidden=12)
+        else:
+            spec = miniresnet_spec((1, 16, 16), variant=variant)
+        x = np.random.default_rng(3).normal(size=(self.N,) + spec.input_shape)
+        ds = Dataset(x, np.arange(self.N) % 4, ["a", "b", "c", "d"], "test")
+        return spec, build_model(spec, 7), ds
+
+    @staticmethod
+    def batch_posterior(params, spec, x, space):
+        """The posterior ``evaluate`` builds, from the public batched functions."""
+        if spec.variant in MC_VARIANTS:
+            return PosteriorSamples(mc_probs(params, spec, x, T=5, seed=2))
+        mu, sigma2 = variational_outputs(params, spec, x)
+        draws = reparameterized_samples(mu, sigma2, 5, seed=2) if space == "sampled" else None
+        return VariationalOutput(mu, sigma2, draws)
+
+    @staticmethod
+    def row_posterior(post, i):
+        if isinstance(post, PosteriorSamples):
+            return PosteriorSamples(post.samples[:, i])
+        draws = None if post.samples is None else post.samples[:, i]
+        return VariationalOutput(post.mu[i], post.sigma2[i], draws)
+
+    @pytest.mark.parametrize("backbone", ["mlp", "miniresnet"])
+    @pytest.mark.parametrize("variant,space", [("bayesian1", "analytic"),
+                                               ("bayesian2", "analytic"),
+                                               ("variational", "analytic"),
+                                               ("variational", "sampled")])
+    def test_rows_and_evaluate_read_the_batch_posterior(self, backbone, variant, space):
+        spec, params, ds = self.make(backbone, variant)
+        if backbone == "miniresnet":
+            assert len(row_blocks(spec, ds.inputs)) == 3
+        post = self.batch_posterior(params, spec, ds.inputs, space)
+        labels, scores = post.predicted_label, uncertainty_score(post, space)
+        assert labels.shape == scores.shape == (self.N,)
+
+        rows = [self.row_posterior(post, i) for i in range(self.N)]
+        row_labels = [row.predicted_label for row in rows]
+        row_scores = [uncertainty_score(row, space) for row in rows]
+        assert all(type(v) is int for v in row_labels)
+        assert all(type(v) is float for v in row_scores)
+        assert labels.tobytes() == np.array(row_labels, dtype=labels.dtype).tobytes()
+        assert scores.tobytes() == np.array(row_scores).tobytes()
+
+        _, report = evaluate(params, spec, ds, EvalConfig(T=5, S=5, seed=2, space=space))
+        assert report.y_pred.tobytes() == labels.astype(np.int64).tobytes()
+        assert report.scores.tobytes() == scores.tobytes()
