@@ -5,9 +5,10 @@ loads one from a file and explicit flags override it. All outputs land
 under the configured output directory, and the resolved configuration is
 written there as ``run_config.cfg`` so the run can be repeated exactly.
 
-Exit codes: 0 when every requested artifact was written, 2 for usage
-errors, 1 for any other failure; failures print one machine-parsable
-``error: ...`` line on stderr.
+Exit codes: 0 when every requested artifact was written; 2 when the parser
+or the run configuration rejects the flags or ``--config``; 1 when the run
+fails (data, checkpoint, model spec or training). A failure prints one
+machine-parsable ``error: ...`` line on stderr and writes nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from typing import NoReturn
 
 from . import artifacts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -31,17 +33,14 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 
+def _usage_error(message) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)   # one parsable line, no usage dump
+    sys.exit(USAGE_EXIT)
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one parsable line instead of usage dump
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(USAGE_EXIT)
-
-
-def _unit_float(raw: str) -> float:
-    v = float(raw)
-    if not (0.0 <= v <= 1.0):
-        raise argparse.ArgumentTypeError(f"value must lie in [0, 1], got {raw}")
-    return v
+    def error(self, message):
+        _usage_error(message)
 
 
 def _int_at_least(lo: int, name: str):
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=DATASET_KINDS)
         p.add_argument("--n", type=int, help="number of synthetic examples")
         p.add_argument("--classes", type=int)
-        p.add_argument("--overlap", type=_unit_float, help="blobs: cluster overlap in [0, 1]")
+        p.add_argument("--overlap", type=float, help="blobs: cluster overlap in [0, 1]")
         p.add_argument("--dim", type=int, help="blobs: input dimension")
         p.add_argument("--noise", type=float, help="textures: pixel noise level")
         p.add_argument("--size", type=int, help="textures: image side length")
@@ -95,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, help="KLD weight for the variational loss")
 
     def uncertainty_flags(p):
-        p.add_argument("--T", type=_int_at_least(2, "T"), help="MC dropout passes (>= 2)")
+        p.add_argument("--T", type=int, help="MC dropout passes (>= 2)")
         p.add_argument("--S", type=int, help="variational reparameterized draws")
         p.add_argument("--space", choices=SPACES,
                        help="variational uncertainty space")
-        p.add_argument("--workers", type=_int_at_least(1, "workers"), help="threads for MC passes")
+        p.add_argument("--workers", type=int, help="threads for MC passes")
 
     p = sub.add_parser("generate", help="write a synthetic dataset to disk")
     common(p)
@@ -143,15 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
     """The keys of the config file (if any) layered over ``base`` (default:
-    the defaults), then flags on top."""
+    the defaults), then flags on top. A value that the config or a library
+    config it builds rejects is a usage error."""
     cfg = base or RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = cfg.with_text(fh.read())
-    return cfg.with_overrides({
-        section: {key: str(getattr(args, key)) for key in cfg.section(section)
-                  if getattr(args, key, None) is not None}
-        for section in SECTIONS})
+    try:
+        if getattr(args, "config", None):
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = cfg.with_text(fh.read())
+        return cfg.with_overrides({
+            section: {key: str(getattr(args, key)) for key in cfg.section(section)
+                      if getattr(args, key, None) is not None}
+            for section in SECTIONS})
+    except ValueError as e:
+        _usage_error(e)
 
 
 def _score_checkpoint(args, path: str, splits: dict):
@@ -254,7 +257,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ckpt_path = args.checkpoint or os.path.join(resolve_config(args).out, "checkpoint.bin")
+    flags = resolve_config(args)   # a rejected flag is a usage error before any loading
+    ckpt_path = args.checkpoint or os.path.join(flags.out, "checkpoint.bin")
     cfg, spec, _, metrics, report = _score_checkpoint(args, ckpt_path, {})
 
     out = _prepare_out(cfg)
@@ -281,10 +285,8 @@ def cmd_compare(args) -> int:
             if not rows:   # run_config.cfg describes the data the first checkpoint fixed
                 cfg = replace(scored, seed=seed, out=cfg.out)
             rows.append(make_comparison_row(variant, str(seed), metrics, reports[variant]))
-        out = _prepare_out(cfg)
     else:
         first = cfg.make_splits()   # also gives the input shape
-        out = _prepare_out(cfg)
 
         def make_splits(seed):
             return first if seed == cfg.seed else replace(cfg, seed=seed).make_splits()
@@ -297,6 +299,7 @@ def cmd_compare(args) -> int:
                                       cfg.eval_config(), seeds)
         reports = {run.variant: run.report for run in runs if run.seed == cfg.seed}
 
+    out = _prepare_out(cfg)   # only once every variant is scored
     artifacts.write_comparison_csv(rows, os.path.join(out, "comparison.csv"))
     for variant, report in reports.items():
         _write_report(report, out, variant, f"_{variant}")

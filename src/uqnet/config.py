@@ -13,9 +13,9 @@ import io
 from dataclasses import dataclass, field, fields, replace
 
 from .data import DataError, Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
-from .evaluate import SPACES, EvalConfig
+from .evaluate import EvalConfig
 from .layers import BACKBONES, ModelSpec, miniresnet_spec, mlp_spec
-from .optim import OPTIMIZERS, OptimizerConfig
+from .optim import OptimizerConfig
 from .train import TrainConfig
 
 DATASET_KINDS = ("blobs", "textures", "csv", "idx")
@@ -138,6 +138,8 @@ class RunConfig:
     # -- validation and factories -------------------------------------------
 
     def validate(self) -> None:
+        """Check the dataset, model and seed keys here; the training and
+        uncertainty keys are checked by the library configs they build."""
         d = self.dataset
         if d.kind not in DATASET_KINDS:
             raise ValueError(f"dataset.kind must be one of {DATASET_KINDS}, got {d.kind!r}")
@@ -150,22 +152,10 @@ class RunConfig:
                              f"got {self.model.backbone!r}")
         if not (0.0 <= self.model.dropout < 1.0):
             raise ValueError(f"model.dropout must lie in [0, 1), got {self.model.dropout}")
-        if self.training.optimizer not in OPTIMIZERS:
-            raise ValueError(f"training.optimizer must be one of {OPTIMIZERS}, "
-                             f"got {self.training.optimizer!r}")
-        if self.uncertainty.workers < 1:
-            raise ValueError(f"uncertainty.workers must be >= 1, got {self.uncertainty.workers}")
-        if self.uncertainty.T < 2:
-            raise ValueError(f"uncertainty.T must be >= 2, got {self.uncertainty.T}")
-        if self.uncertainty.space not in SPACES:
-            raise ValueError(f"uncertainty.space must be one of {SPACES}, "
-                             f"got {self.uncertainty.space!r}")
-        if self.uncertainty.space == "sampled" and self.uncertainty.S < 2:
-            raise ValueError(f"uncertainty.S must be >= 2 for space = sampled, "
-                             f"got {self.uncertainty.S}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        self.train_config()   # checks epochs and batch_size
+        self.train_config()
+        self.eval_config()
 
     def make_dataset(self) -> Dataset:
         d = self.dataset

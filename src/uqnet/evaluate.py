@@ -45,6 +45,10 @@ class EvalConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.T < 2:
+            raise ValueError(f"T must be >= 2, got {self.T}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.space not in SPACES:
             raise ValueError(f"unknown scoring space {self.space!r}, expected one of {SPACES}")
         if self.space == "sampled" and self.S < 2:
@@ -126,7 +130,7 @@ def compare_variants(make_splits, make_spec, train_cfg: TrainConfig, eval_cfg: E
     Returns one row per (variant, seed) plus mean/range aggregate rows per
     variant when several seeds are given.
     """
-    seeds = list(seeds)
+    seeds, variants = list(seeds), list(variants)
     rows: list[ComparisonRow] = []
     runs: list[VariantRun] = []
     by_variant: dict[str, list[ComparisonRow]] = {v: [] for v in variants}

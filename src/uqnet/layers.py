@@ -82,22 +82,17 @@ class LayerSpec:
     def validate(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "linear" and not (self.in_dim and self.out_dim):
-            raise ValueError("linear layer needs in_dim and out_dim")
-        if self.kind == "conv3x3" and not (self.in_ch and self.out_ch):
-            raise ValueError("conv3x3 layer needs in_ch and out_ch")
+        if self.kind == "residual-block" and self.block not in ("conv", "fc"):
+            raise ValueError(f"residual block kind must be 'conv' or 'fc', got {self.block!r}")
         if self.kind == "dropout":
             if self.p is None or not (0.0 <= self.p < 1.0):
                 raise ValueError(f"dropout rate must be in [0, 1), got {self.p}")
-        if self.kind == "residual-block":
-            if self.block == "conv":
-                if not (self.in_ch and self.out_ch):
-                    raise ValueError("conv residual block needs in_ch and out_ch")
-            elif self.block == "fc":
-                if not self.in_dim:
-                    raise ValueError("fc residual block needs in_dim")
-            else:
-                raise ValueError(f"residual block kind must be 'conv' or 'fc', got {self.block!r}")
+        dims = {"linear": ("in_dim", "out_dim"), "conv3x3": ("in_ch", "out_ch"),
+                "residual-block": ("in_ch", "out_ch") if self.block == "conv" else ("in_dim",)}
+        for name in dims.get(self.kind, ()):
+            value = getattr(self, name)
+            if value is None or value < 1:
+                raise ValueError(f"{self.kind} layer needs {name} >= 1, got {value}")
 
 
 @dataclass(frozen=True)

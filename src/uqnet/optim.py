@@ -93,9 +93,11 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def build(self, params: ModelParams):
+    def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {OPTIMIZERS}")
+
+    def build(self, params: ModelParams):
         if self.kind == "adam":
             return Adam(params, self.lr, self.beta1, self.beta2, self.eps)
         return SGD(params, self.lr, self.momentum)

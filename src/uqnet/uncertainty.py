@@ -140,6 +140,8 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
         raise ValueError(f"MC dropout needs a bayesian1/bayesian2 model, got {spec.variant!r}")
     if T < 2:
         raise ValueError(f"T must be >= 2 (variance is undefined otherwise), got {T}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     first, end = spec.dropout_positions()[0], len(spec.layers)
     blocks = row_blocks(spec, x)

@@ -153,6 +153,13 @@ class TestEvaluate:
                  "--T", "1", "--out", out])
         assert exc.value.code == 2
         assert "T" in capsys.readouterr().err
+        # the flags are checked before the checkpoint is read
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--checkpoint", str(tmp_path / "nope.bin"), "--T", "1",
+                 "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "T must be >= 2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_baseline_reports_entropy_method(self, tmp_path):
         out = self._train(tmp_path, variant="baseline")
@@ -305,6 +312,17 @@ class TestCompare:
         os.rename(os.path.join(run_dir, "checkpoint.bin"), str(ckpt_dir / "baseline.bin"))
         assert run(["compare", "--checkpoint-dir", str(ckpt_dir), "--out", out]) == 1
         assert "bayesian1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hidden", "0"], "out_dim >= 1, got 0"), (["--hidden", "-3"], "out_dim >= 1, got -3"),
+        (["--classes", "1"], "at least two classes")], ids=["hidden0", "hidden-3", "classes1"])
+    def test_unusable_model_fails_before_out_is_written(self, flags, message, tmp_path,
+                                                       no_training, capsys):
+        out = str(tmp_path / "c")
+        assert run(["compare", "--T", "4", "--S", "4", "--out", out] + TINY_TRAIN + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seeds_below_one_is_usage_error(self, seeds, tmp_path, no_training, capsys):
@@ -477,19 +495,49 @@ class TestRunConfig:
         assert merged.dataset.n == 99
         assert merged.dataset.overlap == 0.1
 
+    @pytest.mark.parametrize("flags, text, message", [
+        (["--T", "1"], None, "T must be >= 2, got 1"),
+        (["--workers", "0"], None, "workers must be >= 1, got 0"),
+        (["--overlap", "2"], None, "dataset.overlap must lie in [0, 1], got 2.0"),
+        (["--epochs", "0"], None, "epochs must be >= 1, got 0"),
+        (["--batch-size", "0"], None, "batch_size must be >= 1, got 0"),
+        (["--space", "sampled", "--S", "1"], None, "S >= 2, got 1"),
+        ([], "[uncertainty]\nspace = bogus\n", "unknown scoring space 'bogus'"),
+        ([], "[uncertainty]\nworkers = 0\n", "workers must be >= 1, got 0"),
+        ([], "[training]\noptimizer = bogus\n", "unknown optimizer kind 'bogus'"),
+    ], ids=["T", "workers", "overlap", "epochs", "batch-size", "sampled-S",
+            "file-space", "file-workers", "file-optimizer"])
+    def test_rejected_setting_is_usage_error(self, flags, text, message, tmp_path,
+                                             no_training, capsys):
+        out = str(tmp_path / "c")
+        argv = ["compare", "--out", out] + TINY_TRAIN + flags
+        if text is not None:
+            (tmp_path / "c.cfg").write_text(text)
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert not os.path.exists(out)
+
     def test_unknown_space_in_file_fails_before_training(self, tmp_path, no_training, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("[uncertainty]\nspace = bogus\n")
         out = str(tmp_path / "c")
-        assert run(["compare", "--config", str(path), "--out", out] + TINY_TRAIN) == 1
-        assert "uncertainty.space" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--config", str(path), "--out", out] + TINY_TRAIN)
+        assert exc.value.code == 2
+        assert "space 'bogus'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_sampled_space_with_one_draw_fails_before_training(self, tmp_path, no_training,
                                                                 capsys):
         out = str(tmp_path / "c")
-        assert run(["compare", "--space", "sampled", "--S", "1", "--out", out] + TINY_TRAIN) == 1
-        assert "uncertainty.S" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--space", "sampled", "--S", "1", "--out", out] + TINY_TRAIN)
+        assert exc.value.code == 2
+        assert "S >= 2" in capsys.readouterr().err
         assert not os.path.exists(out)
         # the analytic space draws no samples, so it ignores S
         assert RunConfig.from_text("[uncertainty]\nspace = analytic\nS = 1\n").uncertainty.S == 1
@@ -497,8 +545,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
     def test_bad_training_config_leaves_no_out(self, flag, tmp_path, no_training, capsys):
         out = str(tmp_path / "c")
-        assert run(["compare", "--out", out] + TINY_TRAIN + [flag, "0"]) == 1
-        assert "must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--out", out] + TINY_TRAIN + [flag, "0"])
+        assert exc.value.code == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -515,8 +565,10 @@ class TestRunConfig:
         path = tmp_path / "c.cfg"
         path.write_text("[uncertainty]\nworkers = 0\n")
         out = str(tmp_path / "c")
-        assert run(["compare", "--config", str(path), "--out", out] + TINY_TRAIN) == 1
-        assert "uncertainty.workers must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--config", str(path), "--out", out] + TINY_TRAIN)
+        assert exc.value.code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_validation_errors(self):
@@ -524,5 +576,5 @@ class TestRunConfig:
             RunConfig.from_text("[dataset]\noverlap = 1.5\n")
         with pytest.raises(ValueError, match="T must be"):
             RunConfig.from_text("[uncertainty]\nT = 1\n")
-        with pytest.raises(ValueError, match="training.optimizer"):
+        with pytest.raises(ValueError, match="unknown optimizer kind 'bogus'"):
             RunConfig.from_text("[training]\noptimizer = bogus\n")

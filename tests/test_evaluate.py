@@ -71,6 +71,13 @@ class TestVariantRules:
         with pytest.raises(ValueError, match="classes"):
             evaluate(params, spec, other, EvalConfig())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"T": 1}, "T must be >= 2, got 1"), ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"workers": -3}, "workers must be >= 1, got -3")])
+    def test_sampling_settings_rejected_on_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EvalConfig(**kwargs)
+
 
 class TestDeterminism:
     def test_repeated_evaluation_is_bit_identical(self):
@@ -124,3 +131,17 @@ class TestComparison:
 
     def test_iterator_seeds_keep_aggregate_rows(self):
         assert self.two_seed_tags(iter([0, 1])) == self.two_seed_tags(range(2))
+
+    def test_variants_may_be_any_iterable(self):
+        te = synth_blobs(60, 4, overlap=0.2, dim=2, seed=0)
+        quick = TrainConfig(OptimizerConfig("adam", lr=2e-3), epochs=1, batch_size=64)
+        names = ["baseline", "bayesian1"]
+        tables = []
+        for variants in (list(names), tuple(names), (v for v in names)):
+            rows, runs = compare_variants(
+                lambda seed: (te, te, te), lambda v: mlp_spec(2, variant=v, hidden=8),
+                quick, EvalConfig(T=4, seed=0), seeds=[0], variants=variants)
+            assert [run.variant for run in runs] == names
+            tables.append(rows)
+        assert [r.variant for r in tables[0]] == names
+        assert tables[1] == tables[0] and tables[2] == tables[0]

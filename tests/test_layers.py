@@ -151,6 +151,20 @@ class TestSpecs:
                 validate_spec(ModelSpec(tuple(other), spec.n_classes, spec.input_shape,
                                         variant, spec.backbone))
 
+    @pytest.mark.parametrize("layer, message", [
+        (LayerSpec("linear", in_dim=3, out_dim=0), "linear layer needs out_dim >= 1, got 0"),
+        (LayerSpec("linear", in_dim=-3, out_dim=4), "linear layer needs in_dim >= 1, got -3"),
+        (LayerSpec("linear", out_dim=4), "linear layer needs in_dim >= 1, got None"),
+        (LayerSpec("conv3x3", in_ch=1, out_ch=-8), "conv3x3 layer needs out_ch >= 1, got -8"),
+        (LayerSpec("residual-block", block="conv", in_ch=0, out_ch=8),
+         "residual-block layer needs in_ch >= 1, got 0"),
+        (LayerSpec("residual-block", block="fc", in_dim=-1),
+         "residual-block layer needs in_dim >= 1, got -1"),
+    ])
+    def test_nonpositive_widths_rejected_by_name(self, layer, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            layer.validate()
+
     def test_inconsistent_shapes_rejected(self):
         spec = ModelSpec(
             (LayerSpec("linear", in_dim=3, out_dim=4), LayerSpec("linear", in_dim=5, out_dim=2)),

@@ -88,7 +88,7 @@ class TestOptimizerConfig:
     def test_rejects_unknown_kind(self):
         import pytest
         with pytest.raises(ValueError, match="unknown optimizer"):
-            OptimizerConfig("lbfgs").build(one_param([0.0]))
+            OptimizerConfig("lbfgs")
 
     def test_five_steps_byte_identical_to_formula(self):
         # The in-place update keeps the formula's operation order, so

@@ -224,6 +224,9 @@ class TestMcPredict:
         params = build_model(spec, 1)
         with pytest.raises(ValueError, match="T must be >= 2"):
             mc_predict(params, spec, np.zeros(2), T=1, seed=0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+                mc_probs(params, spec, np.zeros((3, 2)), T=4, seed=0, workers=workers)
         base = mlp_spec(2, variant="baseline")
         with pytest.raises(ValueError, match="bayesian"):
             mc_predict(build_model(base, 0), base, np.zeros(2), T=8, seed=0)
