@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
     """The keys of the config file (if any) layered over ``base`` (default:
     the defaults), then flags on top. A value that the config or a library
-    config it builds rejects is a usage error."""
+    config it builds rejects, or a config file that cannot be read, is a
+    usage error."""
     cfg = base or RunConfig()
     try:
         if getattr(args, "config", None):
@@ -153,7 +154,7 @@ def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
             section: {key: str(getattr(args, key)) for key in cfg.section(section)
                       if getattr(args, key, None) is not None}
             for section in SECTIONS})
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         _usage_error(e)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .tensor import Tensor, ShapeError, conv2d, global_avg_pool, no_grad
+from .tensor import Tensor, ShapeError, _chunk_rows, _row_chunks, conv2d, global_avg_pool, no_grad
 
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
 MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled at evaluation
@@ -43,13 +43,9 @@ BACKBONES = ("mlp", "miniresnet")
 
 # A no-grad forward runs its batch in row blocks whose largest per-layer
 # intermediate holds about this many bytes, so its working memory does not
-# grow with the batch.
+# grow with the batch. The blocks follow the row alignment and tail rule of
+# ``tensor._row_chunks``.
 _BLOCK_BYTES = 12 << 20
-# Blocks hold a multiple of this many rows. BLAS tiles the rows of a
-# product from its first row and sends a one-row product to gemv, so
-# aligned blocks keep every output row bit-identical to the unblocked
-# product (measured with OpenBLAS on the mlp and miniresnet preset shapes).
-_BLOCK_ALIGN = 16
 
 # log sigma^2 of the variational head is clamped to this range: guarantees
 # positive sigma^2 and keeps the KLD term finite early in training
@@ -434,8 +430,7 @@ def _example_bytes(spec: ModelSpec) -> int:
 def block_rows(spec: ModelSpec) -> int:
     """Rows per evaluation block: the byte budget over the largest
     per-example intermediate, rounded down to the row alignment."""
-    rows = _BLOCK_BYTES // _example_bytes(spec) // _BLOCK_ALIGN * _BLOCK_ALIGN
-    return max(rows, _BLOCK_ALIGN)
+    return _chunk_rows(_BLOCK_BYTES, _example_bytes(spec))
 
 
 def row_blocks(spec: ModelSpec, x) -> list[tuple[slice, Tensor]]:
@@ -443,19 +438,16 @@ def row_blocks(spec: ModelSpec, x) -> list[tuple[slice, Tensor]]:
 
     Returns ``(rows, block)`` pairs covering the batch in order, each block
     a view of :func:`block_rows` rows, except that a tail shorter than half
-    a block joins the block before it: BLAS may round a small product
-    through a different kernel than a large one. Every no-grad forward
-    runs through this split, so its peak memory depends on the spec, not
-    on the batch size, and concatenating the block outputs reproduces the
-    unblocked forward bit for bit.
+    a block joins the block before it (``tensor._row_chunks``). Every
+    no-grad forward runs through this split, so its peak memory depends on
+    the spec, not on the batch size, and concatenating the block outputs
+    reproduces the unblocked forward bit for bit.
     """
     x = _as_batch(x, spec.input_shape)
-    n, rows = x.shape[0], block_rows(spec)
-    starts = range(0, n - rows // 2 + 1, rows)   # a tail under rows // 2 joins the block before
-    if len(starts) <= 1:
-        return [(slice(0, n), x)]
-    stops = [*starts[1:], n]
-    return [(slice(lo, hi), Tensor(x.data[lo:hi])) for lo, hi in zip(starts, stops)]
+    chunks = _row_chunks(x.shape[0], block_rows(spec))
+    if len(chunks) == 1:
+        return [(chunks[0], x)]
+    return [(rows, Tensor(x.data[rows])) for rows in chunks]
 
 
 def eval_heads(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray | None]:

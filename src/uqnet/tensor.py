@@ -141,7 +141,13 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` on every tracked tensor this scalar depends on."""
+        """Populate ``grad`` on every tracked leaf this scalar depends on, and on
+        the scalar itself.
+
+        An intermediate op node's gradient is released as soon as its closure
+        has passed it to the parents, so the backward holds the gradients of
+        the frontier it is crossing, not of the whole graph.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.data.shape}")
         if not self.requires_grad:
@@ -167,6 +173,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None   # passed on to its parents
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -175,8 +183,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _tracks(parents: tuple) -> bool:
+    """Whether an op on ``parents`` records a graph node (graph mode)."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _from_op(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
-    track = _grad_enabled() and any(p.requires_grad for p in parents)
+    track = _tracks(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -301,7 +314,7 @@ def _t_div(self, other):
 
 
 def relu(x: Tensor) -> Tensor:
-    return _ew_unary(x, "relu", lambda d: np.maximum(d, 0.0), lambda d, out: (d > 0).astype(np.float64))
+    return _ew_unary(x, "relu", lambda d: np.maximum(d, 0.0), lambda d, out: d > 0)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -323,7 +336,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(x.data, lo, hi)
 
     def back(g):
-        _accumulate(x, g * ((x.data >= lo) & (x.data <= hi)).astype(np.float64))
+        _accumulate(x, g * ((x.data >= lo) & (x.data <= hi)))
 
     return _from_op(data, (x,), "clip", back)
 
@@ -390,6 +403,35 @@ Tensor.softmax = softmax
 Tensor.reshape = lambda self, *shape: reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
 
+# -- row chunks --------------------------------------------------------------
+
+# Row chunks of a product start on multiples of this many rows. BLAS tiles
+# the rows of a product from its first row and sends a one-row product to
+# gemv, so aligned chunks keep every output row bit-identical to the
+# unchunked product (measured with OpenBLAS on the mlp and miniresnet preset
+# shapes). ``layers.row_blocks`` and graph-mode ``conv2d`` both chunk by it.
+_ROW_ALIGN = 16
+# A graph-mode conv2d forward multiplies its im2col patches in row chunks of
+# about this many bytes, so no more than one chunk of patches exists at once.
+_CONV_CHUNK_BYTES = 2 << 20
+
+
+def _chunk_rows(budget: int, row_bytes: int) -> int:
+    """Rows per chunk: the byte budget over the bytes of one row, rounded
+    down to the row alignment, and at least one alignment."""
+    return max(budget // row_bytes // _ROW_ALIGN * _ROW_ALIGN, _ROW_ALIGN)
+
+
+def _row_chunks(n: int, rows: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows covering ``n`` rows in order,
+    except that a tail shorter than half a chunk joins the chunk before it:
+    BLAS may round a small product through a different kernel than a large one."""
+    starts = range(0, n - rows // 2 + 1, rows)
+    if len(starts) <= 1:
+        return [slice(0, n)]
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
+
+
 # -- convolution and pooling -------------------------------------------------
 
 
@@ -406,11 +448,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     is accepted; the padding copy converts it.
 
     In graph mode the node keeps only its input, which its parent holds
-    anyway: the forward drops the padded input and the patches after its
-    GEMM, and the backward rebuilds the patches from ``x.data`` for the
-    weight gradient. They are the same patches in the same order, so every
-    gradient is bit-identical to keeping them, at the cost of one more
-    im2col copy per backward and no extra GEMM.
+    anyway: the forward builds the patches one row chunk of about
+    ``_CONV_CHUNK_BYTES`` at a time, each chunk's product filling its own
+    rows of the output, and the backward rebuilds all the patches from
+    ``x.data`` for the weight gradient. The chunks start on ``_ROW_ALIGN``
+    rows, and they are the same patches in the same order, so the output and
+    every gradient are bit-identical to one GEMM over kept patches, at the
+    cost of one more im2col copy per backward and no extra GEMM. The no-grad
+    forward, which ``layers.row_blocks`` already bounds, multiplies all its
+    patches at once.
     """
     X, W, B = x.data, weight.data, bias.data
     if X.ndim != 4 or W.ndim != 4:
@@ -434,16 +480,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     wo = w + 2 * p - k + 1
     padded = (n, h + 2 * p, w + 2 * p, cin)
 
-    def im2col():
+    def windows():
+        """[N, Ho, Wo, k, k, Cin] view of a freshly padded channels-last input."""
         xp = np.zeros(padded)
         xp[:, p:p + h, p:p + w] = x.data.transpose(0, 2, 3, 1)
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-        # [N, Ho, Wo, Cin, k, k] -> [N*Ho*Wo, k*k*Cin]
-        return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
+        view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+        return view.transpose(0, 1, 2, 4, 5, 3)
+
+    def im2col():
+        # [N, Ho, Wo, k, k, Cin] -> [N*Ho*Wo, k*k*Cin]
+        return np.ascontiguousarray(windows()).reshape(n * ho * wo, k * k * cin)
+
+    def patch_rows(win, rows):
+        """Rows ``rows`` of ``im2col()``, copied from the output lines they touch."""
+        l0, l1 = rows.start // wo, -(-rows.stop // wo)   # lines are (image, y) pairs
+        lines = np.empty((l1 - l0, wo, k, k, cin))
+        for i in range(l0 // ho, -(-l1 // ho)):
+            a, b = max(l0, i * ho), min(l1, (i + 1) * ho)
+            lines[a - l0:b - l0] = win[i, a - i * ho:b - i * ho]
+        return lines.reshape(-1, k * k * cin)[rows.start - l0 * wo:rows.stop - l0 * wo]
 
     wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = im2col() @ wmat
+        if _tracks((x, weight, bias)):
+            # The padded input comes before the output buffer on purpose: the
+            # other order packed the heap tighter, but glibc then trimmed and
+            # refaulted it on every training step.
+            win = windows()
+            out = np.empty((n * ho * wo, cout))
+            for rows in _row_chunks(n * ho * wo, _chunk_rows(_CONV_CHUNK_BYTES, 8 * k * k * cin)):
+                np.matmul(patch_rows(win, rows), wmat, out=out[rows])
+        else:
+            out = im2col() @ wmat
         out += B
 
     def back(g):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import uqnet.layers as layers
+import uqnet.tensor as tensor
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
 from uqnet.layers import VARIANTS, block_rows, build_model, miniresnet_spec, mlp_spec, row_blocks
@@ -53,7 +54,7 @@ class TestRowBlocks:
         assert block_rows(conv) == layers._BLOCK_BYTES // (16 * 16 * 16 * 9 * 8) // 16 * 16
         assert block_rows(mlp_spec(2, hidden=192)) == layers._BLOCK_BYTES // (192 * 8) // 16 * 16
         for spec in (conv, mlp_spec(2, hidden=192), mlp_spec(784, hidden=64)):
-            assert block_rows(spec) % layers._BLOCK_ALIGN == 0
+            assert block_rows(spec) % tensor._ROW_ALIGN == 0
 
     @pytest.mark.parametrize("n", [1, 7, 8, 15, 16, 23, 24, 31, 32, 33, 40, 77])
     def test_blocks_cover_the_batch_in_aligned_order(self, n):

@@ -521,6 +521,17 @@ class TestRunConfig:
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["compare", "train", "evaluate"])
+    def test_unreadable_config_file_is_usage_error(self, command, tmp_path, no_training,
+                                                   capsys):
+        out = str(tmp_path / "c")
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", str(tmp_path / "missing.cfg"), "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "missing.cfg" in err
+        assert not os.path.exists(out)
+
     def test_unknown_space_in_file_fails_before_training(self, tmp_path, no_training, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("[uncertainty]\nspace = bogus\n")

@@ -3,7 +3,8 @@
 Evaluation: the peak of ``evaluate`` does not grow with the test set beyond
 the arrays that hold its outputs. Training: a graph-mode forward holds little
 more than its nodes' values until the backward (``conv2d`` keeps its input,
-not its im2col patches)."""
+not its im2col patches), and a whole training step peaks near two graphs'
+values (the backward releases intermediate gradients as it goes)."""
 
 import tracemalloc
 
@@ -12,7 +13,10 @@ import numpy as np
 from uqnet import rng
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import block_rows, build_model, miniresnet_spec, model_forward
+from uqnet.layers import (block_rows, body_forward, build_model, head_forward, miniresnet_spec,
+                          model_forward)
+from uqnet.losses import objective
+from uqnet.optim import OptimizerConfig
 from uqnet.tensor import Tensor, cross_entropy
 
 T, CLASSES = 3, 4
@@ -76,3 +80,34 @@ def test_miniresnet_training_graph_holds_only_its_node_values():
         tracemalloc.stop()
     values = node_value_bytes(loss)
     assert held <= 1.25 * values, (held, values)
+
+
+def test_miniresnet_training_step_peak_stays_near_two_graphs():
+    # train() holds the previous step's graph through ``loss`` and ``out``
+    # until the next step's forward rebinds them, so two graphs briefly
+    # coexist. Beyond them, a step's backward holds only the gradients it is
+    # passing on and one conv's rebuilt patches (3.1x the node values when
+    # every intermediate gradient stayed until the backward returned).
+    spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
+    params = build_model(spec, 0)
+    opt = OptimizerConfig().build(params)
+    x = np.random.default_rng(0).normal(size=(64,) + spec.input_shape)
+    y = np.arange(64) % CLASSES
+    tracemalloc.start()
+    try:
+        for step in range(2):   # the body of train()'s step loop, batch 32
+            if step == 1:
+                tracemalloc.reset_peak()
+            rows = slice(32 * step, 32 * (step + 1))
+            pass_rng = rng.PassRng(0, step, rng.NS_TRAIN_DROPOUT)
+            out, logvar = head_forward(params, spec, body_forward(params, spec, Tensor(x[rows]),
+                                                                  pass_rng))
+            loss, _ = objective(out, logvar, y[rows], 1.0, None)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = node_value_bytes(loss)
+    assert peak <= 2.2 * values, (peak, values)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import uqnet.tensor as tensor
 from uqnet.tensor import (
     NonFiniteError,
     ShapeError,
@@ -86,6 +87,36 @@ class TestBackward:
         (prod + prod).backward()
         assert float(a.grad) == 10.0
         assert float(b.grad) == 4.0
+
+    def test_backward_releases_intermediate_grads(self):
+        # leaves and the root keep their gradients; every op node between
+        # them drops its own once it has passed it to its parents
+        a = Tensor([1.0, -2.0], requires_grad=True)
+        b = Tensor([3.0, 0.5], requires_grad=True)
+        prod = a * b
+        act = prod.relu()
+        root = (act + prod).sum()
+        root.backward()
+        np.testing.assert_array_equal(a.grad, [6.0, 0.5])
+        np.testing.assert_array_equal(b.grad, [2.0, -2.0])
+        assert float(root.grad) == 1.0
+        assert prod.grad is None and act.grad is None
+        assert root._parents[0].grad is None
+
+    def test_relu_and_clip_gradients_keep_signed_zeros_and_nonfinite(self):
+        # g times the mask, bit for bit as g * 1.0 or g * 0.0: -0.0 keeps its
+        # sign, and a masked-out nan or inf gives nan
+        x = Tensor([-1.0, 2.0, 0.5, 3.0], requires_grad=True)
+        g = np.array([2.0, -0.0, np.nan, np.inf])
+        with finite_checks(False), np.errstate(invalid="ignore"):
+            (x.relu() * Tensor(g)).sum().backward()
+            relu_grad = x.grad
+            x.zero_grad()
+            (x.clip(0.0, 1.0) * Tensor(g)).sum().backward()
+            want_relu = g * np.array([0.0, 1.0, 1.0, 1.0])
+            want_clip = g * np.array([0.0, 0.0, 1.0, 0.0])
+        assert relu_grad.tobytes() == want_relu.tobytes()
+        assert x.grad.tobytes() == want_clip.tobytes()
 
     def test_no_grad_skips_recording(self):
         x = Tensor(3.0, requires_grad=True)
@@ -206,18 +237,31 @@ class TestConvOps:
                             assert got.shape == ref.shape
                             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
-    def test_conv2d_is_byte_identical_to_kept_patches(self):
-        # Graph mode keeps only the input and rebuilds the im2col patches in
-        # the backward; the output and all three gradients must equal, bit for
-        # bit, the formula that kept the forward's patches until the backward.
+    @pytest.mark.parametrize("n, size, cout, chunk_bytes", [
+        (2, (5, 6), 4, None),
+        # 16-row chunks that start inside output lines and images (k = 3,
+        # p = 1: 25 rows per image, 175 in all), plus a 15-row tail
+        (7, (5, 5), 5, 1),
+    ], ids=["one-chunk", "chunked"])
+    def test_conv2d_is_byte_identical_to_kept_patches(self, n, size, cout, chunk_bytes,
+                                                       monkeypatch):
+        # Graph mode keeps only the input, multiplies the im2col patches in row
+        # chunks and rebuilds them all in the backward; the output and all three
+        # gradients must equal, bit for bit, the formula that built the
+        # patches once and kept them until the backward.
+        if chunk_bytes is not None:
+            monkeypatch.setattr(tensor, "_CONV_CHUNK_BYTES", chunk_bytes)
+            chunks = tensor._row_chunks(n * size[0] * size[1], tensor._chunk_rows(chunk_bytes, 1))
+            assert len(chunks) == 11 and chunks[-1] == slice(160, 175)
+        h, wd = size
         rng = np.random.default_rng(7)
         for cin in (1, 3):
             for k in (1, 3):
                 for p in (0, 1, 2):
-                    x = rng.normal(size=(2, cin, 5, 6))
-                    w = rng.normal(size=(4, cin, k, k))
-                    b = rng.normal(size=4)
-                    g = rng.normal(size=(2, 4, 6 + 2 * p - k, 7 + 2 * p - k))
+                    x = rng.normal(size=(n, cin, h, wd))
+                    w = rng.normal(size=(cout, cin, k, k))
+                    b = rng.normal(size=cout)
+                    g = rng.normal(size=(n, cout, h + 1 + 2 * p - k, wd + 1 + 2 * p - k))
                     want = _kept_patches_conv(x, w, b, p, g)
                     channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
                     for stored in (x, channels_last):
