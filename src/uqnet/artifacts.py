@@ -24,6 +24,7 @@ An undefined ratio (a group is empty) is written as ``undefined``.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .evaluate import ComparisonRow
 from .metrics import ClassificationMetrics
@@ -79,14 +80,8 @@ def write_histogram_csv(report: UncertaintyReport, path: str) -> None:
 
 
 def write_comparison_csv(rows_in: list[ComparisonRow], path: str) -> None:
-    rows = [("variant", "seed", "accuracy", "macro_precision", "macro_recall", "macro_f1",
-             "mean_uncertainty_correct", "mean_uncertainty_incorrect", "ratio")]
-    for r in rows_in:
-        rows.append((r.variant, r.seed, _cell(r.accuracy), _cell(r.macro_precision),
-                     _cell(r.macro_recall), _cell(r.macro_f1),
-                     _cell(r.mean_uncertainty_correct), _cell(r.mean_uncertainty_incorrect),
-                     _cell(r.ratio)))
-    _write(path, rows)
+    names = [f.name for f in fields(ComparisonRow)]
+    _write(path, [names] + [[_cell(getattr(r, name)) for name in names] for r in rows_in])
 
 
 def write_train_log_csv(log: list[EpochStats], path: str) -> None:

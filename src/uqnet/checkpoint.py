@@ -98,24 +98,30 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ModelParams, dict]:
         header = json.loads(raw[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format {header.get('format')!r}")
 
-    spec = spec_from_dict(header["spec"])
-    meta = header.get("meta", {})
+    try:
+        spec = spec_from_dict(header["spec"])
+        meta = header.get("meta", {})
+        seed = int(meta.get("seed", 0))
+        arrays = [(str(e["name"]), tuple(int(v) for v in e["shape"])) for e in header["arrays"]]
+    except KeyError as e:
+        raise CheckpointError(f"{path}: malformed header: missing key {e}") from e
+    except (TypeError, ValueError, AttributeError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e}") from e
 
     offset = 16 + header_len
     tensors: dict[str, Tensor] = {}
-    for entry in header["arrays"]:
-        shape = tuple(int(v) for v in entry["shape"])
+    for name, shape in arrays:
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(
-                f"{path}: truncated payload for {entry['name']!r} at offset {offset}"
-            )
+            raise CheckpointError(f"{path}: truncated payload for {name!r} at offset {offset}")
         arr = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
-        tensors[entry["name"]] = Tensor(arr, requires_grad=True)
+        tensors[name] = Tensor(arr, requires_grad=True)
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
@@ -129,5 +135,5 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ModelParams, dict]:
             raise CheckpointError(f"{path}: array {name!r} has shape {tensors[name].shape}, "
                                   f"its spec needs {expected[name]}")
 
-    params = ModelParams(tensors, int(meta.get("seed", 0)))
+    params = ModelParams(tensors, seed)
     return spec, params, meta

@@ -52,79 +52,64 @@ def _int_at_least(lo: int, name: str):
     return integer
 
 
+# The commands and the config sections whose keys each takes as flags ([run] is
+# taken by all). Each key is one flag, ``--`` + the key with ``_`` -> ``-``
+# unless _FLAG_NAMES names it; its string goes through RunConfig.with_overrides,
+# which parses a flag exactly as it parses the same key in a --config file.
+COMMAND_SECTIONS = {
+    "generate": ("dataset",),
+    "train": ("dataset", "model", "training"),
+    "evaluate": ("dataset", "uncertainty"),
+    "compare": ("dataset", "model", "training", "uncertainty"),
+}
+_FLAG_NAMES = {"csv_path": "--csv", "images_path": "--images", "labels_path": "--labels"}
+_CHOICES = {"kind": DATASET_KINDS, "variant": VARIANTS, "backbone": BACKBONES,
+            "optimizer": OPTIMIZERS, "space": SPACES}
+_HELP = {
+    "seed": "master seed for data, init, training, eval",
+    "out": "output directory (all artifacts land here)",
+    "n": "number of synthetic examples",
+    "overlap": "blobs: cluster overlap in [0, 1]",
+    "dim": "blobs: input dimension",
+    "noise": "textures: pixel noise level",
+    "size": "textures: image side length",
+    "csv_path": "csv dataset path",
+    "images_path": "idx images path",
+    "labels_path": "idx labels path",
+    "dropout": "dropout rate p in [0, 1)",
+    "hidden": "mlp hidden width",
+    "beta": "KLD weight for the variational loss",
+    "T": "MC dropout passes (>= 2)",
+    "S": "variational reparameterized draws",
+    "space": "variational uncertainty space",
+    "workers": "threads for MC passes",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uqnet", description="Train small classifiers and measure "
                                                "whether misclassified inputs carry higher "
                                                "predictive uncertainty.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    defaults = RunConfig()
+    commands = {
+        "generate": ("write a synthetic dataset to disk", cmd_generate),
+        "train": ("train one variant and write a checkpoint", cmd_train),
+        "evaluate": ("evaluate a checkpoint on the test split", cmd_evaluate),
+        "compare": ("train and evaluate all four variants", cmd_compare),
+    }
+    for command, (help_text, func) in commands.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="run configuration file")
-        p.add_argument("--seed", type=int, help="master seed for data, init, training, eval")
-        p.add_argument("--out", help="output directory (all artifacts land here)")
+        for section in ("run",) + COMMAND_SECTIONS[command]:
+            for key in defaults.section(section):
+                flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+                p.add_argument(flag, dest=key, choices=_CHOICES.get(key), help=_HELP.get(key))
 
-    def dataset_flags(p):
-        p.add_argument("--kind", choices=DATASET_KINDS)
-        p.add_argument("--n", type=int, help="number of synthetic examples")
-        p.add_argument("--classes", type=int)
-        p.add_argument("--overlap", type=float, help="blobs: cluster overlap in [0, 1]")
-        p.add_argument("--dim", type=int, help="blobs: input dimension")
-        p.add_argument("--noise", type=float, help="textures: pixel noise level")
-        p.add_argument("--size", type=int, help="textures: image side length")
-        p.add_argument("--csv", dest="csv_path", help="csv dataset path")
-        p.add_argument("--images", dest="images_path", help="idx images path")
-        p.add_argument("--labels", dest="labels_path", help="idx labels path")
-        p.add_argument("--label-column", dest="label_column")
-        p.add_argument("--train-frac", dest="train_frac", type=float)
-        p.add_argument("--val-frac", dest="val_frac", type=float)
-        p.add_argument("--test-frac", dest="test_frac", type=float)
-
-    def model_flags(p):
-        p.add_argument("--variant", choices=list(VARIANTS))
-        p.add_argument("--backbone", choices=BACKBONES)
-        p.add_argument("--dropout", type=float, help="dropout rate p in [0, 1)")
-        p.add_argument("--hidden", type=int, help="mlp hidden width")
-
-    def training_flags(p):
-        p.add_argument("--optimizer", choices=OPTIMIZERS)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--beta", type=float, help="KLD weight for the variational loss")
-
-    def uncertainty_flags(p):
-        p.add_argument("--T", type=int, help="MC dropout passes (>= 2)")
-        p.add_argument("--S", type=int, help="variational reparameterized draws")
-        p.add_argument("--space", choices=SPACES,
-                       help="variational uncertainty space")
-        p.add_argument("--workers", type=int, help="threads for MC passes")
-
-    p = sub.add_parser("generate", help="write a synthetic dataset to disk")
-    common(p)
-    dataset_flags(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="train one variant and write a checkpoint")
-    common(p)
-    dataset_flags(p)
-    model_flags(p)
-    training_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on the test split")
-    common(p)
-    dataset_flags(p)
-    uncertainty_flags(p)
+    p = sub.choices["evaluate"]
     p.add_argument("--checkpoint", help="checkpoint file (default: <out>/checkpoint.bin)")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="train and evaluate all four variants")
-    common(p)
-    dataset_flags(p)
-    model_flags(p)
-    training_flags(p)
-    uncertainty_flags(p)
+    p = sub.choices["compare"]
     # checkpoints carry their own seed; --seeds has no default value so that
     # argparse also refuses an explicit --seeds 1 beside --checkpoint-dir
     source = p.add_mutually_exclusive_group()
@@ -133,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--checkpoint-dir", dest="checkpoint_dir",
                         help="evaluate existing <dir>/<variant>.bin checkpoints "
                              "instead of training")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -151,7 +135,7 @@ def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = cfg.with_text(fh.read())
         return cfg.with_overrides({
-            section: {key: str(getattr(args, key)) for key in cfg.section(section)
+            section: {key: getattr(args, key) for key in cfg.section(section)
                       if getattr(args, key, None) is not None}
             for section in SECTIONS})
     except (OSError, ValueError) as e:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .data import DataError, Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
@@ -35,9 +36,9 @@ class DatasetSection:
     images_path: str = ""     # kind = idx
     labels_path: str = ""     # kind = idx
     label_column: str = "label"
-    train_frac: float = 0.7
-    val_frac: float = 0.15
-    test_frac: float = 0.15
+    train_frac: float = SplitSpec.train
+    val_frac: float = SplitSpec.val
+    test_frac: float = SplitSpec.test
 
 
 @dataclass(frozen=True)
@@ -50,22 +51,22 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class TrainingSection:
-    optimizer: str = "adam"   # optim.OPTIMIZERS
-    lr: float = 1e-3
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epochs: int = 20
-    batch_size: int = 64
-    beta: float = 1.0         # KLD weight
+    optimizer: str = OptimizerConfig.kind   # optim.OPTIMIZERS
+    lr: float = OptimizerConfig.lr
+    momentum: float = OptimizerConfig.momentum
+    beta1: float = OptimizerConfig.beta1
+    beta2: float = OptimizerConfig.beta2
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    beta: float = TrainConfig.beta           # KLD weight
 
 
 @dataclass(frozen=True)
 class UncertaintySection:
-    T: int = 100
-    S: int = 100
-    space: str = "analytic"   # variational scoring space
-    workers: int = 1
+    T: int = EvalConfig.T
+    S: int = EvalConfig.S
+    space: str = EvalConfig.space   # variational scoring space
+    workers: int = EvalConfig.workers
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,9 @@ def _dump(v) -> str:
 def _parse(typ, section: str, key: str, raw: str):
     raw = str(raw).strip()
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as e:
         raise ValueError(f"config key {section}.{key}: cannot parse {raw!r} as {typ.__name__}") from e
+    if typ is float and not math.isfinite(value):
+        raise ValueError(f"config key {section}.{key}: {raw!r} is not a finite number")
+    return value

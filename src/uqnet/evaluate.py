@@ -12,12 +12,12 @@ excluded from ratio comparisons against the sampling variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .data import Dataset
-from .layers import MC_VARIANTS, ModelParams, ModelSpec, build_model, eval_heads
+from .layers import MC_VARIANTS, VARIANTS, ModelParams, ModelSpec, build_model, eval_heads
 from .metrics import ClassificationMetrics
 from .report import UncertaintyReport, build_report
 from .train import TrainConfig, TrainResult, train
@@ -120,8 +120,7 @@ def make_comparison_row(variant: str, seed: str, metrics: ClassificationMetrics,
 
 
 def compare_variants(make_splits, make_spec, train_cfg: TrainConfig, eval_cfg: EvalConfig,
-                     seeds, variants=("baseline", "bayesian1", "bayesian2", "variational"),
-                     ) -> tuple[list[ComparisonRow], list[VariantRun]]:
+                     seeds, variants=VARIANTS) -> tuple[list[ComparisonRow], list[VariantRun]]:
     """Train and evaluate every variant on shared per-seed splits.
 
     ``make_splits(seed)`` returns (train, val, test) datasets and
@@ -152,17 +151,10 @@ def compare_variants(make_splits, make_spec, train_cfg: TrainConfig, eval_cfg: E
         for variant in variants:
             group = by_variant[variant]
             for tag, agg in (("mean", np.mean), ("range", np.ptp)):
-                def stat(values):
+                def stat(name):   # undefined unless every seed's value is finite
+                    values = [getattr(r, name) for r in group]
                     vals = [v for v in values if v is not None and np.isfinite(v)]
                     return float(agg(vals)) if len(vals) == len(values) else None
-                rows.append(ComparisonRow(
-                    variant, tag,
-                    float(agg([r.accuracy for r in group])),
-                    float(agg([r.macro_precision for r in group])),
-                    float(agg([r.macro_recall for r in group])),
-                    float(agg([r.macro_f1 for r in group])),
-                    stat([r.mean_uncertainty_correct for r in group]),
-                    stat([r.mean_uncertainty_incorrect for r in group]),
-                    stat([r.ratio for r in group]),
-                ))
+                rows.append(ComparisonRow(variant, tag, *(
+                    stat(f.name) for f in fields(ComparisonRow)[2:])))
     return rows, runs

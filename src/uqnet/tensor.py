@@ -30,7 +30,6 @@ __all__ = [
     "ShapeError",
     "no_grad",
     "set_finite_checks",
-    "finite_checks_enabled",
     "finite_checks",
     "conv2d",
     "global_avg_pool",
@@ -73,10 +72,6 @@ def set_finite_checks(enabled: bool) -> None:
     """Globally enable or disable NaN/Inf detection on op results."""
     global _FINITE_CHECKS
     _FINITE_CHECKS = bool(enabled)
-
-
-def finite_checks_enabled() -> bool:
-    return _FINITE_CHECKS
 
 
 @contextmanager

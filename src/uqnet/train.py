@@ -85,6 +85,9 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
     if spec.input_shape != train_ds.input_shape:
         raise ValueError(f"model expects inputs {spec.input_shape}, "
                          f"dataset provides {train_ds.input_shape}")
+    if train_ds.n_classes != spec.n_classes:
+        raise ValueError(f"dataset has {train_ds.n_classes} classes, "
+                         f"model expects {spec.n_classes}")
 
     opt = cfg.optimizer.build(params)
     result = TrainResult(params=params.copy())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from uqnet.checkpoint import load_checkpoint, save_checkpoint
-from uqnet.cli import main
+from uqnet.cli import build_parser, main, resolve_config
 from uqnet.config import RunConfig
 from uqnet.data import splits_sha256
 
@@ -173,6 +173,20 @@ class TestEvaluate:
                     "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("header, message", [
+        (b"[]", "header is not a JSON object"),
+        (b'{"format": 1}', "malformed header: missing key 'spec'"),
+    ], ids=["array", "no-spec"])
+    def test_malformed_checkpoint_header_is_single_line_failure(self, header, message,
+                                                                tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"UQNNCKP1" + len(header).to_bytes(8, "little") + header)
+        out = tmp_path / "o"
+        assert run(["evaluate", "--checkpoint", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_reuses_training_dataset_config_from_checkpoint(self, tmp_path, capsys):
         out = self._train(tmp_path)
@@ -505,8 +519,13 @@ class TestRunConfig:
         ([], "[uncertainty]\nspace = bogus\n", "unknown scoring space 'bogus'"),
         ([], "[uncertainty]\nworkers = 0\n", "workers must be >= 1, got 0"),
         ([], "[training]\noptimizer = bogus\n", "unknown optimizer kind 'bogus'"),
+        (["--lr", "nan"], None, "config key training.lr: 'nan' is not a finite number"),
+        (["--train-frac", "nan"], None,
+         "config key dataset.train_frac: 'nan' is not a finite number"),
+        ([], "[training]\nbeta = inf\n", "config key training.beta: 'inf' is not a finite number"),
     ], ids=["T", "workers", "overlap", "epochs", "batch-size", "sampled-S",
-            "file-space", "file-workers", "file-optimizer"])
+            "file-space", "file-workers", "file-optimizer", "nan-lr", "nan-train-frac",
+            "file-inf-beta"])
     def test_rejected_setting_is_usage_error(self, flags, text, message, tmp_path,
                                              no_training, capsys):
         out = str(tmp_path / "c")
@@ -589,3 +608,56 @@ class TestRunConfig:
             RunConfig.from_text("[uncertainty]\nT = 1\n")
         with pytest.raises(ValueError, match="unknown optimizer kind 'bogus'"):
             RunConfig.from_text("[training]\noptimizer = bogus\n")
+
+
+# one valid, non-default value for every config key, and the flag that sets it
+SETTING_FLAGS = {
+    "seed": ("--seed", "7"), "out": ("--out", "runs/x"),
+    "kind": ("--kind", "textures"), "n": ("--n", "99"), "classes": ("--classes", "3"),
+    "overlap": ("--overlap", "0.25"), "dim": ("--dim", "5"), "noise": ("--noise", "0.5"),
+    "size": ("--size", "8"), "csv_path": ("--csv", "d.csv"),
+    "images_path": ("--images", "i.idx"), "labels_path": ("--labels", "l.idx"),
+    "label_column": ("--label-column", "y"), "train_frac": ("--train-frac", "0.6"),
+    "val_frac": ("--val-frac", "0.2"), "test_frac": ("--test-frac", "0.2"),
+    "backbone": ("--backbone", "miniresnet"), "variant": ("--variant", "bayesian2"),
+    "dropout": ("--dropout", "0.25"), "hidden": ("--hidden", "32"),
+    "optimizer": ("--optimizer", "sgd-momentum"), "lr": ("--lr", "0.01"),
+    "momentum": ("--momentum", "0.5"), "beta1": ("--beta1", "0.8"),
+    "beta2": ("--beta2", "0.99"), "epochs": ("--epochs", "3"),
+    "batch_size": ("--batch-size", "16"), "beta": ("--beta", "0.1"),
+    "T": ("--T", "8"), "S": ("--S", "6"), "space": ("--space", "sampled"),
+    "workers": ("--workers", "2"),
+}
+
+
+class TestSettingFlags:
+    @pytest.mark.parametrize("command, sections", [
+        ("generate", ("run", "dataset")),
+        ("train", ("run", "dataset", "model", "training")),
+        ("evaluate", ("run", "dataset", "uncertainty")),
+        ("compare", ("run", "dataset", "model", "training", "uncertainty")),
+    ])
+    def test_each_key_is_a_flag_that_resolves_like_the_file_key(self, command, sections,
+                                                                 tmp_path):
+        parser = build_parser()
+        path = tmp_path / "c.cfg"
+        for section in sections:
+            for key in RunConfig().section(section):
+                flag, value = SETTING_FLAGS[key]
+                path.write_text(f"[{section}]\n{key} = {value}\n")
+                by_flag = resolve_config(parser.parse_args([command, flag, value]))
+                by_file = resolve_config(parser.parse_args([command, "--config", str(path)]))
+                assert by_flag == by_file != RunConfig(), f"{command} {flag}"
+
+    def test_unparsable_flag_and_file_key_fail_alike(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("[dataset]\nn = abc\n")
+        out = tmp_path / "g"
+        errors = []
+        for extra in (["--n", "abc"], ["--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                run(["generate", "--out", str(out)] + extra)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: config key dataset.n: cannot parse 'abc' as int\n"] * 2
+        assert not out.exists()

@@ -32,14 +32,17 @@ class _AllKeep:
         return np.full(shape, 0.99)
 
 
-def _add_spec_key(path, key, value):
-    """Rewrite the checkpoint at ``path`` with ``key: value`` added to its spec."""
+def _edit_header(path, edit):
+    """Rewrite the checkpoint at ``path`` with its JSON header replaced by ``edit(header)``."""
     raw = path.read_bytes()
     n = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16:16 + n])
-    header["spec"][key] = value
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(edit(json.loads(raw[16:16 + n])), sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + n:])
+
+
+def _with_unknown_layer_field(header):
+    header["spec"]["layers"][0]["width"] = 3
+    return header
 
 
 class _CountingRng(PassRng):
@@ -440,6 +443,22 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(exc.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        (list, "header is not a JSON object"),
+        (lambda h: {k: v for k, v in h.items() if k != "spec"},
+         "malformed header: missing key 'spec'"),
+        (_with_unknown_layer_field, "malformed header: .*unexpected keyword argument 'width'"),
+        (lambda h: {**h, "meta": [1]}, "malformed header"),
+    ], ids=["array", "no-spec", "unknown-layer-field", "meta-array"])
+    def test_malformed_header_names_the_file(self, tmp_path, edit, message):
+        spec = mlp_spec(2)
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), spec, build_model(spec, 1))
+        _edit_header(path, edit)
+        with pytest.raises(CheckpointError, match=message) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
     @pytest.mark.parametrize("legacy_dropout_p", [False, True])
     def test_loaded_model_produces_identical_logits(self, tmp_path, legacy_dropout_p):
         spec = miniresnet_spec((1, 8, 8), variant="bayesian1", p=0.3)
@@ -449,7 +468,7 @@ class TestCheckpoint:
         path = tmp_path / "m.bin"
         save_checkpoint(str(path), spec, params)
         if legacy_dropout_p:   # older writers stored a spec-level rate that readers ignore
-            _add_spec_key(path, "dropout_p", 0.5)
+            _edit_header(path, lambda h: {**h, "spec": {**h["spec"], "dropout_p": 0.5}})
         spec2, params2, _ = load_checkpoint(str(path))
         assert spec2 == spec
         after = model_forward(params2, spec2, x).data

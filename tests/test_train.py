@@ -166,3 +166,10 @@ class TestFailureModes:
         spec = mlp_spec(3, hidden=32)
         with pytest.raises(ValueError, match="inputs"):
             train(build_model(spec, 0), spec, tr, va, TrainConfig(epochs=1), seed=0)
+
+    def test_class_count_mismatch(self):
+        ds = synth_blobs(120, 3, overlap=0.2, dim=2, seed=0)
+        tr, va, _ = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
+        spec = mlp_spec(2, 4, hidden=16)
+        with pytest.raises(ValueError, match="dataset has 3 classes, model expects 4"):
+            train(build_model(spec, 0), spec, tr, va, TrainConfig(epochs=1), seed=0)
