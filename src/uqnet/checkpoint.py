@@ -39,13 +39,18 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     for layer in spec.layers:
         d = {k: v for k, v in asdict(layer).items() if v is not None}
         layers.append(d)
-    return {
+    out = {
         "layers": layers,
         "n_classes": spec.n_classes,
         "input_shape": list(spec.input_shape),
         "variant": spec.variant,
         "backbone": spec.backbone,
     }
+    # written only when it is not the default, so float64 headers (every MLP,
+    # and every file from before the key existed) keep their bytes
+    if spec.conv_dtype != "float64":
+        out["conv_dtype"] = spec.conv_dtype
+    return out
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
@@ -56,6 +61,7 @@ def spec_from_dict(d: dict) -> ModelSpec:
         input_shape=tuple(int(v) for v in d["input_shape"]),
         variant=d["variant"],
         backbone=d["backbone"],
+        conv_dtype=d.get("conv_dtype", "float64"),
     )
     validate_spec(spec)
     return spec

@@ -12,6 +12,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .data import DataError, Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
 from .evaluate import EvalConfig
@@ -121,15 +122,18 @@ class RunConfig:
         return {f.name: getattr(holder, f.name) for f in fields(holder) if f.name not in SECTIONS}
 
     def with_overrides(self, overrides: dict[str, dict[str, str]]) -> "RunConfig":
-        """Apply string-valued per-section overrides (file keys or CLI flags)."""
+        """Apply string-valued per-section overrides (file keys or CLI flags),
+        each parsed as its field's declared type."""
         cfg = self
         for section, values in overrides.items():
+            holder = cfg if section == "run" else getattr(cfg, section)
+            types = get_type_hints(type(holder))
             current = cfg.section(section)
             updates = {}
             for key, raw in values.items():
                 if key not in current:
                     raise ValueError(f"unknown config key {section}.{key}")
-                updates[key] = _parse(type(current[key]), section, key, raw)
+                updates[key] = _parse(types[key], section, key, raw)
             if section != "run":
                 updates = {section: replace(getattr(cfg, section), **updates)}
             cfg = replace(cfg, **updates)

@@ -35,11 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .tensor import Tensor, ShapeError, _chunk_rows, _row_chunks, conv2d, global_avg_pool, no_grad
+from .tensor import (Tensor, ShapeError, _chunk_rows, _conv_dtype, _row_chunks, conv2d, global_avg_pool,
+                     no_grad)
 
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
 MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled at evaluation
 BACKBONES = ("mlp", "miniresnet")
+CONV_DTYPES = ("float64", "float32")   # ModelSpec.conv_dtype: conv2d's compute dtype
 
 # A no-grad forward runs its batch in row blocks whose largest per-layer
 # intermediate holds about this many bytes, so its working memory does not
@@ -93,13 +95,16 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: body layers, head, variant tag, shapes."""
+    """Architecture description: body layers, head, variant tag, shapes, and
+    the compute dtype of its convolutions (float64 unless a preset says
+    otherwise; every other op, and every parameter, is float64)."""
 
     layers: tuple[LayerSpec, ...]
     n_classes: int
     input_shape: tuple[int, ...]
     variant: str
     backbone: str
+    conv_dtype: str = "float64"
 
     @property
     def head(self) -> str:
@@ -153,6 +158,8 @@ def validate_spec(spec: ModelSpec) -> None:
         raise ValueError(f"unknown variant {spec.variant!r}, expected one of {VARIANTS}")
     if spec.n_classes < 2:
         raise ValueError("need at least two classes")
+    if spec.conv_dtype not in CONV_DTYPES:
+        raise ValueError(f"unknown conv_dtype {spec.conv_dtype!r}, expected one of {CONV_DTYPES}")
     infer_shapes(spec)  # raises on inconsistent shapes
     _ = spec.feature_dim
 
@@ -198,14 +205,15 @@ def miniresnet_spec(input_shape: tuple[int, int, int] = (1, 16, 16), n_classes: 
 
     Blocks are conv-relu-conv plus an identity shortcut (1x1 projection when
     the channel count changes), relu after the add. Stride 1 throughout, so
-    every block preserves the spatial size.
+    every block preserves the spatial size. The convolutions compute in
+    float32 (``conv_dtype``); their outputs and gradients are float64.
     """
     body = [LayerSpec("conv3x3", in_ch=input_shape[0], out_ch=channels[0]), LayerSpec("relu")]
     body += [LayerSpec("residual-block", block="conv", in_ch=cin, out_ch=cout)
              for cin, cout in zip((channels[0], *channels), channels)]
     body.append(LayerSpec("global-avg-pool"))
     spec = ModelSpec(_place_dropout(body, variant, p), n_classes, tuple(input_shape),
-                     variant, "miniresnet")
+                     variant, "miniresnet", conv_dtype="float32")
     validate_spec(spec)
     return spec
 
@@ -356,28 +364,30 @@ def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int
     batch) when ``start`` is 0, else the output of ``forward_range(..., start)``.
     Dropout masks come from ``pass_rng.layer(i)`` for absolute layer index i,
     so splitting a pass into consecutive ranges changes no bit of its output.
-    Without a ``pass_rng`` every dropout is the identity.
+    Without a ``pass_rng`` every dropout is the identity. The convolutions
+    compute in ``spec.conv_dtype``.
     """
     if not 0 <= start <= stop <= len(spec.layers):
         raise ValueError(f"layer range [{start}, {stop}) is outside 0..{len(spec.layers)}")
     if start == 0:
         h = _as_batch(h, spec.input_shape)
-    for i in range(start, stop):
-        layer = spec.layers[i]
-        prefix = f"body.{i}"
-        if layer.kind == "linear":
-            h = h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
-        elif layer.kind == "conv3x3":
-            h = conv2d(h, params[f"{prefix}.w"], params[f"{prefix}.b"])
-        elif layer.kind == "relu":
-            h = h.relu()
-        elif layer.kind == "global-avg-pool":
-            h = global_avg_pool(h)
-        elif layer.kind == "dropout":
-            gen = pass_rng.layer(i) if (pass_rng is not None and layer.p > 0) else None
-            h = dropout(h, layer.p, gen)
-        elif layer.kind == "residual-block":
-            h = _residual_block(params, prefix, layer, h)
+    with _conv_dtype(spec.conv_dtype):
+        for i in range(start, stop):
+            layer = spec.layers[i]
+            prefix = f"body.{i}"
+            if layer.kind == "linear":
+                h = h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+            elif layer.kind == "conv3x3":
+                h = conv2d(h, params[f"{prefix}.w"], params[f"{prefix}.b"])
+            elif layer.kind == "relu":
+                h = h.relu()
+            elif layer.kind == "global-avg-pool":
+                h = global_avg_pool(h)
+            elif layer.kind == "dropout":
+                gen = pass_rng.layer(i) if (pass_rng is not None and layer.p > 0) else None
+                h = dropout(h, layer.p, gen)
+            elif layer.kind == "residual-block":
+                h = _residual_block(params, prefix, layer, h)
     return h
 
 

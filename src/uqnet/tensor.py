@@ -8,7 +8,10 @@ once and a value used k times accumulates the sum of its k path gradients.
 
 Deliberate restrictions, chosen for the small models this library trains:
 
-* float64 everywhere;
+* every tensor, gradient and op result is float64. The one exception is
+  the arithmetic inside :func:`conv2d`, which runs in the thread's conv
+  compute dtype (float64 unless :func:`_conv_dtype` sets float32) and
+  returns float64 all the same;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -66,6 +69,30 @@ def no_grad():
         yield
     finally:
         _tls.grad_enabled = prev
+
+
+_CONV_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+
+def _conv_compute_dtype() -> np.dtype:
+    return getattr(_tls, "conv_dtype", _CONV_DTYPES[0])
+
+
+@contextmanager
+def _conv_dtype(dtype):
+    """Run the current thread's :func:`conv2d` calls in compute dtype
+    ``dtype`` (float64 or float32) for the duration. ``layers`` sets it from
+    ``ModelSpec.conv_dtype``; it is a thread setting, like :func:`no_grad`,
+    so ``conv2d`` keeps its call signature."""
+    dtype = np.dtype(dtype)
+    if dtype not in _CONV_DTYPES:
+        raise ValueError(f"conv2d compute dtype must be float64 or float32, got {dtype}")
+    prev = _conv_compute_dtype()
+    _tls.conv_dtype = dtype
+    try:
+        yield
+    finally:
+        _tls.conv_dtype = prev
 
 
 def set_finite_checks(enabled: bool) -> None:
@@ -400,21 +427,48 @@ Tensor.reshape = lambda self, *shape: reshape(self, shape[0] if len(shape) == 1 
 
 # -- row chunks --------------------------------------------------------------
 
-# Row chunks of a product start on multiples of this many rows. BLAS tiles
-# the rows of a product from its first row and sends a one-row product to
-# gemv, so aligned chunks keep every output row bit-identical to the
-# unchunked product (measured with OpenBLAS on the mlp and miniresnet preset
-# shapes). ``layers.row_blocks`` and graph-mode ``conv2d`` both chunk by it.
+# Row chunks of a float64 product start on multiples of this many rows.
+# dgemm tiles the rows of a product from its first row and sends a one-row
+# product to gemv, so aligned chunks keep every output row bit-identical to
+# the unchunked product (measured with OpenBLAS on the mlp and miniresnet
+# preset shapes). ``layers.row_blocks`` and float64 graph-mode ``conv2d``
+# both chunk by it.
 _ROW_ALIGN = 16
+# sgemm does not keep that promise: a float32 row's result can depend on the
+# height of the product it sits in (OpenBLAS, K = 36 and 54, M = 1024 and
+# 2048), though not on where the product starts. So every float32
+# row-indexed product runs through ``_row_matmul`` in products of exactly
+# this many rows, and float32 graph-mode ``conv2d`` chunks are whole tiles.
+_TILE_ROWS = 256
 # A graph-mode conv2d forward multiplies its im2col patches in row chunks of
-# about this many bytes, so no more than one chunk of patches exists at once.
+# about this many bytes (in the compute dtype), so no more than one chunk of
+# patches exists at once.
 _CONV_CHUNK_BYTES = 2 << 20
 
 
-def _chunk_rows(budget: int, row_bytes: int) -> int:
+def _chunk_rows(budget: int, row_bytes: int, align: int = _ROW_ALIGN) -> int:
     """Rows per chunk: the byte budget over the bytes of one row, rounded
-    down to the row alignment, and at least one alignment."""
-    return max(budget // row_bytes // _ROW_ALIGN * _ROW_ALIGN, _ROW_ALIGN)
+    down to a multiple of ``align``, and at least ``align``."""
+    return max(budget // row_bytes // align * align, align)
+
+
+def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, into ``out`` when given (which may be float64 for a float32
+    product). A float64 product is one GEMM. A float32 product is a run of
+    GEMMs of exactly ``_TILE_ROWS`` rows, the last one zero-padded, each
+    writing its rows into ``out``; so each output row depends on its own row
+    of ``a`` and on ``b``, not on how many rows came before or after it."""
+    if a.dtype == np.float64:
+        return np.matmul(a, b, out=out)
+    m = a.shape[0]
+    if out is None:
+        out = np.empty((m, b.shape[1]), a.dtype)
+    for lo in range(0, m, _TILE_ROWS):
+        rows = a[lo:lo + _TILE_ROWS]
+        if len(rows) < _TILE_ROWS:
+            rows = np.concatenate([rows, np.zeros((_TILE_ROWS - len(rows), a.shape[1]), a.dtype)])
+        out[lo:lo + _TILE_ROWS] = (rows @ b)[:m - lo]
+    return out
 
 
 def _row_chunks(n: int, rows: int) -> list[slice]:
@@ -442,13 +496,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     is an NCHW view of the output buffer. An input in either memory layout
     is accepted; the padding copy converts it.
 
+    The arithmetic runs in the thread's compute dtype (``_conv_dtype``;
+    float64 unless set): the padded input, the im2col patches, the forward
+    GEMM, the backward's rebuilt patches and its weight and input GEMMs, and
+    the input-gradient accumulator. The output and all three gradients are
+    float64 whatever the compute dtype; the bias is added, and its gradient
+    summed, in float64. The row-indexed products (the forward and the
+    input-gradient taps) run through ``_row_matmul``.
+
     In graph mode the node keeps only its input, which its parent holds
     anyway: the forward builds the patches one row chunk of about
     ``_CONV_CHUNK_BYTES`` at a time, each chunk's product filling its own
     rows of the output, and the backward rebuilds all the patches from
     ``x.data`` for the weight gradient. The chunks start on ``_ROW_ALIGN``
-    rows, and they are the same patches in the same order, so the output and
-    every gradient are bit-identical to one GEMM over kept patches, at the
+    rows in float64 and are whole ``_TILE_ROWS`` tiles in float32, and they
+    are the same patches in the same order, so the output and every
+    gradient are bit-identical to one product over kept patches, at the
     cost of one more im2col copy per backward and no extra GEMM. The no-grad
     forward, which ``layers.row_blocks`` already bounds, multiplies all its
     patches at once.
@@ -473,55 +536,60 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
 
     ho = h + 2 * p - k + 1
     wo = w + 2 * p - k + 1
+    m = n * ho * wo
     padded = (n, h + 2 * p, w + 2 * p, cin)
+    dtype = _conv_compute_dtype()
 
     def windows():
         """[N, Ho, Wo, k, k, Cin] view of a freshly padded channels-last input."""
-        xp = np.zeros(padded)
+        xp = np.zeros(padded, dtype)
         xp[:, p:p + h, p:p + w] = x.data.transpose(0, 2, 3, 1)
         view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
         return view.transpose(0, 1, 2, 4, 5, 3)
 
     def im2col():
         # [N, Ho, Wo, k, k, Cin] -> [N*Ho*Wo, k*k*Cin]
-        return np.ascontiguousarray(windows()).reshape(n * ho * wo, k * k * cin)
+        return np.ascontiguousarray(windows()).reshape(m, k * k * cin)
 
     def patch_rows(win, rows):
         """Rows ``rows`` of ``im2col()``, copied from the output lines they touch."""
         l0, l1 = rows.start // wo, -(-rows.stop // wo)   # lines are (image, y) pairs
-        lines = np.empty((l1 - l0, wo, k, k, cin))
+        lines = np.empty((l1 - l0, wo, k, k, cin), dtype)
         for i in range(l0 // ho, -(-l1 // ho)):
             a, b = max(l0, i * ho), min(l1, (i + 1) * ho)
             lines[a - l0:b - l0] = win[i, a - i * ho:b - i * ho]
         return lines.reshape(-1, k * k * cin)[rows.start - l0 * wo:rows.stop - l0 * wo]
 
-    wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
+    wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
         if _tracks((x, weight, bias)):
             # The padded input comes before the output buffer on purpose: the
             # other order packed the heap tighter, but glibc then trimmed and
             # refaulted it on every training step.
             win = windows()
-            out = np.empty((n * ho * wo, cout))
-            for rows in _row_chunks(n * ho * wo, _chunk_rows(_CONV_CHUNK_BYTES, 8 * k * k * cin)):
-                np.matmul(patch_rows(win, rows), wmat, out=out[rows])
+            out = np.empty((m, cout))
+            align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
+            for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin,
+                                                   align)):
+                _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
         else:
-            out = im2col() @ wmat
+            out = _row_matmul(im2col(), wmat, out=np.empty((m, cout)))
         out += B
 
     def back(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)
         _accumulate(bias, gmat.sum(axis=0))
+        gmat = gmat.astype(dtype, copy=False)
         dw = (im2col().T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
-        _accumulate(weight, np.ascontiguousarray(dw))
+        _accumulate(weight, np.ascontiguousarray(dw, dtype=np.float64))
         if x.requires_grad:
-            gxp = np.zeros(padded)
+            gxp = np.zeros(padded, dtype)
             for dy in range(k):
                 for dx in range(k):
                     # [N*Ho*Wo, Cout] x [Cout, Cin] -> [N, Ho, Wo, Cin]
                     tap = wmat[(dy * k + dx) * cin:(dy * k + dx + 1) * cin]
-                    gxp[:, dy:dy + ho, dx:dx + wo] += (gmat @ tap.T).reshape(n, ho, wo, cin)
-            _accumulate(x, gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
+                    gxp[:, dy:dy + ho, dx:dx + wo] += _row_matmul(gmat, tap.T).reshape(n, ho, wo, cin)
+            _accumulate(x, gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2).astype(np.float64, copy=False))
 
     return _from_op(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), (x, weight, bias), "conv2d", back)
 

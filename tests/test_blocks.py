@@ -18,11 +18,11 @@ from uqnet.uncertainty import mc_probs, variational_outputs
 N = 77   # 16-row blocks 16, 16, 16, 16, 13 under the smallest budget
 
 
-def make(backbone, variant, n=N, classes=4):
+def make(backbone, variant, n=N, classes=4, size=8):
     if backbone == "mlp":
         spec = mlp_spec(3, classes, variant, hidden=16)
     else:
-        spec = miniresnet_spec((1, 8, 8), classes, variant, channels=(4, 6, 6))
+        spec = miniresnet_spec((1, size, size), classes, variant, channels=(4, 6, 6))
     x = np.random.default_rng(1).normal(size=(n,) + spec.input_shape)
     ds = Dataset(x, np.arange(n) % classes, [f"c{k}" for k in range(classes)], "test")
     return spec, build_model(spec, 5), ds
@@ -103,6 +103,20 @@ class TestBlockedEqualsUnblocked:
         blocked = smallest_blocks(lambda: mc_probs(params, spec, ds.inputs, 6, seed=3,
                                                    workers=workers))
         assert same_bytes(blocked, whole)
+
+    def test_float32_conv_rows_do_not_depend_on_where_a_block_starts(self):
+        # The MiniResNet preset's convs compute in float32, in 256-row
+        # products. 5x5 inputs give 25 patch rows per example, so a 16-example
+        # block starts at patch row 400: the blocked forward's products start
+        # where the whole batch's products are mid-tile.
+        spec, params, ds = make("miniresnet", "bayesian2", size=5)
+        assert spec.conv_dtype == "float32"
+        starts = [rows.start * 25 for rows, _ in smallest_blocks(lambda: row_blocks(spec, ds.inputs))]
+        assert [s % tensor._TILE_ROWS for s in starts] == [0, 144, 32, 176, 64]
+        whole = mc_probs(params, spec, ds.inputs, 6, seed=3)
+        assert same_bytes(smallest_blocks(lambda: mc_probs(params, spec, ds.inputs, 6, seed=3)), whole)
+        whole = layers.eval_heads(params, spec, ds.inputs)[0]
+        assert same_bytes(smallest_blocks(lambda: layers.eval_heads(params, spec, ds.inputs))[0], whole)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     @pytest.mark.parametrize("variant,space", [(v, "analytic") for v in VARIANTS]

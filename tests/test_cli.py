@@ -11,7 +11,7 @@ import pytest
 
 from uqnet.checkpoint import load_checkpoint, save_checkpoint
 from uqnet.cli import build_parser, main, resolve_config
-from uqnet.config import RunConfig
+from uqnet.config import DatasetSection, RunConfig
 from uqnet.data import splits_sha256
 
 TINY_TRAIN = ["--kind", "blobs", "--n", "200", "--overlap", "0.3", "--dim", "2",
@@ -508,6 +508,13 @@ class TestRunConfig:
         merged = cfg.with_overrides({"dataset": {"n": "99"}})
         assert merged.dataset.n == 99
         assert merged.dataset.overlap == 0.1
+
+    def test_override_parses_as_the_declared_field_type(self):
+        # a config built in code may hold an int in a float field; the
+        # override still parses as the field's type, float
+        cfg = RunConfig(dataset=DatasetSection(overlap=1)).with_overrides(
+            {"dataset": {"overlap": "0.5"}})
+        assert cfg.dataset.overlap == 0.5
 
     @pytest.mark.parametrize("flags, text, message", [
         (["--T", "1"], None, "T must be >= 2, got 1"),

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,13 +268,35 @@ def _reference_forward(params, spec, x, pass_rng):
 class TestModelForward:
     def test_miniresnet_matches_nchw_reference_up_to_rounding(self):
         # conv2d computes in channels-last memory; the masks are still drawn
-        # in NCHW order, so only the rounding of the sums may differ.
-        spec = miniresnet_spec((1, 16, 16), n_classes=4, variant="bayesian2")
+        # in NCHW order, so only the rounding of the sums may differ. The
+        # preset computes its convs in float32; this pins the float64 path.
+        spec = replace(miniresnet_spec((1, 16, 16), n_classes=4, variant="bayesian2"),
+                       conv_dtype="float64")
         params = build_model(spec, 7)
         x = np.random.default_rng(8).normal(size=(3, 1, 16, 16))
         got = model_forward(params, spec, x, PassRng(5, 1)).data
         want = _reference_forward(params, spec, x, PassRng(5, 1))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_float32_miniresnet_matches_nchw_reference_to_float32_rounding(self):
+        # Each conv rounds its input and weights to float32 and sums in
+        # float32: a relative error of order eps32 in its output. On the
+        # deepest path (the stem, then two convs per residual block: 7 convs)
+        # these add up layer by layer, while relu, pooling, dropout and the
+        # head are float64, so the logits may differ from the float64
+        # reference by about 7 * eps32 of their largest magnitude (the
+        # preset measures 0.2-0.4 eps32).
+        spec = miniresnet_spec((1, 16, 16), n_classes=4, variant="bayesian2")
+        assert spec.conv_dtype == "float32"
+        convs = sum({"conv3x3": 1, "residual-block": 2}.get(layer.kind, 0) for layer in spec.layers)
+        params = build_model(spec, 7)
+        x = np.random.default_rng(8).normal(size=(3, 1, 16, 16))
+        got = model_forward(params, spec, x, PassRng(5, 1)).data
+        want = _reference_forward(params, spec, x, PassRng(5, 1))
+        atol = convs * np.finfo(np.float32).eps * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        assert not np.array_equal(got, model_forward(params, replace(spec, conv_dtype="float64"),
+                                                     x, PassRng(5, 1)).data)
 
     def test_zero_input_baseline_logits(self):
         spec = miniresnet_spec((1, 16, 16), n_classes=4)
@@ -449,7 +472,9 @@ class TestCheckpoint:
          "malformed header: missing key 'spec'"),
         (_with_unknown_layer_field, "malformed header: .*unexpected keyword argument 'width'"),
         (lambda h: {**h, "meta": [1]}, "malformed header"),
-    ], ids=["array", "no-spec", "unknown-layer-field", "meta-array"])
+        (lambda h: {**h, "spec": {**h["spec"], "conv_dtype": "float16"}},
+         "malformed header: unknown conv_dtype 'float16'"),
+    ], ids=["array", "no-spec", "unknown-layer-field", "meta-array", "unknown-conv-dtype"])
     def test_malformed_header_names_the_file(self, tmp_path, edit, message):
         spec = mlp_spec(2)
         path = tmp_path / "model.bin"
@@ -458,6 +483,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=message) as exc:
             load_checkpoint(str(path))
         assert str(exc.value).startswith(f"{path}: ")
+
+    def test_header_without_conv_dtype_loads_as_float64(self, tmp_path):
+        # Files written before the key existed hold no conv_dtype: their
+        # MiniResNet loads with float64 convs, scores like a float64 spec
+        # and saves back to the same bytes.
+        spec = miniresnet_spec((1, 8, 8), variant="bayesian1", p=0.3)
+        spec64 = replace(spec, conv_dtype="float64")
+        params = build_model(spec, 9)
+        old, resaved = tmp_path / "old.bin", tmp_path / "resaved.bin"
+        save_checkpoint(str(old), spec, params, {"epochs": 2})
+        _edit_header(old, lambda h: {**h, "spec": {k: v for k, v in h["spec"].items()
+                                                  if k != "conv_dtype"}})
+        loaded, params2, meta = load_checkpoint(str(old))
+        assert loaded == spec64
+        x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
+        want = model_forward(params, spec64, x).data
+        assert model_forward(params2, loaded, x).data.tobytes() == want.tobytes()
+        save_checkpoint(str(resaved), loaded, params2, meta)
+        assert resaved.read_bytes() == old.read_bytes()
+
+    def test_conv_dtype_key_is_written_only_when_not_float64(self, tmp_path):
+        for spec, key in ((miniresnet_spec((1, 8, 8)), "float32"), (mlp_spec(2), None)):
+            path = tmp_path / "m.bin"
+            save_checkpoint(str(path), spec, build_model(spec, 1))
+            raw = path.read_bytes()
+            header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+            assert header["spec"].get("conv_dtype") == key
+            assert load_checkpoint(str(path))[0] == spec
 
     @pytest.mark.parametrize("legacy_dropout_p", [False, True])
     def test_loaded_model_produces_identical_logits(self, tmp_path, legacy_dropout_p):

@@ -237,22 +237,27 @@ class TestConvOps:
                             assert got.shape == ref.shape
                             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n, size, cout, chunk_bytes", [
-        (2, (5, 6), 4, None),
+    @pytest.mark.parametrize("dtype, n, size, cout, chunk_bytes, chunks", [
+        ("float64", 2, (5, 6), 4, None, None),
         # 16-row chunks that start inside output lines and images (k = 3,
         # p = 1: 25 rows per image, 175 in all), plus a 15-row tail
-        (7, (5, 5), 5, 1),
-    ], ids=["one-chunk", "chunked"])
-    def test_conv2d_is_byte_identical_to_kept_patches(self, n, size, cout, chunk_bytes,
-                                                       monkeypatch):
+        ("float64", 7, (5, 5), 5, 1, (11, slice(160, 175))),
+        ("float32", 2, (5, 6), 4, None, None),
+        # float32 chunks are whole 256-row tiles: one tile, then a tile and
+        # a 63-row tail (575 rows), which the last product pads with zeros
+        ("float32", 23, (5, 5), 5, 1, (2, slice(256, 575))),
+    ], ids=["one-chunk", "chunked", "one-chunk-float32", "chunked-float32"])
+    def test_conv2d_is_byte_identical_to_kept_patches(self, dtype, n, size, cout, chunk_bytes,
+                                                       chunks, monkeypatch):
         # Graph mode keeps only the input, multiplies the im2col patches in row
         # chunks and rebuilds them all in the backward; the output and all three
         # gradients must equal, bit for bit, the formula that built the
-        # patches once and kept them until the backward.
+        # patches once and kept them until the backward, in the same dtype.
         if chunk_bytes is not None:
             monkeypatch.setattr(tensor, "_CONV_CHUNK_BYTES", chunk_bytes)
-            chunks = tensor._row_chunks(n * size[0] * size[1], tensor._chunk_rows(chunk_bytes, 1))
-            assert len(chunks) == 11 and chunks[-1] == slice(160, 175)
+            align = tensor._ROW_ALIGN if dtype == "float64" else tensor._TILE_ROWS
+            got = tensor._row_chunks(n * size[0] * size[1], tensor._chunk_rows(chunk_bytes, 1, align))
+            assert (len(got), got[-1]) == chunks
         h, wd = size
         rng = np.random.default_rng(7)
         for cin in (1, 3):
@@ -262,17 +267,39 @@ class TestConvOps:
                     w = rng.normal(size=(cout, cin, k, k))
                     b = rng.normal(size=cout)
                     g = rng.normal(size=(n, cout, h + 1 + 2 * p - k, wd + 1 + 2 * p - k))
-                    want = _kept_patches_conv(x, w, b, p, g)
+                    want = _kept_patches_conv(x, w, b, p, g, np.dtype(dtype))
                     channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
                     for stored in (x, channels_last):
                         tx = Tensor(stored, requires_grad=True)
                         tw = Tensor(w, requires_grad=True)
                         tb = Tensor(b, requires_grad=True)
-                        y = conv2d(tx, tw, tb, padding=p)
+                        with tensor._conv_dtype(dtype):
+                            y = conv2d(tx, tw, tb, padding=p)
                         (y * Tensor(g)).sum().backward()
                         for got, ref in zip((y.data, tx.grad, tw.grad, tb.grad), want):
                             assert got.shape == ref.shape
                             assert np.array_equal(got, ref), (cin, k, p)
+
+    def test_float32_conv2d_returns_float64_data_and_gradients(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(3, 2, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        with tensor._conv_dtype("float32"):
+            y = conv2d(x, w, b)
+            with no_grad():
+                y_no_grad = conv2d(x, w, b)
+        y.sum().backward()   # the backward runs after the setting is gone
+        for a in (y.data, y_no_grad.data, x.grad, w.grad, b.grad):
+            assert a.dtype == np.float64
+        assert np.array_equal(y.data, y_no_grad.data)
+        # it did compute in float32: the product is not the float64 one
+        assert not np.array_equal(y.data, conv2d(x, w, b).data)
+
+    def test_conv_dtype_outside_float32_and_float64_rejected(self):
+        with pytest.raises(ValueError, match="float16"):
+            with tensor._conv_dtype("float16"):
+                pass
 
     def test_conv2d_output_is_channels_last_in_memory(self):
         # The speed of conv2d rests on this layout; the NCHW shape is a view.
@@ -332,26 +359,37 @@ class TestCrossEntropyValues:
             cross_entropy(Tensor(np.zeros((1, 4))), np.array([4]))
 
 
-def _kept_patches_conv(x, w, b, p, g):
-    """conv2d's im2col formula with the patches built once in the forward and
-    reused by the backward: the output and the gradients of sum(out * g) with
-    respect to x, w and b."""
+def _fixed_height(a, b):
+    """``a @ b`` as products of exactly 256 rows, the last one zero-padded:
+    how ``conv2d`` multiplies float32 rows."""
+    pad = -len(a) % 256
+    a = np.concatenate([a, np.zeros((pad, a.shape[1]), a.dtype)])
+    return np.concatenate([a[i:i + 256] @ b for i in range(0, len(a), 256)])[:len(a) - pad]
+
+
+def _kept_patches_conv(x, w, b, p, g, dtype):
+    """conv2d's im2col formula in compute dtype ``dtype``, with the patches
+    built once in the forward and reused by the backward: the float64 output
+    and gradients of sum(out * g) with respect to x, w and b."""
+    rows = np.matmul if dtype == np.float64 else _fixed_height
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     ho, wo = h + 2 * p - k + 1, wd + 2 * p - k + 1
-    xp = np.zeros((n, h + 2 * p, wd + 2 * p, cin))
+    xp = np.zeros((n, h + 2 * p, wd + 2 * p, cin), dtype)
     xp[:, p:p + h, p:p + wd] = x.transpose(0, 2, 3, 1)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
-    wmat = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)
-    out = patches @ wmat
+    wmat = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype)
+    out = rows(patches, wmat).astype(np.float64)
     out += b
     gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
+    gb = gmat.sum(axis=0)
+    gmat = gmat.astype(dtype)
     dw = (patches.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
-    gxp = np.zeros(xp.shape)
+    gxp = np.zeros(xp.shape, dtype)
     for dy in range(k):
         for dx in range(k):
             tap = wmat[(dy * k + dx) * cin:(dy * k + dx + 1) * cin]
-            gxp[:, dy:dy + ho, dx:dx + wo] += (gmat @ tap.T).reshape(n, ho, wo, cin)
-    dx = gxp[:, p:p + h, p:p + wd].transpose(0, 3, 1, 2)
-    return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), dx, dw, gmat.sum(axis=0)
+            gxp[:, dy:dy + ho, dx:dx + wo] += rows(gmat, tap.T).reshape(n, ho, wo, cin)
+    dx = gxp[:, p:p + h, p:p + wd].transpose(0, 3, 1, 2).astype(np.float64)
+    return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), dx, dw.astype(np.float64), gb
