@@ -9,9 +9,10 @@ once and a value used k times accumulates the sum of its k path gradients.
 Deliberate restrictions, chosen for the small models this library trains:
 
 * every tensor, gradient and op result is float64. The one exception is
-  the arithmetic inside :func:`conv2d`, which runs in the thread's conv
-  compute dtype (float64 unless :func:`_conv_dtype` sets float32) and
-  returns float64 all the same;
+  the arithmetic inside :func:`conv2d` (im2col GEMMs for the forward and
+  the weight gradient, and a transposed convolution for the input
+  gradient), which runs in the thread's conv compute dtype (float64
+  unless :func:`_conv_dtype` sets float32) and returns float64 all the same;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -484,6 +485,26 @@ def _row_chunks(n: int, rows: int) -> list[slice]:
 # -- convolution and pooling -------------------------------------------------
 
 
+def _windows(a: np.ndarray, q: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """[N, Ho, Wo, k, k, C] sliding ``k`` x ``k`` windows over a fresh
+    ``dtype`` copy of the channels-last ``a`` [N, H, W, C], zero-padded by
+    ``q`` on each side of H and W, or cropped by ``-q`` when ``q`` < 0."""
+    if q >= 0:
+        n, h, w, c = a.shape
+        ap = np.zeros((n, h + 2 * q, w + 2 * q, c), dtype)
+        ap[:, q:q + h, q:q + w] = a
+    else:
+        ap = np.ascontiguousarray(a[:, -q:q, -q:q], dtype=dtype)
+    view = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(1, 2))
+    return view.transpose(0, 1, 2, 4, 5, 3)
+
+
+def _im2col(win: np.ndarray) -> np.ndarray:
+    """The [N*Ho*Wo, k*k*C] patch rows of ``_windows``' view, C innermost."""
+    k, c = win.shape[3], win.shape[5]
+    return np.ascontiguousarray(win).reshape(-1, k * k * c)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) -> Tensor:
     """2-d convolution, stride 1.
 
@@ -496,25 +517,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     is an NCHW view of the output buffer. An input in either memory layout
     is accepted; the padding copy converts it.
 
+    The input gradient is a transposed convolution: the channels-last
+    output gradient, padded by k-1-p on each side (cropped when p > k-1),
+    goes through the same im2col as the input, into [N*H*W, k*k*Cout] rows,
+    and one GEMM with the flipped kernel [k*k*Cout, Cin] gives dX. The
+    weight gradient is the GEMM of the input's patches with the output
+    gradient, and runs only when the weight requires a gradient.
+
     The arithmetic runs in the thread's compute dtype (``_conv_dtype``;
-    float64 unless set): the padded input, the im2col patches, the forward
-    GEMM, the backward's rebuilt patches and its weight and input GEMMs, and
-    the input-gradient accumulator. The output and all three gradients are
-    float64 whatever the compute dtype; the bias is added, and its gradient
-    summed, in float64. The row-indexed products (the forward and the
-    input-gradient taps) run through ``_row_matmul``.
+    float64 unless set): the padded input and output gradient, their im2col
+    patches and the forward, weight and input GEMMs. The output and all
+    three gradients are float64 whatever the compute dtype; the bias is
+    added, and its gradient summed, in float64. The row-indexed products
+    (the forward and the input gradient) run through ``_row_matmul``.
 
     In graph mode the node keeps only its input, which its parent holds
     anyway: the forward builds the patches one row chunk of about
     ``_CONV_CHUNK_BYTES`` at a time, each chunk's product filling its own
     rows of the output, and the backward rebuilds all the patches from
-    ``x.data`` for the weight gradient. The chunks start on ``_ROW_ALIGN``
-    rows in float64 and are whole ``_TILE_ROWS`` tiles in float32, and they
-    are the same patches in the same order, so the output and every
-    gradient are bit-identical to one product over kept patches, at the
-    cost of one more im2col copy per backward and no extra GEMM. The no-grad
-    forward, which ``layers.row_blocks`` already bounds, multiplies all its
-    patches at once.
+    ``x.data`` for the weight gradient, then releases them before it builds
+    the gradient's patches. The chunks start on ``_ROW_ALIGN`` rows in
+    float64 and are whole ``_TILE_ROWS`` tiles in float32, and they are the
+    same patches in the same order, so the output and every gradient are
+    bit-identical to one product over kept patches, at the cost of one more
+    im2col copy per backward and no extra GEMM. The no-grad forward, which
+    ``layers.row_blocks`` already bounds, multiplies all its patches at once.
     """
     X, W, B = x.data, weight.data, bias.data
     if X.ndim != 4 or W.ndim != 4:
@@ -537,22 +564,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     ho = h + 2 * p - k + 1
     wo = w + 2 * p - k + 1
     m = n * ho * wo
-    padded = (n, h + 2 * p, w + 2 * p, cin)
     dtype = _conv_compute_dtype()
-
-    def windows():
-        """[N, Ho, Wo, k, k, Cin] view of a freshly padded channels-last input."""
-        xp = np.zeros(padded, dtype)
-        xp[:, p:p + h, p:p + w] = x.data.transpose(0, 2, 3, 1)
-        view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-        return view.transpose(0, 1, 2, 4, 5, 3)
-
-    def im2col():
-        # [N, Ho, Wo, k, k, Cin] -> [N*Ho*Wo, k*k*Cin]
-        return np.ascontiguousarray(windows()).reshape(m, k * k * cin)
+    xl = X.transpose(0, 2, 3, 1)   # channels-last view
 
     def patch_rows(win, rows):
-        """Rows ``rows`` of ``im2col()``, copied from the output lines they touch."""
+        """Rows ``rows`` of ``_im2col(win)``, copied from the output lines they touch."""
         l0, l1 = rows.start // wo, -(-rows.stop // wo)   # lines are (image, y) pairs
         lines = np.empty((l1 - l0, wo, k, k, cin), dtype)
         for i in range(l0 // ho, -(-l1 // ho)):
@@ -566,30 +582,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
             # The padded input comes before the output buffer on purpose: the
             # other order packed the heap tighter, but glibc then trimmed and
             # refaulted it on every training step.
-            win = windows()
+            win = _windows(xl, p, k, dtype)
             out = np.empty((m, cout))
             align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
             for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin,
                                                    align)):
                 _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
         else:
-            out = _row_matmul(im2col(), wmat, out=np.empty((m, cout)))
+            out = _row_matmul(_im2col(_windows(xl, p, k, dtype)), wmat, out=np.empty((m, cout)))
         out += B
 
     def back(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)
         _accumulate(bias, gmat.sum(axis=0))
         gmat = gmat.astype(dtype, copy=False)
-        dw = (im2col().T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
-        _accumulate(weight, np.ascontiguousarray(dw, dtype=np.float64))
+        if weight.requires_grad:
+            dw = _im2col(_windows(xl, p, k, dtype)).T @ gmat
+            _accumulate(weight, np.ascontiguousarray(dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1),
+                                                     dtype=np.float64))
         if x.requires_grad:
-            gxp = np.zeros(padded, dtype)
-            for dy in range(k):
-                for dx in range(k):
-                    # [N*Ho*Wo, Cout] x [Cout, Cin] -> [N, Ho, Wo, Cin]
-                    tap = wmat[(dy * k + dx) * cin:(dy * k + dx + 1) * cin]
-                    gxp[:, dy:dy + ho, dx:dx + wo] += _row_matmul(gmat, tap.T).reshape(n, ho, wo, cin)
-            _accumulate(x, gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2).astype(np.float64, copy=False))
+            # The transposed convolution: the output gradient padded by
+            # k-1-p, convolved with the flipped kernel, Cout and Cin swapped.
+            wflip = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+            gpatches = _im2col(_windows(gmat.reshape(n, ho, wo, cout), k - 1 - p, k, dtype))
+            gx = _row_matmul(gpatches, wflip.astype(dtype, copy=False), out=np.empty((n * h * w, cin)))
+            _accumulate(x, gx.reshape(n, h, w, cin).transpose(0, 3, 1, 2))
 
     return _from_op(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), (x, weight, bias), "conv2d", back)
 

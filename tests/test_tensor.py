@@ -217,25 +217,54 @@ class TestConvOps:
     def test_conv2d_matches_einsum_reference_in_both_layouts(self):
         # Forward and all three gradients against an einsum over the same
         # sliding windows, for inputs stored NCHW and channels-last.
+        # p > k-1 (k = 1 with p = 1, k = 3 with p = 3) crops the output
+        # gradient before the input gradient's transposed convolution.
         rng = np.random.default_rng(5)
         for cin in (1, 3):
-            for k in (1, 3):
-                for p in (0, k // 2):
-                    x = rng.normal(size=(2, cin, 5, 6))
-                    w = rng.normal(size=(4, cin, k, k))
-                    b = rng.normal(size=4)
-                    g = rng.normal(size=(2, 4, 6 + 2 * p - k, 7 + 2 * p - k))
-                    want = _conv_reference(x, w, b, p, g)
-                    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-                    for stored in (x, channels_last):
-                        tx = Tensor(stored, requires_grad=True)
-                        tw = Tensor(w, requires_grad=True)
-                        tb = Tensor(b, requires_grad=True)
-                        y = conv2d(tx, tw, tb, padding=p)
-                        (y * Tensor(g)).sum().backward()
-                        for got, ref in zip((y.data, tx.grad, tw.grad, tb.grad), want):
-                            assert got.shape == ref.shape
-                            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            for k, p in ((1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (5, 0), (5, 2)):
+                x = rng.normal(size=(2, cin, 5, 6))
+                w = rng.normal(size=(4, cin, k, k))
+                b = rng.normal(size=4)
+                g = rng.normal(size=(2, 4, 6 + 2 * p - k, 7 + 2 * p - k))
+                want = _conv_reference(x, w, b, p, g)
+                channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+                for stored in (x, channels_last):
+                    tx = Tensor(stored, requires_grad=True)
+                    tw = Tensor(w, requires_grad=True)
+                    tb = Tensor(b, requires_grad=True)
+                    y = conv2d(tx, tw, tb, padding=p)
+                    (y * Tensor(g)).sum().backward()
+                    for got, ref in zip((y.data, tx.grad, tw.grad, tb.grad), want):
+                        assert got.shape == ref.shape
+                        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, p", [(1, 0), (3, 1), (3, 3), (5, 2)])
+    def test_float32_conv2d_matches_float64_reference_to_float32_rounding(self, k, p):
+        # Each entry of the output and of dX and dW is a sum of K products
+        # whose factors are rounded to float32 (relative error u = eps32/2
+        # each, so 2u per product) and summed in float32 (at most K*u of
+        # the sum of the magnitudes, whatever the order or blocking). So an
+        # entry differs from the float64 one by at most (K + 2) * u times
+        # the same sum over |x|, |w| and |g|; this allows twice that.
+        # K is k*k*Cin for the output, k*k*Cout for dX and N*Ho*Wo for dW.
+        # The bias and its gradient are float64.
+        rng = np.random.default_rng(11)
+        n, cin, cout, h, wd = 5, 3, 4, 8, 8   # 320 rows: two float32 tiles
+        x = rng.normal(size=(n, cin, h, wd))
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        g = rng.normal(size=(n, cout, h + 2 * p - k + 1, wd + 2 * p - k + 1))
+        want = _conv_reference(x, w, b, p, g)
+        bound = _conv_reference(np.abs(x), np.abs(w), np.zeros(cout), p, np.abs(g))
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        with tensor._conv_dtype("float32"):
+            y = conv2d(tx, tw, tb, padding=p)
+        (y * Tensor(g)).sum().backward()
+        terms = (k * k * cin, k * k * cout, g.shape[0] * g.shape[2] * g.shape[3])
+        for got, ref, mag, K in zip((y.data, tx.grad, tw.grad), want, bound, terms):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= (K + 2) * np.finfo(np.float32).eps * mag + 1e-12)
+        np.testing.assert_allclose(tb.grad, want[3], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype, n, size, cout, chunk_bytes, chunks", [
         ("float64", 2, (5, 6), 4, None, None),
@@ -279,6 +308,25 @@ class TestConvOps:
                         for got, ref in zip((y.data, tx.grad, tw.grad, tb.grad), want):
                             assert got.shape == ref.shape
                             assert np.array_equal(got, ref), (cin, k, p)
+
+    def test_conv2d_backward_builds_weight_patches_only_for_a_trained_weight(self, monkeypatch):
+        # The backward's im2col runs once for dW ([.., k, k, Cin] windows)
+        # and once for dX ([.., k, k, Cout]); a constant weight skips the
+        # first, and dX keeps its bits.
+        shapes = []
+        im2col = tensor._im2col
+        monkeypatch.setattr(tensor, "_im2col", lambda win: shapes.append(win.shape[3:]) or im2col(win))
+        rng = np.random.default_rng(12)
+        x, w, b = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        grads = []
+        for trained in (True, False):
+            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=trained)
+            shapes.clear()
+            conv2d(tx, tw, Tensor(b)).sum().backward()
+            assert shapes == [(3, 3, 3), (3, 3, 4)][not trained:]
+            assert (tw.grad is not None) == trained
+            grads.append(tx.grad)
+        assert np.array_equal(*grads)
 
     def test_float32_conv2d_returns_float64_data_and_gradients(self):
         rng = np.random.default_rng(9)
@@ -369,8 +417,9 @@ def _fixed_height(a, b):
 
 def _kept_patches_conv(x, w, b, p, g, dtype):
     """conv2d's im2col formula in compute dtype ``dtype``, with the patches
-    built once in the forward and reused by the backward: the float64 output
-    and gradients of sum(out * g) with respect to x, w and b."""
+    built once in the forward and reused by the backward, and dX as one
+    product over the output gradient's patches: the float64 output and
+    gradients of sum(out * g) with respect to x, w and b."""
     rows = np.matmul if dtype == np.float64 else _fixed_height
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
@@ -386,10 +435,13 @@ def _kept_patches_conv(x, w, b, p, g, dtype):
     gb = gmat.sum(axis=0)
     gmat = gmat.astype(dtype)
     dw = (patches.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
-    gxp = np.zeros(xp.shape, dtype)
-    for dy in range(k):
-        for dx in range(k):
-            tap = wmat[(dy * k + dx) * cin:(dy * k + dx + 1) * cin]
-            gxp[:, dy:dy + ho, dx:dx + wo] += rows(gmat, tap.T).reshape(n, ho, wo, cin)
-    dx = gxp[:, p:p + h, p:p + wd].transpose(0, 3, 1, 2).astype(np.float64)
+    # dX: the output gradient padded by k-1-p (cropped when p > k-1), its
+    # patches kept, times the flipped kernel with Cout and Cin swapped
+    q = k - 1 - p
+    gp = gmat.reshape(n, ho, wo, cout)
+    gp = np.pad(gp, ((0, 0), (q, q), (q, q), (0, 0))) if q >= 0 else gp[:, -q:q, -q:q]
+    gwindows = np.lib.stride_tricks.sliding_window_view(gp, (k, k), axis=(1, 2))
+    gpatches = np.ascontiguousarray(gwindows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * wd, k * k * cout)
+    wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin).astype(dtype)
+    dx = rows(gpatches, wflip).reshape(n, h, wd, cin).transpose(0, 3, 1, 2).astype(np.float64)
     return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), dx, dw.astype(np.float64), gb
