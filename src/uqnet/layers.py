@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .tensor import (Tensor, ShapeError, _chunk_rows, _conv_dtype, _row_chunks, conv2d, global_avg_pool,
-                     no_grad)
+from .tensor import (Tensor, ShapeError, _chunk_rows, _conv_dtype, _row_chunks, _run_deferred, conv2d,
+                     global_avg_pool, no_grad)
 
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
 MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled at evaluation
@@ -462,9 +462,11 @@ def row_blocks(spec: ModelSpec, x) -> list[tuple[slice, Tensor]]:
 
 def eval_heads(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`head_forward` of the deterministic forward as [batch, n_classes]
-    arrays, computed in row blocks with no graph recording."""
+    arrays, computed in row blocks with no graph recording. Each block's
+    head outputs are checked for NaN/Inf once, not each op
+    (``tensor._run_deferred``)."""
     with no_grad():
-        heads = [head_forward(params, spec, body_forward(params, spec, xb))
+        heads = [_run_deferred(lambda: head_forward(params, spec, body_forward(params, spec, xb)))
                  for _, xb in row_blocks(spec, x)]
     out = np.concatenate([o.data for o, _ in heads])
     if heads[0][1] is None:

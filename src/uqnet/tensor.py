@@ -17,7 +17,11 @@ Deliberate restrictions, chosen for the small models this library trains:
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
   :class:`NonFiniteError` naming the offending op and node (toggleable via
-  :func:`set_finite_checks`).
+  :func:`set_finite_checks`), except inside the thread's
+  :func:`_deferred_checks` scope. Training steps and evaluation row blocks
+  run there and check what comes out once (the loss and the gradients, the
+  head outputs); only when that check fails do they run the work again with
+  per-op checks, to name the op.
 """
 
 from __future__ import annotations
@@ -112,6 +116,48 @@ def finite_checks(enabled: bool):
         set_finite_checks(prev)
 
 
+@contextmanager
+def _deferred_checks():
+    """Skip the finite check of every op result and leaf made in the current
+    thread for the duration, with numpy's floating-point warnings off.
+
+    A NaN or Inf then flows on through the ops after it (which would warn),
+    and the caller checks what comes out once with :func:`_all_finite`. NaN
+    and Inf survive every op the models use, with two exceptions that the
+    per-op checks catch and this one does not: relu maps -Inf to 0, and
+    clip caps an Inf (the variational head's log-variance).
+    """
+    prev = getattr(_tls, "defer_checks", False)
+    _tls.defer_checks = True
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _tls.defer_checks = prev
+
+
+def _all_finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _run_deferred(forward, replay=None):
+    """``forward()`` inside :func:`_deferred_checks`, with the tensors it
+    returns (a tuple; None entries are skipped) checked once at the end.
+
+    If finite checks are on and one of them holds NaN or Inf, ``replay``
+    (``forward`` by default), which must redo the same arithmetic, runs
+    again with per-op checks, so the first non-finite op raises its
+    :class:`NonFiniteError` as it would have without the scope.
+    """
+    with _deferred_checks():
+        result = forward()
+    if _FINITE_CHECKS and not _all_finite(*(t.data for t in result if t is not None)):
+        with np.errstate(all="ignore"):
+            (replay or forward)()
+        raise NonFiniteError("non-finite outputs, but no op raised when the work was run again")
+    return result
+
+
 def _checked(data: np.ndarray, op: str, node_id: int) -> np.ndarray:
     if _FINITE_CHECKS and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op '{op}' produced non-finite values (node {node_id})")
@@ -135,7 +181,8 @@ class Tensor:
         self.op = "leaf"
         self._parents = ()
         self._backward = None
-        _checked(self.data, "leaf", self.node_id)
+        if not getattr(_tls, "defer_checks", False):
+            _checked(self.data, "leaf", self.node_id)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -221,7 +268,8 @@ def _from_op(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     out.op = op
     out._parents = parents if track else ()
     out._backward = backward if track else None
-    _checked(data, op, out.node_id)
+    if not getattr(_tls, "defer_checks", False):
+        _checked(data, op, out.node_id)
     return out
 
 
@@ -258,8 +306,10 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: unsupported shapes {A.shape} + {B.shape}")
 
     def back(g):
-        _accumulate(a, _sum_to(g, A.shape))
-        _accumulate(b, _sum_to(g, B.shape))
+        if a.requires_grad:
+            _accumulate(a, _sum_to(g, A.shape))
+        if b.requires_grad:
+            _accumulate(b, _sum_to(g, B.shape))
 
     return _from_op(A + B, (a, b), "add", back)
 
@@ -270,8 +320,10 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: unsupported shapes {A.shape} * {B.shape}")
 
     def back(g):
-        _accumulate(a, _sum_to(g * B, A.shape))
-        _accumulate(b, _sum_to(g * A, B.shape))
+        if a.requires_grad:
+            _accumulate(a, _sum_to(g * B, A.shape))
+        if b.requires_grad:
+            _accumulate(b, _sum_to(g * A, B.shape))
 
     return _from_op(A * B, (a, b), "mul", back)
 
@@ -282,8 +334,10 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: expected 2-d operands with matching inner dim, got {A.shape} @ {B.shape}")
 
     def back(g):
-        _accumulate(a, g @ B.T)
-        _accumulate(b, A.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ B.T)
+        if b.requires_grad:
+            _accumulate(b, A.T @ g)
 
     with np.errstate(over="ignore", invalid="ignore"):
         data = A @ B
@@ -455,20 +509,23 @@ def _chunk_rows(budget: int, row_bytes: int, align: int = _ROW_ALIGN) -> int:
 
 def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b``, into ``out`` when given (which may be float64 for a float32
-    product). A float64 product is one GEMM. A float32 product is a run of
-    GEMMs of exactly ``_TILE_ROWS`` rows, the last one zero-padded, each
-    writing its rows into ``out``; so each output row depends on its own row
-    of ``a`` and on ``b``, not on how many rows came before or after it."""
+    product). A float64 product is one GEMM. A float32 product runs as GEMMs
+    of exactly ``_TILE_ROWS`` rows, so each output row depends on its own row
+    of ``a`` and on ``b``, not on how many rows came before or after it: the
+    whole tiles go through one stacked ``np.matmul``, which issues one sgemm
+    per tile, and the rest as one zero-padded tile."""
     if a.dtype == np.float64:
         return np.matmul(a, b, out=out)
-    m = a.shape[0]
+    m, k = a.shape
     if out is None:
         out = np.empty((m, b.shape[1]), a.dtype)
-    for lo in range(0, m, _TILE_ROWS):
-        rows = a[lo:lo + _TILE_ROWS]
-        if len(rows) < _TILE_ROWS:
-            rows = np.concatenate([rows, np.zeros((_TILE_ROWS - len(rows), a.shape[1]), a.dtype)])
-        out[lo:lo + _TILE_ROWS] = (rows @ b)[:m - lo]
+    whole = m // _TILE_ROWS * _TILE_ROWS
+    if whole:
+        out[:whole] = np.matmul(a[:whole].reshape(-1, _TILE_ROWS, k), b).reshape(whole, -1)
+    if whole < m:
+        tail = np.zeros((_TILE_ROWS, k), a.dtype)
+        tail[:m - whole] = a[whole:]
+        out[whole:] = (tail @ b)[:m - whole]
     return out
 
 

@@ -11,7 +11,7 @@ from .data import Dataset
 from .layers import ModelParams, ModelSpec, body_forward, eval_heads, head_forward
 from .losses import LossBreakdown, objective
 from .optim import OptimizerConfig
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError, Tensor, _all_finite, _deferred_checks
 
 
 class TrainingDivergedError(RuntimeError):
@@ -67,6 +67,28 @@ def _deterministic_eval(params: ModelParams, spec: ModelSpec, ds: Dataset,
     return breakdown, float((out.argmax(axis=1) == ds.labels).mean())
 
 
+def _raise_diverged(step: int, epoch: int, forward, breakdown: LossBreakdown,
+                    params: ModelParams):
+    """Raise :class:`TrainingDivergedError` for a step whose loss or gradients
+    are not finite, saying why.
+
+    ``forward`` runs the step's forward again with per-op finite checks, on
+    the same parameters, batch, dropout masks and noise (``opt.step()`` has
+    not run), so the first non-finite op names itself. If none does, the
+    non-finite value is the loss (finite checks switched off) or arose in the
+    backward, and the first parameter with a non-finite gradient is named.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            forward()
+    except NonFiniteError as e:
+        raise TrainingDivergedError(step, epoch, str(e)) from e
+    if not np.isfinite(breakdown.total):
+        raise TrainingDivergedError(step, epoch, f"loss = {breakdown.total}")
+    name = next(n for n, t in params.tensors.items() if t.grad is not None and not _all_finite(t.grad))
+    raise TrainingDivergedError(step, epoch, f"gradient of {name!r} is not finite")
+
+
 def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Dataset,
           cfg: TrainConfig, seed: int) -> TrainResult:
     """Train in place; return the best-validation parameter snapshot and log.
@@ -80,7 +102,10 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
 
     Fully deterministic in (initial params, datasets, cfg, seed): batch
     order, dropout masks, and reparameterization noise all come from
-    streams keyed by the seed and the step/epoch index.
+    streams keyed by the seed and the step/epoch index. Each step's ops skip
+    their own finite checks; the step's loss and parameter gradients are
+    checked once before the update, and a failure raises
+    :class:`TrainingDivergedError` through :func:`_raise_diverged`.
     """
     if spec.input_shape != train_ds.input_shape:
         raise ValueError(f"model expects inputs {spec.input_shape}, "
@@ -100,30 +125,33 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
         order = _rng.stream(seed, _rng.NS_TRAIN_SHUFFLE, epoch).permutation(train_ds.n)
         for lo in range(0, train_ds.n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            x = Tensor(train_ds.inputs[idx])
             y = train_ds.labels[idx]
-            pass_rng = _rng.PassRng(seed, step, _rng.NS_TRAIN_DROPOUT)
-            try:
-                # Rebinding out and loss frees the previous step's graph only
-                # here, so two graphs coexist during this forward. Dropping it
-                # after opt.step() (loss = out = None) lowered the peak RSS,
-                # but glibc then trimmed and refaulted the heap every step:
-                # on the benchmark's conv-train, 114k-137k minor faults per
-                # training against 8k, and 10-20 % more train time.
+
+            def forward():
+                x = Tensor(train_ds.inputs[idx])
+                pass_rng = _rng.PassRng(seed, step, _rng.NS_TRAIN_DROPOUT)
                 out, logvar = head_forward(params, spec, body_forward(params, spec, x, pass_rng))
                 eps = (None if logvar is None else
                        _rng.stream(seed, _rng.NS_TRAIN_NOISE, step).standard_normal(out.shape))
-                loss, breakdown = objective(out, logvar, y, cfg.beta, eps)
-                if not np.isfinite(breakdown.total):
-                    raise TrainingDivergedError(step, epoch, f"loss = {breakdown.total}")
-                ce_sum += breakdown.cross_entropy * len(idx)
-                kld_sum += breakdown.kld * len(idx)
-                correct += int((out.data.argmax(axis=1) == y).sum())
+                return (out, logvar, *objective(out, logvar, y, cfg.beta, eps))
+
+            # Rebinding out and loss frees the previous step's graph only
+            # here, so two graphs coexist during this forward. Dropping it
+            # after opt.step() (loss = out = None) lowered the peak RSS,
+            # but glibc then trimmed and refaulted the heap every step:
+            # on the benchmark's conv-train, 114k-137k minor faults per
+            # training against 8k, and 10-20 % more train time.
+            with _deferred_checks():
+                out, logvar, loss, breakdown = forward()
                 opt.zero_grad()
                 loss.backward()
-                opt.step()
-            except NonFiniteError as e:
-                raise TrainingDivergedError(step, epoch, str(e)) from e
+            if not (np.isfinite(breakdown.total)
+                    and _all_finite(*(t.grad for t in params.tensors.values() if t.grad is not None))):
+                _raise_diverged(step, epoch, forward, breakdown, params)
+            ce_sum += breakdown.cross_entropy * len(idx)
+            kld_sum += breakdown.kld * len(idx)
+            correct += int((out.data.argmax(axis=1) == y).sum())
+            opt.step()
             step += 1
 
         ce, kld = ce_sum / train_ds.n, kld_sum / train_ds.n

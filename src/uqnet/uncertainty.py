@@ -33,7 +33,7 @@ import numpy as np
 from . import rng as _rng
 from .layers import (MC_VARIANTS, ModelParams, ModelSpec, eval_heads, forward_range,
                      head_forward, row_blocks)
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, _deferred_checks, _run_deferred, no_grad
 
 
 @dataclass
@@ -46,6 +46,8 @@ class PosteriorSamples:
     def __post_init__(self):
         if self.samples.ndim not in (2, 3):
             raise ValueError(f"expected [T, C] or [T, N, C] samples, got {self.samples.shape}")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("sample probabilities must be finite")
         row_sums = self.samples.sum(axis=-1)
         if np.abs(row_sums - 1.0).max() > 1e-9:
             raise ValueError("each sample row must sum to 1")
@@ -82,12 +84,18 @@ class VariationalOutput:
     samples: np.ndarray | None = None  # [S, *mu.shape]
 
     def __post_init__(self):
-        if np.any(self.sigma2 <= 0):
-            raise ValueError("sigma2 must be strictly positive")
+        _check_gaussian(self.mu, self.sigma2)
 
     @property
     def predicted_label(self):
         return _label(self.mu)
+
+
+def _check_gaussian(mu: np.ndarray, sigma2: np.ndarray) -> None:
+    if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
+        raise ValueError("mu and sigma2 must be finite")
+    if np.any(sigma2 <= 0):
+        raise ValueError("sigma2 must be strictly positive")
 
 
 def _label(scores: np.ndarray):
@@ -135,6 +143,11 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
     keeps across blocks, so the result is bit-identical to T independent
     full-batch passes no matter how the passes are scheduled; with
     ``workers > 1`` they run on one thread pool for the whole call.
+
+    Each pass checks its logits for NaN/Inf once per block, not each op
+    (``tensor._run_deferred``); the shared prefix is checked through them.
+    When a check fails, that pass runs again from the first row with per-op
+    checks to name the op.
     """
     if spec.variant not in MC_VARIANTS:
         raise ValueError(f"MC dropout needs a bayesian1/bayesian2 model, got {spec.variant!r}")
@@ -148,16 +161,26 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
     pass_rngs = [_rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT) for t in range(T)]
     out = np.empty((T, blocks[-1][0].stop, spec.n_classes))
 
+    def replay(t: int, stop: int) -> None:
+        """Pass t again over the rows before ``stop``, whole and from fresh
+        streams, which redraws the masks it drew."""
+        pass_rng = _rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT)
+        for rows, xb in blocks:
+            if rows.start < stop:
+                head_forward(params, spec, forward_range(params, spec, xb, 0, end, pass_rng))
+
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for rows, xb in blocks:
-            with no_grad():
+            with no_grad(), _deferred_checks():
                 prefix = forward_range(params, spec, xb, 0, first)
 
             def one_pass(t: int) -> None:
                 with no_grad():
-                    h = forward_range(params, spec, prefix, first, end, pass_rngs[t])
-                    logits, _ = head_forward(params, spec, h)
-                    out[t, rows] = np_softmax(logits.data)
+                    logits, _ = _run_deferred(
+                        lambda: head_forward(params, spec, forward_range(params, spec, prefix, first, end,
+                                                                         pass_rngs[t])),
+                        lambda: replay(t, rows.stop))
+                out[t, rows] = np_softmax(logits.data)
 
             list((pool.map if pool else map)(one_pass, range(T)))
     return out
@@ -195,8 +218,7 @@ def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: in
     """
     mu = np.asarray(mu, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if np.any(sigma2 <= 0):
-        raise ValueError("sigma2 must be strictly positive")
+    _check_gaussian(mu, sigma2)
     if eps is None:
         eps = _batched_eval_noise(seed, S, mu.shape)
     else:

@@ -1,5 +1,8 @@
 """Core autodiff engine: forward values, backward values, graph semantics."""
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,6 +187,75 @@ class TestFiniteChecks:
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
+
+
+class TestDeferredChecks:
+    """Inside ``_deferred_checks`` the current thread's ops and leaves skip
+    their finite check and numpy's warnings are off; ``_run_deferred`` checks
+    the outputs once and replays the work with per-op checks to name the op."""
+
+    def test_scope_skips_op_and_leaf_checks_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with tensor._deferred_checks():
+                y = Tensor([-1.0]).log() * Tensor([np.inf])
+            assert np.isnan(y.data[0])
+            with pytest.raises(NonFiniteError, match=r"op 'log' .*node"):
+                Tensor([-1.0]).log()
+
+    def test_scope_is_per_thread(self):
+        raised = []
+
+        def other_thread():
+            try:
+                Tensor([np.nan])
+            except NonFiniteError:
+                raised.append(True)
+
+        with tensor._deferred_checks():
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert raised == [True]
+
+    def test_run_deferred_replays_to_name_the_op(self):
+        calls = []
+
+        def work():
+            calls.append(1)
+            return Tensor([1.0]), None, Tensor([-1.0]).log().relu()
+
+        with pytest.raises(NonFiniteError, match=r"op 'log' .*node"):
+            tensor._run_deferred(work)
+        assert len(calls) == 2
+        out = tensor._run_deferred(lambda: (Tensor([2.0]).log(),))
+        assert out[0].data[0] == np.log(2.0)
+
+    def test_run_deferred_respects_disabled_checks(self):
+        with finite_checks(False):
+            (y,) = tensor._run_deferred(lambda: (Tensor([-1.0]).log(),))
+        assert np.isnan(y.data[0])
+
+
+class TestRowMatmul:
+    """float32 ``_row_matmul`` stacks its whole tiles into one ``np.matmul``
+    and equals a loop of zero-padded 256-row products byte for byte."""
+
+    @pytest.mark.parametrize("m", [1, 200, 256, 3 * 256, 3 * 256 + 17])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_equals_per_tile_products(self, m, n):
+        rng = np.random.default_rng(m + n)
+        for k in (9, 36, 144):
+            a = rng.normal(size=(m, k)).astype(np.float32)
+            b = rng.normal(size=(k, n)).astype(np.float32)
+            want = _fixed_height(a, b)
+            got = tensor._row_matmul(a, b)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+            into = np.empty((m, n))
+            tensor._row_matmul(a, b, out=into)
+            assert into.tobytes() == want.astype(np.float64).tobytes()
 
 
 class TestConvOps:

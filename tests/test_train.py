@@ -1,6 +1,7 @@
 """Training loop: determinism, logging, divergence, capacity sanity check."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from uqnet.data import Dataset, SplitSpec, split, synth_blobs
 from uqnet.layers import build_model, eval_heads, mlp_spec
 from uqnet.optim import OptimizerConfig
-from uqnet.tensor import Tensor, cross_entropy
+from uqnet.tensor import NonFiniteError, Tensor, cross_entropy
 from uqnet.train import TrainConfig, TrainingDivergedError, train
 from uqnet.uncertainty import kld_from_logvar
 
@@ -146,6 +147,46 @@ class TestFailureModes:
                           epochs=3, batch_size=64)
         with pytest.raises(TrainingDivergedError, match="step"):
             train(params, spec, tr, va, cfg, seed=4)
+
+    def test_divergence_replay_names_step_and_op(self):
+        # The step runs with per-op checks deferred; its non-finite loss makes
+        # it run again with them on, which names the op that per-op checking
+        # names, at the same step, without a numpy warning on the way.
+        tr, va, _ = quick_splits()
+        spec = mlp_spec(2, variant="baseline", hidden=32)
+        params = build_model(spec, 4)
+        cfg = TrainConfig(OptimizerConfig("sgd-momentum", lr=1e150, momentum=0.0),
+                          epochs=3, batch_size=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError,
+                               match=r"step 1 \(epoch 0\): op 'matmul' produced non-finite values") as info:
+                train(params, spec, tr, va, cfg, seed=4)
+        assert (info.value.step, info.value.epoch) == (1, 0)
+        assert isinstance(info.value.__cause__, NonFiniteError)
+
+    def test_backward_only_non_finite_gradient_names_parameter(self):
+        # Every forward value is finite, but the stem's weight gradient
+        # (huge inputs times a huge back-propagated gradient) overflows.
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(16, 2)) * 1e12, np.arange(16) % 4,
+                     ["a", "b", "c", "d"], "test")
+        spec = mlp_spec(2, variant="baseline", hidden=8)
+        params = build_model(spec, 0)
+        for name in params.names():
+            params[name].data[...] = 0.0
+        params["body.0.b"].data[...] = 1e-300
+        params["head.fc.w"].data[...] = rng.normal(size=params["head.fc.w"].shape) * 1e300
+        before = {n: params[n].data.copy() for n in params.names()}
+        cfg = TrainConfig(OptimizerConfig("sgd-momentum", lr=0.1, momentum=0.0),
+                          epochs=1, batch_size=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError,
+                               match=r"step 0 \(epoch 0\): gradient of 'body.0.w' is not finite"):
+                train(params, spec, ds, ds, cfg, seed=0)
+        for name in params.names():   # the step was not applied
+            np.testing.assert_array_equal(params[name].data, before[name])
 
     def test_epochs_must_be_positive(self):
         tr, va, _ = quick_splits()

@@ -7,10 +7,10 @@ import pytest
 
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import (MC_VARIANTS, build_model, miniresnet_spec, mlp_spec, model_forward,
+from uqnet.layers import (MC_VARIANTS, build_model, eval_heads, miniresnet_spec, mlp_spec, model_forward,
                           row_blocks)
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
-from uqnet.tensor import Tensor, check_gradient, no_grad
+from uqnet.tensor import NonFiniteError, Tensor, check_gradient, finite_checks, no_grad
 from uqnet.uncertainty import (
     PosteriorSamples,
     VariationalOutput,
@@ -431,3 +431,41 @@ class TestBatchPosteriorIsItsRows:
         _, report = evaluate(params, spec, ds, EvalConfig(T=5, S=5, seed=2, space=space))
         assert report.y_pred.tobytes() == labels.astype(np.int64).tobytes()
         assert report.scores.tobytes() == scores.tobytes()
+
+
+class TestNonFinite:
+    def test_posteriors_reject_non_finite_values(self):
+        # NaN fails every comparison, so the range and sum checks alone let it through
+        with pytest.raises(ValueError, match="finite"):
+            PosteriorSamples(np.full((3, 2, 4), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            PosteriorSamples(np.array([[np.inf, 0.0], [0.5, 0.5]]))
+        ok_mu, ok_s2 = np.zeros(3), np.ones(3)
+        for mu, s2 in ((np.full(3, np.nan), ok_s2), (ok_mu, np.full(3, np.nan)),
+                       (ok_mu, np.array([1.0, np.inf, 1.0])), (np.array([0.0, -np.inf, 0.0]), ok_s2)):
+            with pytest.raises(ValueError, match="finite"):
+                VariationalOutput(mu, s2)
+            with pytest.raises(ValueError, match="finite"):
+                reparameterized_samples(mu, s2, 4, seed=0)
+
+    @pytest.mark.parametrize("backbone,variant,op", [("mlp", "bayesian1", "matmul"),
+                                                     ("miniresnet", "bayesian2", "conv2d")])
+    def test_nan_weight_raises_from_mc_probs_in_worker_threads(self, backbone, variant, op):
+        spec = (mlp_spec(3, variant=variant, hidden=12) if backbone == "mlp"
+                else miniresnet_spec((1, 8, 8), variant=variant))
+        params = build_model(spec, 0)
+        params["body.0.w"].data[0, 0] = np.nan
+        x = np.random.default_rng(0).normal(size=(6,) + spec.input_shape)
+        with pytest.raises(NonFiniteError, match=f"op '{op}'"):
+            mc_probs(params, spec, x, T=4, seed=0, workers=2)
+
+    def test_nan_weight_raises_from_eval_heads_unless_checks_are_off(self):
+        spec = mlp_spec(3, variant="variational", hidden=12)
+        params = build_model(spec, 0)
+        params["head.mu.w"].data[0, 0] = np.nan
+        x = np.random.default_rng(0).normal(size=(6, 3))
+        with pytest.raises(NonFiniteError, match="op 'matmul'"):
+            eval_heads(params, spec, x)
+        with finite_checks(False):
+            mu, logvar = eval_heads(params, spec, x)
+        assert np.isnan(mu).any() and np.isfinite(logvar).all()
