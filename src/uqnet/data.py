@@ -114,9 +114,11 @@ def synth_blobs(n: int, n_classes: int = 4, overlap: float = 0.5, dim: int = 2,
                    "synthetic-blobs")
 
 
-def _texture(kind: int, size: int, gen: np.random.Generator) -> np.ndarray:
+def _texture(kind: int, grid: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One texture of family ``kind`` on ``grid``, the ``np.mgrid`` of its size."""
     period = 4
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = grid
+    size = yy.shape[0]
     if kind == 0:    # horizontal stripes: rows constant, alternating down columns
         phase = int(gen.integers(0, period))
         base = (((yy + phase) // period) % 2).astype(np.float64)
@@ -153,8 +155,9 @@ def synth_textures(n: int, n_classes: int = 4, size: int = 16, noise: float = 0.
     gen = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.int64) % n_classes
     images = np.empty((n, 1, size, size))
+    grid = np.mgrid[0:size, 0:size]
     for i in range(n):
-        img = _texture(int(labels[i]), size, gen)
+        img = _texture(int(labels[i]), grid, gen)
         if noise > 0:
             img = img + gen.normal(0.0, noise, size=(size, size))
         img = np.clip(img, 0.0, 1.0)

@@ -35,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .tensor import (Tensor, ShapeError, _chunk_rows, _conv_dtype, _row_chunks, _run_deferred, conv2d,
-                     global_avg_pool, no_grad)
+from .tensor import (Tensor, ShapeError, _cast, _chunk_rows, _conv_dtype, _row_chunks, _run_deferred,
+                     conv2d, global_avg_pool, no_grad)
 
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
 MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled at evaluation
 BACKBONES = ("mlp", "miniresnet")
-CONV_DTYPES = ("float64", "float32")   # ModelSpec.conv_dtype: conv2d's compute dtype
+CONV_DTYPES = ("float64", "float32")   # ModelSpec.conv_dtype: the body's dtype
 
 # A no-grad forward runs its batch in row blocks whose largest per-layer
 # intermediate holds about this many bytes, so its working memory does not
@@ -96,8 +96,10 @@ class LayerSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description: body layers, head, variant tag, shapes, and
-    the compute dtype of its convolutions (float64 unless a preset says
-    otherwise; every other op, and every parameter, is float64)."""
+    the dtype of its body (float64 unless a preset says otherwise): the
+    compute dtype of its convolutions, and of the activations, their
+    gradients and the dropout masks from the input to the end of the body.
+    The parameters, their gradients, the head and the loss are float64."""
 
     layers: tuple[LayerSpec, ...]
     n_classes: int
@@ -205,8 +207,11 @@ def miniresnet_spec(input_shape: tuple[int, int, int] = (1, 16, 16), n_classes: 
 
     Blocks are conv-relu-conv plus an identity shortcut (1x1 projection when
     the channel count changes), relu after the add. Stride 1 throughout, so
-    every block preserves the spatial size. The convolutions compute in
-    float32 (``conv_dtype``); their outputs and gradients are float64.
+    every block preserves the spatial size. The body runs in float32
+    (``conv_dtype``): the convolutions compute in it, and the activations,
+    their gradients and the dropout masks are float32 from the input to the
+    pooled features. The parameters, their gradients, Adam's state, the
+    head outputs and the loss stay float64.
     """
     body = [LayerSpec("conv3x3", in_ch=input_shape[0], out_ch=channels[0]), LayerSpec("relu")]
     body += [LayerSpec("residual-block", block="conv", in_ch=cin, out_ch=cout)
@@ -322,14 +327,14 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
 def dropout(x: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero each element with probability p, scale survivors.
 
-    Masks are drawn from ``gen``; without a stream (or at p = 0) dropout is
-    the identity.
+    Masks are drawn from ``gen`` in ``x``'s dtype; without a stream (or at
+    p = 0) dropout is the identity.
     """
     if not (0.0 <= p < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if gen is None or p == 0.0:
         return x
-    keep = (gen.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
+    keep = (gen.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return x * Tensor(keep)
 
 
@@ -365,12 +370,13 @@ def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int
     Dropout masks come from ``pass_rng.layer(i)`` for absolute layer index i,
     so splitting a pass into consecutive ranges changes no bit of its output.
     Without a ``pass_rng`` every dropout is the identity. The convolutions
-    compute in ``spec.conv_dtype``.
+    compute in ``spec.conv_dtype``, and at ``start`` 0 the input is cast to
+    it, so every activation of the range has that dtype.
     """
     if not 0 <= start <= stop <= len(spec.layers):
         raise ValueError(f"layer range [{start}, {stop}) is outside 0..{len(spec.layers)}")
     if start == 0:
-        h = _as_batch(h, spec.input_shape)
+        h = _cast(_as_batch(h, spec.input_shape), spec.conv_dtype)
     with _conv_dtype(spec.conv_dtype):
         for i in range(start, stop):
             layer = spec.layers[i]
@@ -427,7 +433,12 @@ def model_forward(params: ModelParams, spec: ModelSpec, x,
 
 def _example_bytes(spec: ModelSpec) -> int:
     """Bytes of the largest per-example intermediate of a forward pass: a
-    layer activation or a conv's im2col row (H * W * fan_in floats)."""
+    layer activation or a conv's im2col row (H * W * fan_in floats).
+
+    It counts 8 bytes a float whatever ``spec.conv_dtype``, an upper bound
+    for a float32 body, so the float32 MiniResNet keeps the row blocks (and
+    the block counts that ``tests/test_memory.py`` relies on) it had when
+    its activations were float64."""
     shapes = infer_shapes(spec)
     largest = max(math.prod(shape) for shape in shapes)
     for i, _, weights in _param_groups(spec):

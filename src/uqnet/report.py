@@ -66,6 +66,10 @@ def build_report(y_true, y_pred, scores, entropies, method: str) -> UncertaintyR
         raise ValueError("per-example arrays must have equal length")
     if n == 0:
         raise ValueError("cannot report on an empty evaluation set")
+    if not np.isfinite(scores).all():
+        raise ValueError("uncertainty scores must be finite")
+    if not np.isfinite(entropies).all():
+        raise ValueError("entropies must be finite")
     if scores.min() < 0:
         raise ValueError("uncertainty scores must be nonnegative")
 

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over numpy float64 arrays.
+"""Reverse-mode automatic differentiation over numpy float64 (and float32) arrays.
 
 The engine is eager: each operation executes immediately and records an
 operation node (parent tensors plus a gradient closure) on the result.
@@ -8,11 +8,16 @@ once and a value used k times accumulates the sum of its k path gradients.
 
 Deliberate restrictions, chosen for the small models this library trains:
 
-* every tensor, gradient and op result is float64. The one exception is
-  the arithmetic inside :func:`conv2d` (im2col GEMMs for the forward and
-  the weight gradient, and a transposed convolution for the input
-  gradient), which runs in the thread's conv compute dtype (float64
-  unless :func:`_conv_dtype` sets float32) and returns float64 all the same;
+* a tensor is float64 unless it was made from a float32 array; a gradient
+  takes its tensor's dtype, and an op result numpy's dtype of its operands
+  (float32 only when no float64 array takes part). The float32 MiniResNet
+  keeps its body's activations and dropout masks float32 this way, from
+  the input cast in ``layers.forward_range`` through the pooling, while its
+  parameters, their gradients, the head and the loss stay float64. The
+  arithmetic inside :func:`conv2d` (im2col GEMMs for the forward and the
+  weight gradient, and a transposed convolution for the input gradient)
+  runs in the thread's conv compute dtype (float64 unless
+  :func:`_conv_dtype` sets float32), whatever its input's dtype;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -165,16 +170,20 @@ def _checked(data: np.ndarray, op: str, node_id: int) -> np.ndarray:
 
 
 class Tensor:
-    """N-dimensional float64 array with optional gradient tracking.
+    """N-dimensional float64 or float32 array with optional gradient tracking.
 
-    ``data`` is always a float64 ndarray; ``grad`` is None until a backward
-    pass populates it, after which it has the same shape as ``data``.
+    ``data`` is a float32 ndarray when a float32 ndarray was given, and a
+    float64 ndarray made from anything else (ints, float16, lists, scalars);
+    ``grad`` is None until a backward pass populates it, after which it has
+    the shape and dtype of ``data``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if not (isinstance(data, np.ndarray) and data.dtype == np.float32):
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_node_counter)
@@ -250,6 +259,7 @@ class Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    g = g.astype(t.data.dtype, copy=False)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -497,8 +507,11 @@ _ROW_ALIGN = 16
 _TILE_ROWS = 256
 # A graph-mode conv2d forward multiplies its im2col patches in row chunks of
 # about this many bytes (in the compute dtype), so no more than one chunk of
-# patches exists at once.
-_CONV_CHUNK_BYTES = 2 << 20
+# patches exists at once. The chunk is a transient on top of the graph, and
+# with float32 activations the MiniResNet's graph is half its float64 size:
+# at 2 MiB a training step peaked at 2.26 times its graph's node values, at
+# 1 MiB 2.08 (tests/test_memory.py bounds it at 2.2), for the same bits.
+_CONV_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_rows(budget: int, row_bytes: int, align: int = _ROW_ALIGN) -> int:
@@ -583,10 +596,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
 
     The arithmetic runs in the thread's compute dtype (``_conv_dtype``;
     float64 unless set): the padded input and output gradient, their im2col
-    patches and the forward, weight and input GEMMs. The output and all
-    three gradients are float64 whatever the compute dtype; the bias is
-    added, and its gradient summed, in float64. The row-indexed products
-    (the forward and the input gradient) run through ``_row_matmul``.
+    patches and the forward, weight and input GEMMs. The output and the
+    input gradient take the dtype of the input ``x`` (so a float64 input
+    gets float64 back whatever the compute dtype); the weight and bias
+    gradients are float64, and the bias gradient is summed in float64. The
+    row-indexed products (the forward and the input gradient) run through
+    ``_row_matmul``.
 
     In graph mode the node keeps only its input, which its parent holds
     anyway: the forward builds the patches one row chunk of about
@@ -640,18 +655,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
             # other order packed the heap tighter, but glibc then trimmed and
             # refaulted it on every training step.
             win = _windows(xl, p, k, dtype)
-            out = np.empty((m, cout))
+            out = np.empty((m, cout), X.dtype)
             align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
             for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin,
                                                    align)):
                 _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
         else:
-            out = _row_matmul(_im2col(_windows(xl, p, k, dtype)), wmat, out=np.empty((m, cout)))
+            out = _row_matmul(_im2col(_windows(xl, p, k, dtype)), wmat, out=np.empty((m, cout), X.dtype))
         out += B
 
     def back(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)
-        _accumulate(bias, gmat.sum(axis=0))
+        _accumulate(bias, gmat.sum(axis=0, dtype=np.float64))
         gmat = gmat.astype(dtype, copy=False)
         if weight.requires_grad:
             dw = _im2col(_windows(xl, p, k, dtype)).T @ gmat
@@ -662,10 +677,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
             # k-1-p, convolved with the flipped kernel, Cout and Cin swapped.
             wflip = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
             gpatches = _im2col(_windows(gmat.reshape(n, ho, wo, cout), k - 1 - p, k, dtype))
-            gx = _row_matmul(gpatches, wflip.astype(dtype, copy=False), out=np.empty((n * h * w, cin)))
+            gx = _row_matmul(gpatches, wflip.astype(dtype, copy=False),
+                             out=np.empty((n * h * w, cin), X.dtype))
             _accumulate(x, gx.reshape(n, h, w, cin).transpose(0, 3, 1, 2))
 
     return _from_op(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), (x, weight, bias), "conv2d", back)
+
+
+def _cast(x: Tensor, dtype) -> Tensor:
+    """``x`` as a ``dtype`` tensor (float64 or float32); the gradient comes
+    back in ``x``'s dtype. ``x`` itself when it already has that dtype."""
+    if x.data.dtype == dtype:
+        return x
+    return _from_op(x.data.astype(dtype), (x,), "cast", lambda g: _accumulate(x, g))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -6,6 +6,7 @@ more than its nodes' values until the backward (``conv2d`` keeps its input,
 not its im2col patches), and a whole training step peaks near two graphs'
 values (the backward releases intermediate gradients as it goes)."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,21 @@ def test_miniresnet_training_graph_holds_only_its_node_values():
         tracemalloc.stop()
     values = node_value_bytes(loss)
     assert held <= 1.25 * values, (held, values)
+
+
+def test_float32_miniresnet_graph_is_about_half_the_float64_one():
+    # The float32 preset keeps its body's activations and dropout masks in
+    # float32; only the parameters, the head and the loss are float64.
+    spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
+    x = np.random.default_rng(0).normal(size=(32,) + spec.input_shape)
+    y = np.arange(32) % CLASSES
+    values = {}
+    for dtype in ("float32", "float64"):
+        s = dataclasses.replace(spec, conv_dtype=dtype)
+        pass_rng = rng.PassRng(0, 0, rng.NS_TRAIN_DROPOUT)
+        loss = cross_entropy(model_forward(build_model(s, 0), s, Tensor(x), pass_rng), y)
+        values[dtype] = node_value_bytes(loss)
+    assert values["float32"] <= 0.55 * values["float64"], values
 
 
 def test_miniresnet_training_step_peak_stays_near_two_graphs():

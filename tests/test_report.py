@@ -81,3 +81,14 @@ class TestValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             build_report([0, 1], [0], [0.1], [0.0], "mc-dropout")
+
+    @pytest.mark.parametrize("scores", [[0.1, np.nan, 0.3], [np.inf, 0.2, 0.3], [0.1, 0.2, -np.inf]])
+    def test_non_finite_scores_rejected(self, scores):
+        # a NaN made R NaN, and an Inf in the correct group made it 0.0
+        with pytest.raises(ValueError, match="scores must be finite"):
+            build_report([0, 1, 1], [0, 1, 0], scores, [0.1, 0.2, 0.3], "mc-dropout")
+
+    @pytest.mark.parametrize("entropy", [np.nan, np.inf])
+    def test_non_finite_entropies_rejected(self, entropy):
+        with pytest.raises(ValueError, match="entropies must be finite"):
+            build_report([0, 1, 1], [0, 1, 0], [0.1, 0.2, 0.3], [0.1, entropy, 0.3], "mc-dropout")

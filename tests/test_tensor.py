@@ -43,6 +43,12 @@ class TestForward:
     def test_mean(self):
         assert float(Tensor([1.0, 3.0]).mean()) == 2.0
 
+    def test_leaf_keeps_float32_and_makes_everything_else_float64(self):
+        a32 = np.ones((2, 3), np.float32)
+        assert Tensor(a32).data.dtype == np.float32
+        for data in (np.arange(6), np.ones(3, np.float16), [1, 2], 2.5, np.float32(1.5)):
+            assert Tensor(data).data.dtype == np.float64
+
 
 class TestBackward:
     def test_square_gradient(self):
@@ -415,6 +421,37 @@ class TestConvOps:
         assert np.array_equal(y.data, y_no_grad.data)
         # it did compute in float32: the product is not the float64 one
         assert not np.array_equal(y.data, conv2d(x, w, b).data)
+
+    def test_float32_input_conv2d_returns_float32_output_and_input_gradient(self):
+        # The MiniResNet's float32 activations: output and dX take the input's
+        # dtype, while the weight and bias gradients stay float64, the bias
+        # gradient summed in float64 from the float32 output gradient.
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(3, 2, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        g = rng.normal(size=(3, 4, 6, 6)).astype(np.float32)
+        with tensor._conv_dtype("float32"):
+            y = conv2d(x, w, b)
+            with no_grad():
+                y_no_grad = conv2d(x, w, b)
+        (y * Tensor(g)).sum().backward()
+        for a in (y.data, y_no_grad.data, x.grad):
+            assert a.dtype == np.float32
+        for a in (w.grad, b.grad):
+            assert a.dtype == np.float64
+        assert np.array_equal(y.data, y_no_grad.data)
+        want_db = g.astype(np.float64).sum(axis=(0, 2, 3))
+        np.testing.assert_allclose(b.grad, want_db, rtol=0, atol=1e-12)
+
+    def test_cast_passes_the_gradient_back_in_the_source_dtype(self):
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        assert tensor._cast(x, "float64") is x
+        y = tensor._cast(x, "float32")
+        assert y.data.dtype == np.float32
+        (y * Tensor(np.array([3.0, 4.0], np.float32))).sum().backward()
+        assert x.grad.dtype == np.float64
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
 
     def test_conv_dtype_outside_float32_and_float64_rejected(self):
         with pytest.raises(ValueError, match="float16"):

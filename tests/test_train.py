@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from uqnet import rng as _rng
 from uqnet.data import Dataset, SplitSpec, split, synth_blobs
-from uqnet.layers import build_model, eval_heads, mlp_spec
+from uqnet.layers import body_forward, build_model, eval_heads, head_forward, miniresnet_spec, mlp_spec
+from uqnet.losses import objective
 from uqnet.optim import OptimizerConfig
 from uqnet.tensor import NonFiniteError, Tensor, cross_entropy
 from uqnet.train import TrainConfig, TrainingDivergedError, train
@@ -136,6 +138,69 @@ class TestCapacity:
         result = train(params, spec, ds, ds, cfg, seed=0)
         train_ce = [s.loss.cross_entropy for s in result.log if s.split == "train"]
         assert min(train_ce) < 0.01
+
+
+def _graph_nodes(root):
+    """Every tensor of the graph that ends at ``root``, walked as
+    ``tests/test_memory.py``'s ``node_value_bytes`` walks it."""
+    seen, nodes, stack = set(), [], [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def _dtype_step(spec, x, y):
+    """One training step as ``train`` runs it; returns the input tensor, the
+    body features, the head outputs, the loss, the parameters and the
+    optimizer."""
+    params = build_model(spec, 0)
+    opt = OptimizerConfig().build(params)
+    x = Tensor(x)
+    h = body_forward(params, spec, x, _rng.PassRng(0, 0, _rng.NS_TRAIN_DROPOUT))
+    out, logvar = head_forward(params, spec, h)
+    eps = None if logvar is None else np.random.default_rng(1).standard_normal(out.shape)
+    loss, _ = objective(out, logvar, y, 1.0, eps)
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return x, h, (out, logvar), loss, params, opt
+
+
+class TestActivationDtypes:
+    """A float32 spec keeps its body's activations float32; parameters, their
+    gradients, Adam's state, the head outputs and the loss stay float64."""
+
+    def _check_float64_outside_the_body(self, heads, loss, params, opt):
+        for t in (*(t for t in heads if t is not None), loss):
+            assert t.data.dtype == np.float64
+        for name, p in params.tensors.items():
+            assert p.data.dtype == p.grad.dtype == np.float64, name
+            assert opt.m[name].dtype == opt.v[name].dtype == np.float64, name
+
+    @pytest.mark.parametrize("variant", ["bayesian2", "variational"])
+    def test_float32_miniresnet_step(self, variant):
+        spec = miniresnet_spec((1, 8, 8), 4, variant)
+        x_data = np.random.default_rng(0).normal(size=(6, 1, 8, 8))
+        x, h, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(6) % 4)
+        body = _graph_nodes(h)
+        param_ids = {id(p) for p in params.tensors.values()}
+        assert any(t.op == "mul" for t in body) == (variant == "bayesian2")   # dropout ran
+        for t in body:
+            want = np.float64 if (id(t) in param_ids or t is x) else np.float32
+            assert t.data.dtype == want, (t.op, t.data.dtype)
+        self._check_float64_outside_the_body(heads, loss, params, opt)
+
+    def test_mlp_step_stays_float64(self):
+        spec = mlp_spec(5, 4, "bayesian2", hidden=8)
+        x_data = np.random.default_rng(0).normal(size=(6, 5))
+        _, _, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(6) % 4)
+        for t in _graph_nodes(loss):
+            assert t.data.dtype == np.float64, t.op
+        self._check_float64_outside_the_body(heads, loss, params, opt)
 
 
 class TestFailureModes:
