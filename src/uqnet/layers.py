@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .tensor import (Tensor, ShapeError, _cast, _chunk_rows, _conv_dtype, _row_chunks, _run_deferred,
-                     conv2d, global_avg_pool, no_grad)
+from .tensor import (Tensor, ShapeError, _cast, _chunk_rows, _row_chunks, _run_deferred, conv2d,
+                     global_avg_pool, no_grad)
 
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
 MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled at evaluation
@@ -96,10 +96,12 @@ class LayerSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description: body layers, head, variant tag, shapes, and
-    the dtype of its body (float64 unless a preset says otherwise): the
-    compute dtype of its convolutions, and of the activations, their
-    gradients and the dropout masks from the input to the end of the body.
-    The parameters, their gradients, the head and the loss are float64."""
+    the dtype of its body (float64 unless a preset says otherwise).
+    :func:`forward_range` casts what enters the body to it, and the
+    activations, their gradients, the dropout masks and the arithmetic of
+    every body op, the convolutions included, follow from the input to the
+    end of the body. The parameters, their gradients, the head and the loss
+    are float64."""
 
     layers: tuple[LayerSpec, ...]
     n_classes: int
@@ -208,10 +210,11 @@ def miniresnet_spec(input_shape: tuple[int, int, int] = (1, 16, 16), n_classes: 
     Blocks are conv-relu-conv plus an identity shortcut (1x1 projection when
     the channel count changes), relu after the add. Stride 1 throughout, so
     every block preserves the spatial size. The body runs in float32
-    (``conv_dtype``): the convolutions compute in it, and the activations,
-    their gradients and the dropout masks are float32 from the input to the
-    pooled features. The parameters, their gradients, Adam's state, the
-    head outputs and the loss stay float64.
+    (``conv_dtype``): the activations, their gradients and the dropout
+    masks are float32 from the input to the pooled features, and the
+    convolutions compute in float32 because their inputs are. The
+    parameters, their gradients, Adam's state, the head outputs and the
+    loss stay float64.
     """
     body = [LayerSpec("conv3x3", in_ch=input_shape[0], out_ch=channels[0]), LayerSpec("relu")]
     body += [LayerSpec("residual-block", block="conv", in_ch=cin, out_ch=cout)
@@ -369,31 +372,30 @@ def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int
     batch) when ``start`` is 0, else the output of ``forward_range(..., start)``.
     Dropout masks come from ``pass_rng.layer(i)`` for absolute layer index i,
     so splitting a pass into consecutive ranges changes no bit of its output.
-    Without a ``pass_rng`` every dropout is the identity. The convolutions
-    compute in ``spec.conv_dtype``, and at ``start`` 0 the input is cast to
-    it, so every activation of the range has that dtype.
+    Without a ``pass_rng`` every dropout is the identity. Whatever enters
+    the range is cast to ``spec.conv_dtype``, at any ``start``, so every
+    activation of the range has that dtype and each op on it, the
+    convolutions included, computes in it.
     """
     if not 0 <= start <= stop <= len(spec.layers):
         raise ValueError(f"layer range [{start}, {stop}) is outside 0..{len(spec.layers)}")
-    if start == 0:
-        h = _cast(_as_batch(h, spec.input_shape), spec.conv_dtype)
-    with _conv_dtype(spec.conv_dtype):
-        for i in range(start, stop):
-            layer = spec.layers[i]
-            prefix = f"body.{i}"
-            if layer.kind == "linear":
-                h = h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
-            elif layer.kind == "conv3x3":
-                h = conv2d(h, params[f"{prefix}.w"], params[f"{prefix}.b"])
-            elif layer.kind == "relu":
-                h = h.relu()
-            elif layer.kind == "global-avg-pool":
-                h = global_avg_pool(h)
-            elif layer.kind == "dropout":
-                gen = pass_rng.layer(i) if (pass_rng is not None and layer.p > 0) else None
-                h = dropout(h, layer.p, gen)
-            elif layer.kind == "residual-block":
-                h = _residual_block(params, prefix, layer, h)
+    h = _cast(_as_batch(h, spec.input_shape) if start == 0 else h, spec.conv_dtype)
+    for i in range(start, stop):
+        layer = spec.layers[i]
+        prefix = f"body.{i}"
+        if layer.kind == "linear":
+            h = h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+        elif layer.kind == "conv3x3":
+            h = conv2d(h, params[f"{prefix}.w"], params[f"{prefix}.b"])
+        elif layer.kind == "relu":
+            h = h.relu()
+        elif layer.kind == "global-avg-pool":
+            h = global_avg_pool(h)
+        elif layer.kind == "dropout":
+            gen = pass_rng.layer(i) if (pass_rng is not None and layer.p > 0) else None
+            h = dropout(h, layer.p, gen)
+        elif layer.kind == "residual-block":
+            h = _residual_block(params, prefix, layer, h)
     return h
 
 

@@ -13,11 +13,10 @@ Deliberate restrictions, chosen for the small models this library trains:
   (float32 only when no float64 array takes part). The float32 MiniResNet
   keeps its body's activations and dropout masks float32 this way, from
   the input cast in ``layers.forward_range`` through the pooling, while its
-  parameters, their gradients, the head and the loss stay float64. The
-  arithmetic inside :func:`conv2d` (im2col GEMMs for the forward and the
-  weight gradient, and a transposed convolution for the input gradient)
-  runs in the thread's conv compute dtype (float64 unless
-  :func:`_conv_dtype` sets float32), whatever its input's dtype;
+  parameters, their gradients, the head and the loss stay float64.
+  :func:`conv2d` computes in its input's dtype too (im2col GEMMs for the
+  forward and the weight gradient, and a transposed convolution for the
+  input gradient), with its float64 weights cast to it;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -79,30 +78,6 @@ def no_grad():
         yield
     finally:
         _tls.grad_enabled = prev
-
-
-_CONV_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
-
-def _conv_compute_dtype() -> np.dtype:
-    return getattr(_tls, "conv_dtype", _CONV_DTYPES[0])
-
-
-@contextmanager
-def _conv_dtype(dtype):
-    """Run the current thread's :func:`conv2d` calls in compute dtype
-    ``dtype`` (float64 or float32) for the duration. ``layers`` sets it from
-    ``ModelSpec.conv_dtype``; it is a thread setting, like :func:`no_grad`,
-    so ``conv2d`` keeps its call signature."""
-    dtype = np.dtype(dtype)
-    if dtype not in _CONV_DTYPES:
-        raise ValueError(f"conv2d compute dtype must be float64 or float32, got {dtype}")
-    prev = _conv_compute_dtype()
-    _tls.conv_dtype = dtype
-    try:
-        yield
-    finally:
-        _tls.conv_dtype = prev
 
 
 def set_finite_checks(enabled: bool) -> None:
@@ -506,7 +481,7 @@ _ROW_ALIGN = 16
 # this many rows, and float32 graph-mode ``conv2d`` chunks are whole tiles.
 _TILE_ROWS = 256
 # A graph-mode conv2d forward multiplies its im2col patches in row chunks of
-# about this many bytes (in the compute dtype), so no more than one chunk of
+# about this many bytes (in its input's dtype), so no more than one chunk of
 # patches exists at once. The chunk is a transient on top of the graph, and
 # with float32 activations the MiniResNet's graph is half its float64 size:
 # at 2 MiB a training step peaked at 2.26 times its graph's node values, at
@@ -555,16 +530,16 @@ def _row_chunks(n: int, rows: int) -> list[slice]:
 # -- convolution and pooling -------------------------------------------------
 
 
-def _windows(a: np.ndarray, q: int, k: int, dtype: np.dtype) -> np.ndarray:
-    """[N, Ho, Wo, k, k, C] sliding ``k`` x ``k`` windows over a fresh
-    ``dtype`` copy of the channels-last ``a`` [N, H, W, C], zero-padded by
-    ``q`` on each side of H and W, or cropped by ``-q`` when ``q`` < 0."""
+def _windows(a: np.ndarray, q: int, k: int) -> np.ndarray:
+    """[N, Ho, Wo, k, k, C] sliding ``k`` x ``k`` windows over a fresh copy
+    of the channels-last ``a`` [N, H, W, C], zero-padded by ``q`` on each
+    side of H and W, or cropped by ``-q`` when ``q`` < 0."""
     if q >= 0:
         n, h, w, c = a.shape
-        ap = np.zeros((n, h + 2 * q, w + 2 * q, c), dtype)
+        ap = np.zeros((n, h + 2 * q, w + 2 * q, c), a.dtype)
         ap[:, q:q + h, q:q + w] = a
     else:
-        ap = np.ascontiguousarray(a[:, -q:q, -q:q], dtype=dtype)
+        ap = np.ascontiguousarray(a[:, -q:q, -q:q])
     view = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(1, 2))
     return view.transpose(0, 1, 2, 4, 5, 3)
 
@@ -594,11 +569,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     weight gradient is the GEMM of the input's patches with the output
     gradient, and runs only when the weight requires a gradient.
 
-    The arithmetic runs in the thread's compute dtype (``_conv_dtype``;
-    float64 unless set): the padded input and output gradient, their im2col
-    patches and the forward, weight and input GEMMs. The output and the
-    input gradient take the dtype of the input ``x`` (so a float64 input
-    gets float64 back whatever the compute dtype); the weight and bias
+    The arithmetic runs in the dtype of the input ``x`` (float64 or
+    float32), with the weight cast to it: the padded input and output
+    gradient, their im2col patches and the forward, weight and input GEMMs.
+    The output and the input gradient have that dtype; the weight and bias
     gradients are float64, and the bias gradient is summed in float64. The
     row-indexed products (the forward and the input gradient) run through
     ``_row_matmul``.
@@ -636,7 +610,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     ho = h + 2 * p - k + 1
     wo = w + 2 * p - k + 1
     m = n * ho * wo
-    dtype = _conv_compute_dtype()
+    dtype = X.dtype
     xl = X.transpose(0, 2, 3, 1)   # channels-last view
 
     def patch_rows(win, rows):
@@ -654,31 +628,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
             # The padded input comes before the output buffer on purpose: the
             # other order packed the heap tighter, but glibc then trimmed and
             # refaulted it on every training step.
-            win = _windows(xl, p, k, dtype)
-            out = np.empty((m, cout), X.dtype)
+            win = _windows(xl, p, k)
+            out = np.empty((m, cout), dtype)
             align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
             for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin,
                                                    align)):
                 _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
         else:
-            out = _row_matmul(_im2col(_windows(xl, p, k, dtype)), wmat, out=np.empty((m, cout), X.dtype))
+            out = _row_matmul(_im2col(_windows(xl, p, k)), wmat)
         out += B
 
     def back(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)
         _accumulate(bias, gmat.sum(axis=0, dtype=np.float64))
-        gmat = gmat.astype(dtype, copy=False)
         if weight.requires_grad:
-            dw = _im2col(_windows(xl, p, k, dtype)).T @ gmat
+            dw = _im2col(_windows(xl, p, k)).T @ gmat
             _accumulate(weight, np.ascontiguousarray(dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1),
                                                      dtype=np.float64))
         if x.requires_grad:
             # The transposed convolution: the output gradient padded by
             # k-1-p, convolved with the flipped kernel, Cout and Cin swapped.
             wflip = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-            gpatches = _im2col(_windows(gmat.reshape(n, ho, wo, cout), k - 1 - p, k, dtype))
-            gx = _row_matmul(gpatches, wflip.astype(dtype, copy=False),
-                             out=np.empty((n * h * w, cin), X.dtype))
+            gpatches = _im2col(_windows(gmat.reshape(n, ho, wo, cout), k - 1 - p, k))
+            gx = _row_matmul(gpatches, wflip.astype(dtype, copy=False))
             _accumulate(x, gx.reshape(n, h, w, cin).transpose(0, 3, 1, 2))
 
     return _from_op(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), (x, weight, bias), "conv2d", back)

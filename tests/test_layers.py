@@ -279,13 +279,18 @@ class TestModelForward:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_float32_miniresnet_matches_nchw_reference_to_float32_rounding(self):
-        # Each conv rounds its input and weights to float32 and sums in
-        # float32: a relative error of order eps32 in its output. On the
-        # deepest path (the stem, then two convs per residual block: 7 convs)
-        # these add up layer by layer, while relu, pooling, dropout and the
-        # head are float64, so the logits may differ from the float64
-        # reference by about 7 * eps32 of their largest magnitude (the
-        # preset measures 0.2-0.4 eps32).
+        # The body is float32 from the input cast to the pooled features,
+        # and each activation it stores is one float32 rounding (relative
+        # error u = eps32/2): the input cast, each conv's output (its
+        # products summed in float32 with float32-rounded weights), each
+        # residual add and the pooled mean. relu is exact, and so is
+        # dropout's scaling by 1/(1-p) = 2. The deepest path (the stem, then
+        # conv1, conv2 and the add in each of three blocks, then the
+        # pooling) stores 12 roundings on top of the sums of its 7 convs,
+        # and these add up layer by layer; the head is float64. So the
+        # logits may differ from the float64 reference by a few eps32 of
+        # their largest magnitude. This is an estimate, not a worst case:
+        # the bound allows 7 eps32, and the preset measures 0.29 eps32.
         spec = miniresnet_spec((1, 16, 16), n_classes=4, variant="bayesian2")
         assert spec.conv_dtype == "float32"
         convs = sum({"conv3x3": 1, "residual-block": 2}.get(layer.kind, 0) for layer in spec.layers)
@@ -395,6 +400,19 @@ class TestForwardRange:
         assert counter.layers_touched == []
         forward_range(params, spec, sampled, first, len(spec.layers), counter)
         assert counter.layers_touched == spec.dropout_positions()
+
+    def test_range_casts_what_enters_it_to_the_spec_dtype(self):
+        # spec.conv_dtype alone sets the body's dtype: a float64 copy of a
+        # float32 prefix enters the rest of the body as float32 and gives
+        # the same bits as the prefix itself.
+        spec, params, x = self.make("miniresnet", "bayesian2")
+        assert spec.conv_dtype == "float32"
+        first, end = spec.dropout_positions()[0], len(spec.layers)
+        prefix = forward_range(params, spec, x, 0, first)
+        outs = [forward_range(params, spec, h, first, end, PassRng(9, 2))
+                for h in (prefix, Tensor(prefix.data.astype(np.float64)))]
+        assert [out.data.dtype for out in outs] == [np.float32, np.float32]
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
 
     def test_range_outside_body_rejected(self):
         spec, params, x = self.make("mlp", "bayesian2")
