@@ -24,11 +24,11 @@ from .train import TrainConfig, TrainResult, train
 from .uncertainty import (
     PosteriorSamples,
     VariationalOutput,
-    _batched_eval_noise,
+    _batched_eval_noise,   # unused here; perfbench/tracer.py times it under this module
     mc_probs,
     np_softmax,
     predictive_entropy,
-    reparameterized_samples,
+    sampled_scores,
     uncertainty_score,
     variational_outputs,
 )
@@ -69,16 +69,14 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
     else:
         if spec.variant in MC_VARIANTS:
             post = PosteriorSamples(mc_probs(params, spec, x, cfg.T, cfg.seed, cfg.workers))
-            probs, method = post.mean, "mc-dropout"
+            probs, method, scores = post.mean, "mc-dropout", uncertainty_score(post)
         else:
             mu, sigma2 = variational_outputs(params, spec, x)              # [N, C] each
             post = VariationalOutput(mu, sigma2)
-            if cfg.space == "sampled":
-                eps = _batched_eval_noise(cfg.seed, cfg.S, mu.shape)       # [S, N, C]
-                post.samples = reparameterized_samples(mu, sigma2, cfg.S, cfg.seed, eps)
             probs, method = np_softmax(mu), f"variational-{cfg.space}"
-        pred, scores = post.predicted_label, uncertainty_score(post, cfg.space)
-        entropies = predictive_entropy(probs)
+            scores = (sampled_scores(mu, sigma2, cfg.S, cfg.seed) if cfg.space == "sampled"
+                      else uncertainty_score(post, cfg.space))
+        pred, entropies = post.predicted_label, predictive_entropy(probs)
 
     metrics = ClassificationMetrics.from_predictions(test.labels, pred, spec.n_classes)
     report = build_report(test.labels, pred, scores, entropies, method)

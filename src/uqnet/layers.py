@@ -46,8 +46,17 @@ CONV_DTYPES = ("float64", "float32")   # ModelSpec.conv_dtype: the body's dtype
 # A no-grad forward runs its batch in row blocks whose largest per-layer
 # intermediate holds about this many bytes, so its working memory does not
 # grow with the batch. The blocks follow the row alignment and tail rule of
-# ``tensor._row_chunks``.
-_BLOCK_BYTES = 12 << 20
+# ``tensor._row_chunks``. Each op of a pass allocates an array of about one
+# block and frees it before the next pass. Arrays above glibc malloc's
+# default 128 KiB mmap threshold are mapped, or trimmed, and faulted in
+# again on every op until a large free raises malloc's thresholds: a
+# fresh-process bayesian2 ``mc_probs`` call (MLP at hidden 192, 750 rows,
+# T = 50) took about 94,000 minor faults in one 750-row block and 73,000 in
+# the 128-row blocks of this budget, then a few hundred from its third call
+# on. Blocks small enough to stay under the threshold cost per-op overhead
+# instead: the same call took the same CPU time in 128- and 256-row blocks
+# and 20 % more in 64-row ones, which raised mlp-compare's wall time by 10 %.
+_BLOCK_BYTES = 192 << 10
 
 # log sigma^2 of the variational head is clamped to this range: guarantees
 # positive sigma^2 and keeps the KLD term finite early in training
@@ -337,7 +346,8 @@ def dropout(x: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if gen is None or p == 0.0:
         return x
-    keep = (gen.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    keep = (gen.random(x.shape) >= p).astype(x.data.dtype)
+    keep /= 1.0 - p
     return x * Tensor(keep)
 
 
@@ -437,10 +447,11 @@ def _example_bytes(spec: ModelSpec) -> int:
     """Bytes of the largest per-example intermediate of a forward pass: a
     layer activation or a conv's im2col row (H * W * fan_in floats).
 
-    It counts 8 bytes a float whatever ``spec.conv_dtype``, an upper bound
-    for a float32 body, so the float32 MiniResNet keeps the row blocks (and
-    the block counts that ``tests/test_memory.py`` relies on) it had when
-    its activations were float64."""
+    It counts 8 bytes a float whatever ``spec.conv_dtype``: exact for a
+    float64 body and an upper bound for a float32 one. On the 16x16
+    MiniResNet preset the count does not decide the block: one image's
+    16-channel im2col row takes 288 KiB at 8 bytes a float and 144 KiB at
+    4, so either count puts the block at the 16-row alignment floor."""
     shapes = infer_shapes(spec)
     largest = max(math.prod(shape) for shape in shapes)
     for i, _, weights in _param_groups(spec):
@@ -450,10 +461,16 @@ def _example_bytes(spec: ModelSpec) -> int:
     return 8 * largest
 
 
+def _budget_rows(row_bytes: int) -> int:
+    """Rows per block for rows of ``row_bytes`` bytes: the evaluation byte
+    budget over ``row_bytes``, rounded down to the row alignment."""
+    return _chunk_rows(_BLOCK_BYTES, row_bytes)
+
+
 def block_rows(spec: ModelSpec) -> int:
     """Rows per evaluation block: the byte budget over the largest
     per-example intermediate, rounded down to the row alignment."""
-    return _chunk_rows(_BLOCK_BYTES, _example_bytes(spec))
+    return _budget_rows(_example_bytes(spec))
 
 
 def row_blocks(spec: ModelSpec, x) -> list[tuple[slice, Tensor]]:

@@ -6,11 +6,12 @@ keys. A stream's output depends only on its key, never on call order or
 thread scheduling, which is what makes parallel Monte Carlo passes
 bit-identical to a sequential run.
 
-An evaluation call consumes each (pass, layer) dropout stream in
-consecutive row blocks of its batch: it keeps one generator per stream
-for the whole call (one :class:`PassRng` per pass), and a generator fills
-its draws sequentially, so the masks of block b continue where those of
-block b - 1 stopped and together equal one full-batch draw.
+An evaluation call consumes each (pass, layer) dropout stream, and each
+variational noise stream, in consecutive row blocks of its batch: it
+keeps one generator per stream for the whole call (one :class:`PassRng`
+per pass), and a generator fills its draws sequentially, so the draws of
+block b continue where those of block b - 1 stopped and together equal
+one full-batch draw.
 """
 
 from __future__ import annotations

@@ -496,20 +496,22 @@ def _chunk_rows(budget: int, row_bytes: int, align: int = _ROW_ALIGN) -> int:
 
 
 def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b``, into ``out`` when given (which may be float64 for a float32
-    product). A float64 product is one GEMM. A float32 product runs as GEMMs
-    of exactly ``_TILE_ROWS`` rows, so each output row depends on its own row
-    of ``a`` and on ``b``, not on how many rows came before or after it: the
-    whole tiles go through one stacked ``np.matmul``, which issues one sgemm
-    per tile, and the rest as one zero-padded tile."""
+    """``a @ b``, into ``out`` (contiguous, in ``a``'s dtype) when given. A
+    float64 product is one GEMM. A float32 product runs as GEMMs of exactly
+    ``_TILE_ROWS`` rows, so each output row depends on its own row of ``a``
+    and on ``b``, not on how many rows came before or after it: the whole
+    tiles go through one stacked ``np.matmul`` straight into their rows of
+    ``out``, which issues one sgemm per tile, and the rest as one
+    zero-padded tile."""
     if a.dtype == np.float64:
         return np.matmul(a, b, out=out)
     m, k = a.shape
+    n = b.shape[1]
     if out is None:
-        out = np.empty((m, b.shape[1]), a.dtype)
+        out = np.empty((m, n), a.dtype)
     whole = m // _TILE_ROWS * _TILE_ROWS
     if whole:
-        out[:whole] = np.matmul(a[:whole].reshape(-1, _TILE_ROWS, k), b).reshape(whole, -1)
+        np.matmul(a[:whole].reshape(-1, _TILE_ROWS, k), b, out=out[:whole].reshape(-1, _TILE_ROWS, n))
     if whole < m:
         tail = np.zeros((_TILE_ROWS, k), a.dtype)
         tail[:m - whole] = a[whole:]
@@ -533,15 +535,24 @@ def _row_chunks(n: int, rows: int) -> list[slice]:
 def _windows(a: np.ndarray, q: int, k: int) -> np.ndarray:
     """[N, Ho, Wo, k, k, C] sliding ``k`` x ``k`` windows over a fresh copy
     of the channels-last ``a`` [N, H, W, C], zero-padded by ``q`` on each
-    side of H and W, or cropped by ``-q`` when ``q`` < 0."""
+    side of H and W, or cropped by ``-q`` when ``q`` < 0.
+
+    The view is made by the ndarray constructor, not by numpy's
+    ``sliding_window_view``: its ``as_strided`` reads
+    ``__array_interface__``, whose keys go through CPython's interned-string
+    table, and that table is rebuilt every few tens of thousands of calls.
+    tracemalloc counts each new table (0.96 or 1.92 MB, by its size) and not
+    the old one it replaces, so the ``tests/test_memory.py`` peaks depended
+    on how many convolutions had run before them in the process."""
     if q >= 0:
         n, h, w, c = a.shape
         ap = np.zeros((n, h + 2 * q, w + 2 * q, c), a.dtype)
         ap[:, q:q + h, q:q + w] = a
     else:
         ap = np.ascontiguousarray(a[:, -q:q, -q:q])
-    view = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(1, 2))
-    return view.transpose(0, 1, 2, 4, 5, 3)
+    n, hp, wp, c = ap.shape
+    sn, sh, sw, sc = ap.strides
+    return np.ndarray((n, hp - k + 1, wp - k + 1, k, k, c), ap.dtype, ap, 0, (sn, sh, sw, sh, sw, sc))
 
 
 def _im2col(win: np.ndarray) -> np.ndarray:

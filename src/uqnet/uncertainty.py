@@ -17,6 +17,9 @@ logit-space sigma^2 for the analytic variational mode).
 Each mechanism has one batched implementation, and one posterior type holds
 a batch or one example under the same labelling and scoring rules; the
 single-example API is its N = 1 case and returns the bytes of row 0.
+``evaluate`` scores a batch in the sampled space with :func:`sampled_scores`,
+which draws and reduces one row block at a time and returns the bytes of
+scoring all [S, N, C] draws at once.
 Both heads themselves are computed by :mod:`uqnet.layers`
 (``head_forward`` and ``eval_heads``); this module only samples and scores
 their outputs.
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .layers import (MC_VARIANTS, ModelParams, ModelSpec, eval_heads, forward_range,
-                     head_forward, row_blocks)
-from .tensor import Tensor, _deferred_checks, _run_deferred, no_grad
+from .layers import (MC_VARIANTS, ModelParams, ModelSpec, _budget_rows, eval_heads,
+                     forward_range, head_forward, row_blocks)
+from .tensor import Tensor, _deferred_checks, _row_chunks, _run_deferred, no_grad
 
 
 @dataclass
@@ -224,6 +227,36 @@ def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: in
     else:
         eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     return mu + np.sqrt(sigma2) * eps
+
+
+def sampled_scores(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int) -> np.ndarray:
+    """Sampled-space scores of a batch, [N], from its [N, C] head outputs:
+    the bytes of ``variance_score(np_softmax(reparameterized_samples(mu,
+    sigma2, S, seed)))`` without its [S, N, C] arrays.
+
+    The rows run in blocks sized like :func:`uqnet.layers.row_blocks`, the
+    evaluation byte budget over one row's S * C draws. Draw i keeps one
+    generator on its (seed, i) stream for the whole call, so each block's
+    noise continues where the previous block's stopped and together they
+    equal one full-batch draw; every later step is per element or per
+    row, so each block's scores are the bytes of those rows of the
+    unblocked result.
+    """
+    mu, sigma2 = np.asarray(mu), np.asarray(sigma2)
+    if mu.ndim != 2:
+        raise ValueError(f"expected [N, C] head outputs, got {mu.shape}")
+    if S < 2:
+        raise ValueError("sampled scoring needs at least 2 reparameterized draws")
+    n, c = mu.shape
+    gens = [_rng.stream(seed, _rng.NS_EVAL_NOISE, i) for i in range(S)]
+    scores = np.empty(n)
+    for rows in _row_chunks(n, _budget_rows(8 * S * c)):
+        eps = np.empty((S, rows.stop - rows.start, c))
+        for gen, draw in zip(gens, eps):
+            gen.standard_normal(out=draw)
+        draws = reparameterized_samples(mu[rows], sigma2[rows], S, seed, eps)
+        scores[rows] = variance_score(np_softmax(draws))
+    return scores
 
 
 def variational_outputs(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.ndarray]:

@@ -45,14 +45,24 @@ BACKBONES = ["mlp", "miniresnet"]
 
 class TestRowBlocks:
     def test_default_budget_keeps_small_batches_whole(self):
-        spec, _, ds = make("miniresnet", "bayesian2")
-        assert [rows for rows, _ in row_blocks(spec, ds.inputs)] == [slice(0, N)]
+        # a batch stays one block up to a block and a tail shorter than half a block
+        spec, _, _ = make("miniresnet", "bayesian2")
+        rows = block_rows(spec)
+        for n in (1, rows, rows + rows // 2 - 1):
+            x = np.zeros((n,) + spec.input_shape)
+            assert [r for r, _ in row_blocks(spec, x)] == [slice(0, n)]
+        assert len(row_blocks(spec, np.zeros((rows + rows // 2,) + spec.input_shape))) == 2
 
     def test_rows_come_from_the_largest_per_example_intermediate(self):
-        # the 16-channel conv's im2col row (16 * 16 * 16 * 9 floats) sets the block
+        # the 16-channel conv's im2col row (16 * 16 * 16 * 9 floats) sets the
+        # MiniResNet's block, and a hidden-192 activation the MLP's; neither
+        # goes below one row alignment
         conv = miniresnet_spec((1, 16, 16), variant="bayesian2")
-        assert block_rows(conv) == layers._BLOCK_BYTES // (16 * 16 * 16 * 9 * 8) // 16 * 16
-        assert block_rows(mlp_spec(2, hidden=192)) == layers._BLOCK_BYTES // (192 * 8) // 16 * 16
+        for spec, row_bytes in ((conv, 16 * 16 * 16 * 9 * 8), (mlp_spec(2, hidden=192), 192 * 8)):
+            assert block_rows(spec) == max(layers._BLOCK_BYTES // row_bytes // 16 * 16, 16)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(layers, "_BLOCK_BYTES", 100 * row_bytes)
+                assert block_rows(spec) == 96
         for spec in (conv, mlp_spec(2, hidden=192), mlp_spec(784, hidden=64)):
             assert block_rows(spec) % tensor._ROW_ALIGN == 0
 

@@ -18,27 +18,28 @@ from uqnet.layers import (block_rows, body_forward, build_model, head_forward, m
                           model_forward)
 from uqnet.losses import objective
 from uqnet.optim import OptimizerConfig
-from uqnet.tensor import Tensor, cross_entropy
+from uqnet.tensor import Tensor, _windows, cross_entropy
 
 T, CLASSES = 3, 4
 
 
-def evaluate_peak(spec, params, n):
+def evaluate_peak(spec, params, n, cfg=EvalConfig(T=T, seed=0)):
     """Peak bytes traced while evaluating n examples (inputs built beforehand)."""
     x = np.random.default_rng(n).normal(size=(n,) + spec.input_shape)
     ds = Dataset(x, np.arange(n) % CLASSES, [f"c{k}" for k in range(CLASSES)], "test")
     tracemalloc.start()
     try:
-        evaluate(params, spec, ds, EvalConfig(T=T, seed=0))
+        evaluate(params, spec, ds, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def output_bytes(n):
-    """Generous bound on the arrays that scale with n by design: the [T, n, C]
-    passes and their variance temporaries, plus the per-example report rows."""
-    return 8 * n * (4 * T * CLASSES + 16)
+def output_bytes(n, draws=T):
+    """Generous bound on the arrays that scale with n by design: the per-example
+    report rows, plus the [draws, n, C] MC passes and their variance
+    temporaries, or with ``draws=1`` the [n, C] head outputs and their softmax."""
+    return 8 * n * (4 * draws * CLASSES + 16)
 
 
 def test_miniresnet_mc_evaluation_peak_does_not_grow_with_n():
@@ -48,6 +49,35 @@ def test_miniresnet_mc_evaluation_peak_does_not_grow_with_n():
     small = evaluate_peak(spec, params, 64)
     large = evaluate_peak(spec, params, 640)
     assert large - output_bytes(640) <= 1.25 * small, (small, large)
+
+
+def test_sampled_variational_evaluation_peak_does_not_grow_with_n():
+    # The S draws are scored one row block at a time, so nothing of size
+    # [S, N, C] exists; the [S, 640, C] draw alone would be 2 MB.
+    spec = miniresnet_spec((1, 16, 16), CLASSES, "variational")
+    params = build_model(spec, 0)
+    cfg = EvalConfig(S=100, seed=0, space="sampled")
+    assert 640 >= 10 * block_rows(spec)
+    small = evaluate_peak(spec, params, 64, cfg)
+    large = evaluate_peak(spec, params, 640, cfg)
+    assert large - output_bytes(640, draws=1) <= 1.25 * small, (small, large)
+
+
+def test_conv_windows_leave_no_traced_memory_behind():
+    # numpy's sliding_window_view reads __array_interface__, whose keys churn
+    # CPython's interned-string table; every few tens of thousands of calls
+    # the table is rebuilt, and tracemalloc counts the new table (1 to 2 MB)
+    # against whichever test is tracing. conv2d's windows must not do that.
+    a = np.zeros((2, 5, 5, 3), np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(100_000):
+            _windows(a, 1, 3)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 << 10, grown
 
 
 def node_value_bytes(root):

@@ -7,10 +7,11 @@ import pytest
 
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import (MC_VARIANTS, build_model, eval_heads, miniresnet_spec, mlp_spec, model_forward,
-                          row_blocks)
+import uqnet.layers as layers
+from uqnet.layers import (MC_VARIANTS, block_rows, build_model, eval_heads, miniresnet_spec, mlp_spec,
+                          model_forward)
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
-from uqnet.tensor import NonFiniteError, Tensor, check_gradient, finite_checks, no_grad
+from uqnet.tensor import NonFiniteError, Tensor, _row_chunks, check_gradient, finite_checks, no_grad
 from uqnet.uncertainty import (
     PosteriorSamples,
     VariationalOutput,
@@ -22,8 +23,10 @@ from uqnet.uncertainty import (
     np_softmax,
     predictive_entropy,
     reparameterized_samples,
+    sampled_scores,
     uncertainty_score,
     unbiased_variance,
+    variance_score,
     variational_forward,
     variational_outputs,
 )
@@ -320,6 +323,34 @@ class TestScores:
             uncertainty_score(out, space="sampled")
 
 
+class TestSampledScores:
+    """``sampled_scores`` streams the draws in row blocks and returns the
+    bytes of scoring the whole [S, N, C] draw at once."""
+
+    @staticmethod
+    def whole_batch(mu, s2, S, seed):
+        return variance_score(np_softmax(reparameterized_samples(mu, s2, S, seed)))
+
+    @pytest.mark.parametrize("n,S", [(300, 100), (1, 100), (300, 2), (1, 2)])
+    def test_equals_scoring_all_draws_at_once(self, n, S):
+        rng = np.random.default_rng(n + S)
+        mu = rng.normal(scale=2.0, size=(n, 4))
+        s2 = np.exp(rng.normal(size=(n, 4)))
+        s2[::3] = 1e-300   # underflowing sigma: identical draws, score exactly 0
+        if n == 300 and S == 100:   # the noise of each draw spans several blocks
+            assert len(_row_chunks(n, layers._budget_rows(8 * S * 4))) >= 3
+        scores = sampled_scores(mu, s2, S, seed=4)
+        assert scores.shape == (n,)
+        assert scores.tobytes() == self.whole_batch(mu, s2, S, 4).tobytes()
+        assert (scores[::3] == 0.0).all()
+
+    def test_rejects_fewer_than_two_draws_and_non_batches(self):
+        with pytest.raises(ValueError, match="2 reparameterized draws"):
+            sampled_scores(np.zeros((3, 4)), np.ones((3, 4)), 1, seed=0)
+        with pytest.raises(ValueError, match=r"\[N, C\]"):
+            sampled_scores(np.zeros(4), np.ones(4), 5, seed=0)
+
+
 class TestPredictiveEntropy:
     def test_one_hot_is_zero(self):
         assert predictive_entropy([1.0, 0.0, 0.0, 0.0]) == 0.0
@@ -380,7 +411,7 @@ class TestBatchPosteriorIsItsRows:
     """A batch posterior labels and scores each row exactly as that row's own
     posterior does, and ``evaluate`` reports what its batch posterior gives."""
 
-    N = 100   # blocks of 32, 32 and 36 rows on the 16x16 MiniResNet preset
+    N = 100   # several row blocks on the 16x16 MiniResNet preset
 
     def make(self, backbone, variant):
         if backbone == "mlp":
@@ -415,7 +446,7 @@ class TestBatchPosteriorIsItsRows:
     def test_rows_and_evaluate_read_the_batch_posterior(self, backbone, variant, space):
         spec, params, ds = self.make(backbone, variant)
         if backbone == "miniresnet":
-            assert len(row_blocks(spec, ds.inputs)) == 3
+            assert self.N >= 2 * block_rows(spec)
         post = self.batch_posterior(params, spec, ds.inputs, space)
         labels, scores = post.predicted_label, uncertainty_score(post, space)
         assert labels.shape == scores.shape == (self.N,)
