@@ -14,8 +14,6 @@ from .tensor import (
     NonFiniteError,
     ShapeError,
     no_grad,
-    set_finite_checks,
-    finite_checks,
     conv2d,
     global_avg_pool,
     check_gradient,
@@ -72,8 +70,8 @@ from .config import RunConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "NonFiniteError", "ShapeError", "no_grad", "set_finite_checks",
-    "finite_checks", "conv2d", "global_avg_pool", "check_gradient",
+    "Tensor", "NonFiniteError", "ShapeError", "no_grad", "conv2d", "global_avg_pool",
+    "check_gradient",
     "LayerSpec", "ModelSpec", "ModelParams", "build_model",
     "body_forward", "eval_heads", "forward_range", "head_forward", "model_forward", "row_blocks",
     "dropout",

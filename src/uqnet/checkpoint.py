@@ -127,6 +127,8 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ModelParams, dict]:
         if len(chunk) != nbytes:
             raise CheckpointError(f"{path}: truncated payload for {name!r} at offset {offset}")
         arr = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name!r} is not finite")
         tensors[name] = Tensor(arr, requires_grad=True)
         offset += nbytes
     if offset != len(raw):

@@ -496,7 +496,8 @@ def eval_heads(params: ModelParams, spec: ModelSpec, x) -> tuple[np.ndarray, np.
     head outputs are checked for NaN/Inf once, not each op
     (``tensor._run_deferred``)."""
     with no_grad():
-        heads = [_run_deferred(lambda: head_forward(params, spec, body_forward(params, spec, xb)))
+        heads = [_run_deferred(lambda: head_forward(params, spec, body_forward(params, spec, xb)),
+                               ("head output", "head log-variance"))
                  for _, xb in row_blocks(spec, x)]
     out = np.concatenate([o.data for o, _ in heads])
     if heads[0][1] is None:

@@ -20,12 +20,12 @@ Deliberate restrictions, chosen for the small models this library trains:
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
-  :class:`NonFiniteError` naming the offending op and node (toggleable via
-  :func:`set_finite_checks`), except inside the thread's
-  :func:`_deferred_checks` scope. Training steps and evaluation row blocks
-  run there and check what comes out once (the loss and the gradients, the
-  head outputs); only when that check fails do they run the work again with
-  per-op checks, to name the op.
+  :class:`NonFiniteError` naming the offending op and node, except inside
+  the thread's :func:`_deferred_checks` scope. Training steps and
+  evaluation row blocks run there and check what comes out once (the loss
+  and the gradients, the head outputs) with :func:`_check_deferred`; only
+  when that check fails do they run the work again with per-op checks, to
+  name the op.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "NonFiniteError",
     "ShapeError",
     "no_grad",
-    "set_finite_checks",
-    "finite_checks",
     "conv2d",
     "global_avg_pool",
     "cross_entropy",
@@ -51,18 +49,19 @@ __all__ = [
 
 
 class NonFiniteError(ArithmeticError):
-    """An operation produced NaN or Inf while finite checks were enabled."""
+    """An operation, or a result checked once, holds NaN or Inf."""
 
 
 class ShapeError(ValueError):
     """Operand shapes fall outside the supported broadcasting rules."""
 
 
+# Node ids come from one counter shared by every thread, so the ids of ops
+# run on concurrent threads interleave. They appear only in error messages
+# (a replay names a new node number, not the one first seen).
 _node_counter = itertools.count()
 
 _tls = threading.local()
-
-_FINITE_CHECKS = True
 
 
 def _grad_enabled() -> bool:
@@ -80,31 +79,15 @@ def no_grad():
         _tls.grad_enabled = prev
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Globally enable or disable NaN/Inf detection on op results."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
-@contextmanager
-def finite_checks(enabled: bool):
-    prev = _FINITE_CHECKS
-    set_finite_checks(enabled)
-    try:
-        yield
-    finally:
-        set_finite_checks(prev)
-
-
 @contextmanager
 def _deferred_checks():
     """Skip the finite check of every op result and leaf made in the current
     thread for the duration, with numpy's floating-point warnings off.
 
     A NaN or Inf then flows on through the ops after it (which would warn),
-    and the caller checks what comes out once with :func:`_all_finite`. NaN
-    and Inf survive every op the models use, with two exceptions that the
-    per-op checks catch and this one does not: relu maps -Inf to 0, and
+    and the caller checks what comes out once with :func:`_check_deferred`.
+    NaN and Inf survive every op the models use, with two exceptions that
+    the per-op checks catch and this one does not: relu maps -Inf to 0, and
     clip caps an Inf (the variational head's log-variance).
     """
     prev = getattr(_tls, "defer_checks", False)
@@ -116,30 +99,36 @@ def _deferred_checks():
         _tls.defer_checks = prev
 
 
-def _all_finite(*arrays: np.ndarray) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
+def _check_deferred(named_arrays, replay) -> None:
+    """Check each ``(name, array)`` pair of deferred work once for NaN/Inf.
 
-
-def _run_deferred(forward, replay=None):
-    """``forward()`` inside :func:`_deferred_checks`, with the tensors it
-    returns (a tuple; None entries are skipped) checked once at the end.
-
-    If finite checks are on and one of them holds NaN or Inf, ``replay``
-    (``forward`` by default), which must redo the same arithmetic, runs
-    again with per-op checks, so the first non-finite op raises its
-    :class:`NonFiniteError` as it would have without the scope.
+    If one is not finite, ``replay()``, which must redo the work's
+    arithmetic, runs again with per-op checks, so the first non-finite op
+    raises its :class:`NonFiniteError` as it would have without the scope.
+    If no op raises (a gradient that went non-finite in the backward), the
+    error names the array.
     """
+    for name, a in named_arrays:
+        if not np.isfinite(a).all():
+            with np.errstate(all="ignore"):
+                replay()
+            raise NonFiniteError(f"{name} is not finite, but no op raised when the work was run again")
+
+
+def _run_deferred(work, outputs, replay=None):
+    """``work()`` inside :func:`_deferred_checks`, with the tensors it
+    returns (a tuple; None entries are skipped) named by ``outputs`` in the
+    same order and checked once through :func:`_check_deferred`, which
+    replays ``replay`` (``work`` by default)."""
     with _deferred_checks():
-        result = forward()
-    if _FINITE_CHECKS and not _all_finite(*(t.data for t in result if t is not None)):
-        with np.errstate(all="ignore"):
-            (replay or forward)()
-        raise NonFiniteError("non-finite outputs, but no op raised when the work was run again")
+        result = work()
+    _check_deferred([(name, t.data) for name, t in zip(outputs, result) if t is not None],
+                    replay or work)
     return result
 
 
 def _checked(data: np.ndarray, op: str, node_id: int) -> np.ndarray:
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"op '{op}' produced non-finite values (node {node_id})")
     return data
 
@@ -238,13 +227,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _tracks(parents: tuple) -> bool:
-    """Whether an op on ``parents`` records a graph node (graph mode)."""
-    return _grad_enabled() and any(p.requires_grad for p in parents)
-
-
 def _from_op(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
-    track = _tracks(parents)
+    track = _grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -471,16 +455,16 @@ Tensor.reshape = lambda self, *shape: reshape(self, shape[0] if len(shape) == 1 
 # dgemm tiles the rows of a product from its first row and sends a one-row
 # product to gemv, so aligned chunks keep every output row bit-identical to
 # the unchunked product (measured with OpenBLAS on the mlp and miniresnet
-# preset shapes). ``layers.row_blocks`` and float64 graph-mode ``conv2d``
-# both chunk by it.
+# preset shapes). ``layers.row_blocks`` and float64 ``conv2d`` both chunk
+# by it.
 _ROW_ALIGN = 16
 # sgemm does not keep that promise: a float32 row's result can depend on the
 # height of the product it sits in (OpenBLAS, K = 36 and 54, M = 1024 and
 # 2048), though not on where the product starts. So every float32
 # row-indexed product runs through ``_row_matmul`` in products of exactly
-# this many rows, and float32 graph-mode ``conv2d`` chunks are whole tiles.
+# this many rows, and float32 ``conv2d`` chunks are whole tiles.
 _TILE_ROWS = 256
-# A graph-mode conv2d forward multiplies its im2col patches in row chunks of
+# A conv2d forward multiplies its im2col patches in row chunks of
 # about this many bytes (in its input's dtype), so no more than one chunk of
 # patches exists at once. The chunk is a transient on top of the graph, and
 # with float32 activations the MiniResNet's graph is half its float64 size:
@@ -588,17 +572,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     row-indexed products (the forward and the input gradient) run through
     ``_row_matmul``.
 
-    In graph mode the node keeps only its input, which its parent holds
-    anyway: the forward builds the patches one row chunk of about
+    The forward builds the patches one row chunk of about
     ``_CONV_CHUNK_BYTES`` at a time, each chunk's product filling its own
-    rows of the output, and the backward rebuilds all the patches from
+    rows of the output, so a graph node keeps only its input, which its
+    parent holds anyway; the backward rebuilds all the patches from
     ``x.data`` for the weight gradient, then releases them before it builds
     the gradient's patches. The chunks start on ``_ROW_ALIGN`` rows in
     float64 and are whole ``_TILE_ROWS`` tiles in float32, and they are the
     same patches in the same order, so the output and every gradient are
     bit-identical to one product over kept patches, at the cost of one more
-    im2col copy per backward and no extra GEMM. The no-grad forward, which
-    ``layers.row_blocks`` already bounds, multiplies all its patches at once.
+    im2col copy per backward and no extra GEMM.
     """
     X, W, B = x.data, weight.data, bias.data
     if X.ndim != 4 or W.ndim != 4:
@@ -635,18 +618,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
 
     wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        if _tracks((x, weight, bias)):
-            # The padded input comes before the output buffer on purpose: the
-            # other order packed the heap tighter, but glibc then trimmed and
-            # refaulted it on every training step.
-            win = _windows(xl, p, k)
-            out = np.empty((m, cout), dtype)
-            align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
-            for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin,
-                                                   align)):
-                _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
-        else:
-            out = _row_matmul(_im2col(_windows(xl, p, k)), wmat)
+        # The padded input comes before the output buffer on purpose: the
+        # other order packed the heap tighter, but glibc then trimmed and
+        # refaulted it on every training step.
+        win = _windows(xl, p, k)
+        out = np.empty((m, cout), dtype)
+        align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
+        for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin, align)):
+            _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
         out += B
 
     def back(g):

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import rng as _rng
 from .data import Dataset
 from .layers import ModelParams, ModelSpec, body_forward, eval_heads, head_forward
 from .losses import LossBreakdown, objective
 from .optim import OptimizerConfig
-from .tensor import NonFiniteError, Tensor, _all_finite, _deferred_checks
+from .tensor import NonFiniteError, Tensor, _check_deferred, _deferred_checks
 
 
 class TrainingDivergedError(RuntimeError):
@@ -67,28 +65,6 @@ def _deterministic_eval(params: ModelParams, spec: ModelSpec, ds: Dataset,
     return breakdown, float((out.argmax(axis=1) == ds.labels).mean())
 
 
-def _raise_diverged(step: int, epoch: int, forward, breakdown: LossBreakdown,
-                    params: ModelParams):
-    """Raise :class:`TrainingDivergedError` for a step whose loss or gradients
-    are not finite, saying why.
-
-    ``forward`` runs the step's forward again with per-op finite checks, on
-    the same parameters, batch, dropout masks and noise (``opt.step()`` has
-    not run), so the first non-finite op names itself. If none does, the
-    non-finite value is the loss (finite checks switched off) or arose in the
-    backward, and the first parameter with a non-finite gradient is named.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            forward()
-    except NonFiniteError as e:
-        raise TrainingDivergedError(step, epoch, str(e)) from e
-    if not np.isfinite(breakdown.total):
-        raise TrainingDivergedError(step, epoch, f"loss = {breakdown.total}")
-    name = next(n for n, t in params.tensors.items() if t.grad is not None and not _all_finite(t.grad))
-    raise TrainingDivergedError(step, epoch, f"gradient of {name!r} is not finite")
-
-
 def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Dataset,
           cfg: TrainConfig, seed: int) -> TrainResult:
     """Train in place; return the best-validation parameter snapshot and log.
@@ -104,8 +80,11 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
     order, dropout masks, and reparameterization noise all come from
     streams keyed by the seed and the step/epoch index. Each step's ops skip
     their own finite checks; the step's loss and parameter gradients are
-    checked once before the update, and a failure raises
-    :class:`TrainingDivergedError` through :func:`_raise_diverged`.
+    checked once before the update (``tensor._check_deferred``). A failure
+    runs the step's forward again with per-op checks, on the same
+    parameters, batch, dropout masks and noise, and raises
+    :class:`TrainingDivergedError` naming the first non-finite op, or else
+    the first parameter whose gradient went non-finite in the backward.
     """
     if spec.input_shape != train_ds.input_shape:
         raise ValueError(f"model expects inputs {spec.input_shape}, "
@@ -145,9 +124,12 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
                 out, logvar, loss, breakdown = forward()
                 opt.zero_grad()
                 loss.backward()
-            if not (np.isfinite(breakdown.total)
-                    and _all_finite(*(t.grad for t in params.tensors.values() if t.grad is not None))):
-                _raise_diverged(step, epoch, forward, breakdown, params)
+            try:
+                _check_deferred([("loss", loss.data),
+                                 *((f"gradient of {name!r}", t.grad) for name, t in params.tensors.items()
+                                   if t.grad is not None)], forward)
+            except NonFiniteError as e:
+                raise TrainingDivergedError(step, epoch, str(e)) from e
             ce_sum += breakdown.cross_entropy * len(idx)
             kld_sum += breakdown.kld * len(idx)
             correct += int((out.data.argmax(axis=1) == y).sum())

@@ -182,7 +182,7 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
                     logits, _ = _run_deferred(
                         lambda: head_forward(params, spec, forward_range(params, spec, prefix, first, end,
                                                                          pass_rngs[t])),
-                        lambda: replay(t, rows.stop))
+                        ("logits",), lambda: replay(t, rows.stop))
                 out[t, rows] = np_softmax(logits.data)
 
             list((pool.map if pool else map)(one_pass, range(T)))

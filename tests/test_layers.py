@@ -467,6 +467,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_array_names_the_file_and_array(self, tmp_path, value):
+        spec = mlp_spec(2)
+        params = build_model(spec, 1)
+        params["body.0.w"].data[1, 2] = value
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), spec, params)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value) == f"{path}: array 'body.0.w' is not finite"
+
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.pop("head.fc.b"), "missing array 'head.fc.b'"),
         (lambda t: t.update({"head.fc.w": Tensor(np.zeros((3, 4)))}),

@@ -13,7 +13,6 @@ from uqnet.tensor import (
     Tensor,
     conv2d,
     cross_entropy,
-    finite_checks,
     global_avg_pool,
     no_grad,
 )
@@ -117,7 +116,7 @@ class TestBackward:
         # sign, and a masked-out nan or inf gives nan
         x = Tensor([-1.0, 2.0, 0.5, 3.0], requires_grad=True)
         g = np.array([2.0, -0.0, np.nan, np.inf])
-        with finite_checks(False), np.errstate(invalid="ignore"):
+        with tensor._deferred_checks():
             (x.relu() * Tensor(g)).sum().backward()
             relu_grad = x.grad
             x.zero_grad()
@@ -185,11 +184,6 @@ class TestFiniteChecks:
         with pytest.raises(NonFiniteError, match=r"op 'log' .*node"):
             x.log()
 
-    def test_checks_can_be_disabled(self):
-        with finite_checks(False):
-            y = Tensor([-1.0]).log()
-        assert np.isnan(y.data[0])
-
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
@@ -233,15 +227,20 @@ class TestDeferredChecks:
             return Tensor([1.0]), None, Tensor([-1.0]).log().relu()
 
         with pytest.raises(NonFiniteError, match=r"op 'log' .*node"):
-            tensor._run_deferred(work)
+            tensor._run_deferred(work, ("a", "b", "c"))
         assert len(calls) == 2
-        out = tensor._run_deferred(lambda: (Tensor([2.0]).log(),))
+        out = tensor._run_deferred(lambda: (Tensor([2.0]).log(),), ("y",))
         assert out[0].data[0] == np.log(2.0)
 
-    def test_run_deferred_respects_disabled_checks(self):
-        with finite_checks(False):
-            (y,) = tensor._run_deferred(lambda: (Tensor([-1.0]).log(),))
-        assert np.isnan(y.data[0])
+    def test_check_deferred_names_the_array_when_no_op_raises(self):
+        replays = []
+        finite = [("a", np.ones(2))]
+        tensor._check_deferred(finite, lambda: replays.append(1))
+        assert replays == []
+        with pytest.raises(NonFiniteError, match=r"^b is not finite"):
+            tensor._check_deferred([*finite, ("b", np.array([1.0, np.inf])), ("c", np.array([np.nan]))],
+                                   lambda: replays.append(1))
+        assert replays == [1]
 
 
 class TestRowMatmul:

@@ -11,7 +11,7 @@ import uqnet.layers as layers
 from uqnet.layers import (MC_VARIANTS, block_rows, build_model, eval_heads, miniresnet_spec, mlp_spec,
                           model_forward)
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
-from uqnet.tensor import NonFiniteError, Tensor, _row_chunks, check_gradient, finite_checks, no_grad
+from uqnet.tensor import NonFiniteError, Tensor, _row_chunks, check_gradient, no_grad
 from uqnet.uncertainty import (
     PosteriorSamples,
     VariationalOutput,
@@ -490,13 +490,10 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError, match=f"op '{op}'"):
             mc_probs(params, spec, x, T=4, seed=0, workers=2)
 
-    def test_nan_weight_raises_from_eval_heads_unless_checks_are_off(self):
+    def test_nan_weight_raises_from_eval_heads(self):
         spec = mlp_spec(3, variant="variational", hidden=12)
         params = build_model(spec, 0)
         params["head.mu.w"].data[0, 0] = np.nan
         x = np.random.default_rng(0).normal(size=(6, 3))
         with pytest.raises(NonFiniteError, match="op 'matmul'"):
             eval_heads(params, spec, x)
-        with finite_checks(False):
-            mu, logvar = eval_heads(params, spec, x)
-        assert np.isnan(mu).any() and np.isfinite(logvar).all()
