@@ -64,9 +64,9 @@ def write_metrics_csv(metrics: ClassificationMetrics, report: UncertaintyReport,
 
 def write_per_example_csv(report: UncertaintyReport, path: str) -> None:
     rows = [("id", "true", "predicted", "correct", "score", "entropy")]
-    for i in range(len(report.ids)):
-        rows.append((str(int(report.ids[i])), str(int(report.y_true[i])),
-                     str(int(report.y_pred[i])), str(int(report.correct[i])),
+    for i in range(len(report.y_true)):
+        true, pred = int(report.y_true[i]), int(report.y_pred[i])
+        rows.append((str(i), str(true), str(pred), str(int(true == pred)),
                      _cell(float(report.scores[i])), _cell(float(report.entropies[i]))))
     _write(path, rows)
 

@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 from .data import DataError, Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
 from .evaluate import EvalConfig
-from .layers import BACKBONES, ModelSpec, miniresnet_spec, mlp_spec
+from .layers import BACKBONES, VARIANTS, ModelSpec, miniresnet_spec, mlp_spec
 from .optim import OptimizerConfig
 from .train import TrainConfig
 
@@ -155,6 +155,8 @@ class RunConfig:
         if self.model.backbone not in BACKBONES:
             raise ValueError(f"model.backbone must be one of {BACKBONES}, "
                              f"got {self.model.backbone!r}")
+        if self.model.variant not in VARIANTS:
+            raise ValueError(f"model.variant must be one of {VARIANTS}, got {self.model.variant!r}")
         if not (0.0 <= self.model.dropout < 1.0):
             raise ValueError(f"model.dropout must lie in [0, 1), got {self.model.dropout}")
         if self.seed < 0:

@@ -38,7 +38,6 @@ class Dataset:
     inputs: np.ndarray          # [N, ...] float64
     labels: np.ndarray          # [N] int64 in [0, n_classes)
     class_names: list[str]
-    provenance: str
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -65,7 +64,7 @@ class Dataset:
         return self.inputs.shape[1:]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[idx], self.labels[idx], list(self.class_names), self.provenance)
+        return Dataset(self.inputs[idx], self.labels[idx], list(self.class_names))
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes)
@@ -110,8 +109,7 @@ def synth_blobs(n: int, n_classes: int = 4, overlap: float = 0.5, dim: int = 2,
     labels = np.arange(n, dtype=np.int64) % n_classes
     points = centers[labels] + gen.standard_normal((n, dim))
     order = gen.permutation(n)
-    return Dataset(points[order], labels[order], [f"class{k}" for k in range(n_classes)],
-                   "synthetic-blobs")
+    return Dataset(points[order], labels[order], [f"class{k}" for k in range(n_classes)])
 
 
 def _texture(kind: int, grid: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -163,8 +161,7 @@ def synth_textures(n: int, n_classes: int = 4, size: int = 16, noise: float = 0.
         img = np.clip(img, 0.0, 1.0)
         images[i, 0] = np.round(img * 255.0) / 255.0
     order = gen.permutation(n)
-    return Dataset(images[order], labels[order], list(TEXTURE_CLASSES[:n_classes]),
-                   "synthetic-textures")
+    return Dataset(images[order], labels[order], list(TEXTURE_CLASSES[:n_classes]))
 
 
 # -- CSV ------------------------------------------------------------------------
@@ -213,7 +210,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     if labels.min() < 0:
         raise DataError(f"{path}: negative label {labels.min()}")
     n_classes = int(labels.max()) + 1
-    return Dataset(np.asarray(rows), labels, [f"class{k}" for k in range(n_classes)], "csv")
+    return Dataset(np.asarray(rows), labels, [f"class{k}" for k in range(n_classes)])
 
 
 # -- IDX --------------------------------------------------------------------------
@@ -291,7 +288,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
                         f"{labels_path} holds {labels.shape[0]} labels")
     inputs = images.astype(np.float64)[:, None, :, :] / 255.0
     n_classes = int(labels.max()) + 1
-    return Dataset(inputs, labels.astype(np.int64), [f"class{k}" for k in range(n_classes)], "idx")
+    return Dataset(inputs, labels.astype(np.int64), [f"class{k}" for k in range(n_classes)])
 
 
 # -- splitting ---------------------------------------------------------------------

@@ -12,8 +12,8 @@ before the final linear head, ``bayesian2`` also one before every residual
 block, and ``variational`` is the baseline body with the variational head.
 Both presets apply the rule to a dropout-free body, and :func:`validate_spec`
 checks a spec by applying it again. The parameter layout is one table,
-``_param_groups``, read by :func:`build_model`, by :func:`param_shapes`
-(which checkpoint readers check against) and by the row-block sizing.
+``_param_groups``, read by :func:`build_model` and by :func:`param_shapes`
+(which checkpoint readers check against).
 
 All dropout is inverted dropout: surviving activations are scaled by
 1/(1-p) at mask time. A forward pass draws masks exactly when it is given a
@@ -43,8 +43,8 @@ MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled 
 BACKBONES = ("mlp", "miniresnet")
 CONV_DTYPES = ("float64", "float32")   # ModelSpec.conv_dtype: the body's dtype
 
-# A no-grad forward runs its batch in row blocks whose largest per-layer
-# intermediate holds about this many bytes, so its working memory does not
+# A no-grad forward runs its batch in row blocks whose largest layer
+# activation holds about this many bytes, so its working memory does not
 # grow with the batch. The blocks follow the row alignment and tail rule of
 # ``tensor._row_chunks``. Each op of a pass allocates an array of about one
 # block and frees it before the next pass. Arrays above glibc malloc's
@@ -273,12 +273,11 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _param_groups(spec: ModelSpec) -> list[tuple[int, str, list]]:
-    """The parameter table in init-stream order: one ``(layer index, name
-    prefix, [(weight name, shape, fan_in)])`` group per parameterized body
-    layer, then ``head.fc``, or ``head.mu`` and ``head.logvar``. The layer
-    index points into :func:`infer_shapes` at the group's input (the head's
-    is the feature vector); every weight ``<name>.w`` has a bias ``<name>.b``."""
+def _param_groups(spec: ModelSpec) -> list[tuple[str, list]]:
+    """The parameter table in init-stream order: one ``(name prefix,
+    [(weight name, shape, fan_in)])`` group per parameterized body layer,
+    then ``head.fc``, or ``head.mu`` and ``head.logvar``; every weight
+    ``<name>.w`` has a bias ``<name>.b``."""
     groups = []
     for i, layer in enumerate(spec.layers):
         if layer.kind == "linear":
@@ -295,11 +294,10 @@ def _param_groups(spec: ModelSpec) -> list[tuple[int, str, list]]:
             weights = [("fc1.w", (d, d), d), ("fc2.w", (d, d), d)]
         else:
             continue
-        groups.append((i, f"body.{i}", weights))
+        groups.append((f"body.{i}", weights))
     feat = spec.feature_dim
     heads = ("fc",) if spec.head == "standard" else ("mu", "logvar")
-    groups += [(len(spec.layers), f"head.{h}", [("w", (feat, spec.n_classes), feat)])
-               for h in heads]
+    groups += [(f"head.{h}", [("w", (feat, spec.n_classes), feat)]) for h in heads]
     return groups
 
 
@@ -308,7 +306,7 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     parameter table followed by its bias, which is sized by the weight's
     output axis (the last of a matmul weight, the first of a conv weight)."""
     shapes: dict[str, tuple[int, ...]] = {}
-    for _, prefix, weights in _param_groups(spec):
+    for prefix, weights in _param_groups(spec):
         for name, shape, _ in weights:
             shapes[f"{prefix}.{name}"] = shape
             shapes[f"{prefix}.{name[:-1]}b"] = (shape[-1] if len(shape) == 2 else shape[0],)
@@ -326,7 +324,7 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     validate_spec(spec)
     # zeros in init order; the loop replaces each weight, so only biases stay zero
     tensors = {name: _zeros(shape) for name, shape in param_shapes(spec).items()}
-    for ordinal, (_, prefix, weights) in enumerate(_param_groups(spec)):
+    for ordinal, (prefix, weights) in enumerate(_param_groups(spec)):
         gen = _rng.stream(seed, _rng.NS_INIT, ordinal)
         for name, shape, fan_in in weights:
             tensors[f"{prefix}.{name}"] = _he_weight(gen, shape, fan_in)
@@ -444,21 +442,13 @@ def model_forward(params: ModelParams, spec: ModelSpec, x,
 
 
 def _example_bytes(spec: ModelSpec) -> int:
-    """Bytes of the largest per-example intermediate of a forward pass: a
-    layer activation or a conv's im2col row (H * W * fan_in floats).
+    """Bytes of the largest per-example layer activation of a forward pass.
 
-    It counts 8 bytes a float whatever ``spec.conv_dtype``: exact for a
-    float64 body and an upper bound for a float32 one. On the 16x16
-    MiniResNet preset the count does not decide the block: one image's
-    16-channel im2col row takes 288 KiB at 8 bytes a float and 144 KiB at
-    4, so either count puts the block at the 16-row alignment floor."""
-    shapes = infer_shapes(spec)
-    largest = max(math.prod(shape) for shape in shapes)
-    for i, _, weights in _param_groups(spec):
-        for _, shape, fan_in in weights:
-            if len(shape) == 4:
-                largest = max(largest, shapes[i][1] * shapes[i][2] * fan_in)
-    return 8 * largest
+    A conv's im2col patches do not count: :func:`conv2d` builds them in row
+    chunks under its own byte budget. It counts 8 bytes a float whatever
+    ``spec.conv_dtype``: exact for a float64 body and an upper bound for a
+    float32 one."""
+    return 8 * max(math.prod(shape) for shape in infer_shapes(spec))
 
 
 def _budget_rows(row_bytes: int) -> int:
@@ -469,7 +459,7 @@ def _budget_rows(row_bytes: int) -> int:
 
 def block_rows(spec: ModelSpec) -> int:
     """Rows per evaluation block: the byte budget over the largest
-    per-example intermediate, rounded down to the row alignment."""
+    per-example activation, rounded down to the row alignment."""
     return _budget_rows(_example_bytes(spec))
 
 

@@ -96,6 +96,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {OPTIMIZERS}")
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        for name in ("momentum", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
     def build(self, params: ModelParams):
         if self.kind == "adam":

@@ -27,10 +27,8 @@ class GroupSummary:
 @dataclass
 class UncertaintyReport:
     method: str                       # scoring method tag for the score column
-    ids: np.ndarray                   # [N]
     y_true: np.ndarray                # [N]
     y_pred: np.ndarray                # [N]
-    correct: np.ndarray               # [N] bool
     scores: np.ndarray                # [N] uncertainty score per example
     entropies: np.ndarray             # [N] predictive entropy per example
     correct_group: GroupSummary | None
@@ -96,10 +94,8 @@ def build_report(y_true, y_pred, scores, entropies, method: str) -> UncertaintyR
 
     return UncertaintyReport(
         method=method,
-        ids=np.arange(n, dtype=np.int64),
         y_true=y_true,
         y_pred=y_pred,
-        correct=correct,
         scores=scores,
         entropies=entropies,
         correct_group=_summarize(s_correct),

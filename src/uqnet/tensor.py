@@ -20,7 +20,7 @@ Deliberate restrictions, chosen for the small models this library trains:
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
-  :class:`NonFiniteError` naming the offending op and node, except inside
+  :class:`NonFiniteError` naming the offending op, except inside
   the thread's :func:`_deferred_checks` scope. Training steps and
   evaluation row blocks run there and check what comes out once (the loss
   and the gradients, the head outputs) with :func:`_check_deferred`; only
@@ -30,7 +30,6 @@ Deliberate restrictions, chosen for the small models this library trains:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from contextlib import contextmanager
 
@@ -55,11 +54,6 @@ class NonFiniteError(ArithmeticError):
 class ShapeError(ValueError):
     """Operand shapes fall outside the supported broadcasting rules."""
 
-
-# Node ids come from one counter shared by every thread, so the ids of ops
-# run on concurrent threads interleave. They appear only in error messages
-# (a replay names a new node number, not the one first seen).
-_node_counter = itertools.count()
 
 _tls = threading.local()
 
@@ -127,9 +121,9 @@ def _run_deferred(work, outputs, replay=None):
     return result
 
 
-def _checked(data: np.ndarray, op: str, node_id: int) -> np.ndarray:
+def _checked(data: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(data).all():
-        raise NonFiniteError(f"op '{op}' produced non-finite values (node {node_id})")
+        raise NonFiniteError(f"op '{op}' produced non-finite values")
     return data
 
 
@@ -142,7 +136,7 @@ class Tensor:
     the shape and dtype of ``data``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         if not (isinstance(data, np.ndarray) and data.dtype == np.float32):
@@ -150,12 +144,11 @@ class Tensor:
         self.data = data
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_node_counter)
         self.op = "leaf"
         self._parents = ()
         self._backward = None
         if not getattr(_tls, "defer_checks", False):
-            _checked(self.data, "leaf", self.node_id)
+            _checked(self.data, "leaf")
 
     # -- basic protocol ----------------------------------------------------
 
@@ -233,12 +226,11 @@ def _from_op(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     out.data = data
     out.grad = None
     out.requires_grad = track
-    out.node_id = next(_node_counter)
     out.op = op
     out._parents = parents if track else ()
     out._backward = backward if track else None
     if not getattr(_tls, "defer_checks", False):
-        _checked(data, op, out.node_id)
+        _checked(data, op)
     return out
 
 

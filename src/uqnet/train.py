@@ -33,6 +33,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.beta < 0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
                          f"model expects {spec.n_classes}")
 
     opt = cfg.optimizer.build(params)
-    result = TrainResult(params=params.copy())
+    result = TrainResult(params=params)   # epoch 0 replaces it with a snapshot
     best_key: tuple[float, float] | None = None  # (accuracy, -loss), earliest epoch wins ties
     step = 0
 

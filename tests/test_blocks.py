@@ -24,7 +24,7 @@ def make(backbone, variant, n=N, classes=4, size=8):
     else:
         spec = miniresnet_spec((1, size, size), classes, variant, channels=(4, 6, 6))
     x = np.random.default_rng(1).normal(size=(n,) + spec.input_shape)
-    ds = Dataset(x, np.arange(n) % classes, [f"c{k}" for k in range(classes)], "test")
+    ds = Dataset(x, np.arange(n) % classes, [f"c{k}" for k in range(classes)])
     return spec, build_model(spec, 5), ds
 
 
@@ -54,16 +54,17 @@ class TestRowBlocks:
         assert len(row_blocks(spec, np.zeros((rows + rows // 2,) + spec.input_shape))) == 2
 
     def test_rows_come_from_the_largest_per_example_intermediate(self):
-        # the 16-channel conv's im2col row (16 * 16 * 16 * 9 floats) sets the
-        # MiniResNet's block, and a hidden-192 activation the MLP's; neither
-        # goes below one row alignment
-        conv = miniresnet_spec((1, 16, 16), variant="bayesian2")
-        for spec, row_bytes in ((conv, 16 * 16 * 16 * 9 * 8), (mlp_spec(2, hidden=192), 192 * 8)):
-            assert block_rows(spec) == max(layers._BLOCK_BYTES // row_bytes // 16 * 16, 16)
+        # the largest layer activation sets the block: a 16-channel 16x16 map
+        # for the MiniResNet and a hidden-192 vector for the MLP; a conv's
+        # im2col patches do not count, since conv2d builds them in chunks.
+        # The presets' blocks: the 16-row alignment floor and 128 rows
+        conv, mlp = miniresnet_spec((1, 16, 16), variant="bayesian2"), mlp_spec(2, hidden=192)
+        assert (block_rows(conv), block_rows(mlp)) == (16, 128)
+        for spec, row_bytes in ((conv, 16 * 16 * 16 * 8), (mlp, 192 * 8)):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(layers, "_BLOCK_BYTES", 100 * row_bytes)
                 assert block_rows(spec) == 96
-        for spec in (conv, mlp_spec(2, hidden=192), mlp_spec(784, hidden=64)):
+        for spec in (conv, mlp, mlp_spec(784, hidden=64)):
             assert block_rows(spec) % tensor._ROW_ALIGN == 0
 
     @pytest.mark.parametrize("n", [1, 7, 8, 15, 16, 23, 24, 31, 32, 33, 40, 77])

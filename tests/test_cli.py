@@ -530,9 +530,18 @@ class TestRunConfig:
         (["--train-frac", "nan"], None,
          "config key dataset.train_frac: 'nan' is not a finite number"),
         ([], "[training]\nbeta = inf\n", "config key training.beta: 'inf' is not a finite number"),
+        ([], "[model]\nvariant = bogus\n",
+         "model.variant must be one of ('baseline', 'bayesian1', 'bayesian2', 'variational'), "
+         "got 'bogus'"),
+        (["--lr", "-1"], None, "lr must be >= 0, got -1.0"),
+        (["--momentum", "1.5"], None, "momentum must lie in [0, 1), got 1.5"),
+        (["--beta1", "1"], None, "beta1 must lie in [0, 1), got 1.0"),
+        ([], "[training]\nbeta2 = -0.1\n", "beta2 must lie in [0, 1), got -0.1"),
+        (["--beta", "-1"], None, "beta must be >= 0, got -1.0"),
     ], ids=["T", "workers", "overlap", "epochs", "batch-size", "sampled-S",
             "file-space", "file-workers", "file-optimizer", "nan-lr", "nan-train-frac",
-            "file-inf-beta"])
+            "file-inf-beta", "file-variant", "negative-lr", "momentum", "beta1",
+            "file-beta2", "negative-beta"])
     def test_rejected_setting_is_usage_error(self, flags, text, message, tmp_path,
                                              no_training, capsys):
         out = str(tmp_path / "c")

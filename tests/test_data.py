@@ -199,7 +199,7 @@ class TestIdx:
             load_idx(ip, lp2)
 
     def test_unquantized_data_rejected(self, tmp_path):
-        ds = Dataset(np.full((4, 1, 8, 8), 1.0 / 7.0), np.zeros(4, dtype=int), ["a"], "test")
+        ds = Dataset(np.full((4, 1, 8, 8), 1.0 / 7.0), np.zeros(4, dtype=int), ["a"])
         with pytest.raises(ValueError, match="8-bit"):
             save_idx(ds, str(tmp_path / "i.idx"), str(tmp_path / "l.idx"))
 
@@ -236,7 +236,7 @@ class TestSplit:
     def test_uneven_classes_deviate_at_most_one(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 4, size=237)
-        ds = Dataset(rng.normal(size=(237, 2)), labels, [f"c{k}" for k in range(4)], "test")
+        ds = Dataset(rng.normal(size=(237, 2)), labels, [f"c{k}" for k in range(4)])
         tr, va, te = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=5))
         for part, frac in ((tr, 0.7), (va, 0.15), (te, 0.15)):
             for c in range(4):

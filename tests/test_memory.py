@@ -26,7 +26,7 @@ T, CLASSES = 3, 4
 def evaluate_peak(spec, params, n, cfg=EvalConfig(T=T, seed=0)):
     """Peak bytes traced while evaluating n examples (inputs built beforehand)."""
     x = np.random.default_rng(n).normal(size=(n,) + spec.input_shape)
-    ds = Dataset(x, np.arange(n) % CLASSES, [f"c{k}" for k in range(CLASSES)], "test")
+    ds = Dataset(x, np.arange(n) % CLASSES, [f"c{k}" for k in range(CLASSES)])
     tracemalloc.start()
     try:
         evaluate(params, spec, ds, cfg)

@@ -90,6 +90,12 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="unknown optimizer"):
             OptimizerConfig("lbfgs")
 
+    def test_rejects_nonpositive_eps(self):
+        import pytest
+        for eps in (0.0, -1e-8):
+            with pytest.raises(ValueError, match=f"eps must be > 0, got {eps}"):
+                OptimizerConfig(eps=eps)
+
     def test_five_steps_byte_identical_to_formula(self):
         # The in-place update keeps the formula's operation order, so
         # parameters and both moments match it bit for bit; a parameter

@@ -1,8 +1,11 @@
 """Uncertainty report: grouping, ratio, quartiles, histogram contracts."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from uqnet.artifacts import write_per_example_csv
 from uqnet.report import HISTOGRAM_BINS, build_report
 
 
@@ -71,6 +74,20 @@ class TestGroups:
         y_true, y_pred, scores, entropies = _fixture(4)
         rep = build_report(y_true, y_pred, scores, entropies, "mc-dropout")
         assert rep.correct_group.count + rep.incorrect_group.count == len(y_true)
+
+
+class TestPerExampleCsv:
+    def test_id_and_correct_columns(self, tmp_path):
+        y_true, y_pred, scores, entropies = _fixture(5, n=40)
+        path = str(tmp_path / "per_example.csv")
+        write_per_example_csv(build_report(y_true, y_pred, scores, entropies, "mc-dropout"), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["id"] for r in rows] == [str(i) for i in range(40)]
+        assert [int(r["true"]) for r in rows] == y_true.tolist()
+        assert [int(r["predicted"]) for r in rows] == y_pred.tolist()
+        assert [r["correct"] for r in rows] == [str(int(t == p)) for t, p in zip(y_true, y_pred)]
+        assert {r["correct"] for r in rows} == {"0", "1"}
 
 
 class TestValidation:

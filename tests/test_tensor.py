@@ -179,9 +179,9 @@ class TestShapeRules:
 
 
 class TestFiniteChecks:
-    def test_nonfinite_result_raises_with_node(self):
+    def test_nonfinite_result_raises_naming_the_op(self):
         x = Tensor([-1.0])
-        with pytest.raises(NonFiniteError, match=r"op 'log' .*node"):
+        with pytest.raises(NonFiniteError, match=r"^op 'log' produced non-finite values$"):
             x.log()
 
     def test_nonfinite_leaf_rejected(self):
@@ -200,7 +200,7 @@ class TestDeferredChecks:
             with tensor._deferred_checks():
                 y = Tensor([-1.0]).log() * Tensor([np.inf])
             assert np.isnan(y.data[0])
-            with pytest.raises(NonFiniteError, match=r"op 'log' .*node"):
+            with pytest.raises(NonFiniteError, match=r"op 'log' produced non-finite values"):
                 Tensor([-1.0]).log()
 
     def test_scope_is_per_thread(self):
@@ -226,7 +226,7 @@ class TestDeferredChecks:
             calls.append(1)
             return Tensor([1.0]), None, Tensor([-1.0]).log().relu()
 
-        with pytest.raises(NonFiniteError, match=r"op 'log' .*node"):
+        with pytest.raises(NonFiniteError, match=r"op 'log' produced non-finite values"):
             tensor._run_deferred(work, ("a", "b", "c"))
         assert len(calls) == 2
         out = tensor._run_deferred(lambda: (Tensor([2.0]).log(),), ("y",))

@@ -130,7 +130,7 @@ class TestCapacity:
     def test_memorizes_32_examples_within_500_steps(self):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(32, 8)), rng.integers(0, 4, size=32),
-                     [f"c{k}" for k in range(4)], "test")
+                     [f"c{k}" for k in range(4)])
         spec = mlp_spec(8, variant="baseline")
         params = build_model(spec, 0)
         # full-batch: one step per epoch, so 500 epochs = 500 steps
@@ -235,7 +235,7 @@ class TestFailureModes:
         # (huge inputs times a huge back-propagated gradient) overflows.
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(16, 2)) * 1e12, np.arange(16) % 4,
-                     ["a", "b", "c", "d"], "test")
+                     ["a", "b", "c", "d"])
         spec = mlp_spec(2, variant="baseline", hidden=8)
         params = build_model(spec, 0)
         for name in params.names():

@@ -376,7 +376,7 @@ class TestSingleExampleIsBatchOfOne:
     x = np.array([0.4, -1.2])
 
     def one_example(self):
-        return Dataset(self.x[None, :], np.array([0]), ["a", "b", "c", "d"], "test")
+        return Dataset(self.x[None, :], np.array([0]), ["a", "b", "c", "d"])
 
     def test_mc_predict_is_row_of_mc_probs_and_evaluate(self):
         spec = mlp_spec(2, variant="bayesian2")
@@ -419,7 +419,7 @@ class TestBatchPosteriorIsItsRows:
         else:
             spec = miniresnet_spec((1, 16, 16), variant=variant)
         x = np.random.default_rng(3).normal(size=(self.N,) + spec.input_shape)
-        ds = Dataset(x, np.arange(self.N) % 4, ["a", "b", "c", "d"], "test")
+        ds = Dataset(x, np.arange(self.N) % 4, ["a", "b", "c", "d"])
         return spec, build_model(spec, 7), ds
 
     @staticmethod
