@@ -26,7 +26,7 @@ def make_spec(variant):
 
 
 train_cfg = TrainConfig(OptimizerConfig("adam", lr=1e-3), epochs=20, batch_size=64, beta=0.01)
-eval_cfg = EvalConfig(T=100, S=100, space="sampled")
+eval_cfg = EvalConfig(T=100, S=100)
 
 rows, runs = compare_variants(make_splits, make_spec, train_cfg, eval_cfg, seeds=[0])
 

@@ -81,7 +81,7 @@ _HELP = {
     "beta": "KLD weight for the variational loss",
     "T": "MC dropout passes (>= 2)",
     "S": "variational reparameterized draws",
-    "space": "variational uncertainty space",
+    "space": "variational scoring: the variance of the S softmaxed draws",
     "workers": "threads for MC passes",
 }
 
@@ -148,7 +148,7 @@ def _score_checkpoint(args, path: str, splits: dict):
     The saved config (or, for a checkpoint without one, the flags) and its
     seed regenerate the splits; dataset flags still layer over it, and the
     stored digest refuses splits that differ. Flags and ``--config`` over the
-    saved config choose T, S, space, workers and the evaluation seed.
+    saved config choose T, S, workers and the evaluation seed.
     ``splits`` caches the splits by (dataset, seed) across calls.
     Returns (resolved config, spec, data seed, metrics, report).
     """

@@ -66,7 +66,7 @@ class TrainingSection:
 class UncertaintySection:
     T: int = EvalConfig.T
     S: int = EvalConfig.S
-    space: str = EvalConfig.space   # variational scoring space
+    space: str = EvalConfig.space   # evaluate.SPACES, one legal value
     workers: int = EvalConfig.workers
 
 
@@ -114,6 +114,10 @@ class RunConfig:
         for section in cp.sections():
             if section not in SECTIONS:
                 raise ValueError(f"unknown config section [{section}]")
+        # configs written while sigma^2 scoring existed carry its default, space = analytic;
+        # read it as the one space left, so that old checkpoints still evaluate
+        if cp.get("uncertainty", "space", fallback=None) == "analytic":
+            cp["uncertainty"]["space"] = "sampled"
         return self.with_overrides({section: dict(cp[section]) for section in cp.sections()})
 
     def section(self, name: str) -> dict:

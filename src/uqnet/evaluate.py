@@ -33,15 +33,15 @@ from .uncertainty import (
     variational_outputs,
 )
 
-SPACES = ("analytic", "sampled")   # variational scoring spaces
+SPACES = ("sampled",)   # the one legal value of EvalConfig.space
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     T: int = 100          # MC dropout passes
-    S: int = 100          # variational draws (sampled scoring mode)
+    S: int = 100          # variational draws
     seed: int = 0
-    space: str = "analytic"   # variational scoring: "analytic" | "sampled"
+    space: str = "sampled"    # variational scoring: the variance of the S draws
     workers: int = 1
 
     def __post_init__(self):
@@ -51,8 +51,8 @@ class EvalConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.space not in SPACES:
             raise ValueError(f"unknown scoring space {self.space!r}, expected one of {SPACES}")
-        if self.space == "sampled" and self.S < 2:
-            raise ValueError(f"sampled scoring needs S >= 2, got {self.S}")
+        if self.S < 2:
+            raise ValueError(f"variational scoring needs S >= 2, got {self.S}")
 
 
 def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
@@ -73,9 +73,8 @@ def evaluate(params: ModelParams, spec: ModelSpec, test: Dataset,
         else:
             mu, sigma2 = variational_outputs(params, spec, x)              # [N, C] each
             post = VariationalOutput(mu, sigma2)
-            probs, method = np_softmax(mu), f"variational-{cfg.space}"
-            scores = (sampled_scores(mu, sigma2, cfg.S, cfg.seed) if cfg.space == "sampled"
-                      else uncertainty_score(post, cfg.space))
+            probs, method = np_softmax(mu), "variational-sampled"
+            scores = sampled_scores(mu, sigma2, cfg.S, cfg.seed)
         pred, entropies = post.predicted_label, predictive_entropy(probs)
 
     metrics = ClassificationMetrics.from_predictions(test.labels, pred, spec.n_classes)

@@ -26,7 +26,7 @@ class TrainConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
     epochs: int = 20
     batch_size: int = 64
-    beta: float = 1.0  # KLD weight for the variational variant
+    beta: float = 0.01  # KLD weight for the variational variant
 
     def __post_init__(self):
         if self.epochs < 1:

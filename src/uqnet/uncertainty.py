@@ -11,15 +11,15 @@ Two mechanisms produce a posterior over class predictions:
   and training regularizes the head toward N(0, I) via the closed-form
   KL divergence.
 
-Scalar uncertainty is the mean over classes of the per-class variance
-(probability-space for MC dropout and the sampled variational mode,
-logit-space sigma^2 for the analytic variational mode).
+Scalar uncertainty is the mean over classes of the per-class variance of
+the probability samples: the T softmaxed passes of MC dropout, or the S
+softmaxed reparameterized draws of the variational head.
 Each mechanism has one batched implementation, and one posterior type holds
 a batch or one example under the same labelling and scoring rules; the
 single-example API is its N = 1 case and returns the bytes of row 0.
-``evaluate`` scores a batch in the sampled space with :func:`sampled_scores`,
-which draws and reduces one row block at a time and returns the bytes of
-scoring all [S, N, C] draws at once.
+``evaluate`` scores a variational batch with :func:`sampled_scores`, which
+draws and reduces one row block at a time and returns the bytes of scoring
+all [S, N, C] draws at once.
 Both heads themselves are computed by :mod:`uqnet.layers`
 (``head_forward`` and ``eval_heads``); this module only samples and scores
 their outputs.
@@ -125,7 +125,7 @@ def unbiased_variance(samples: np.ndarray) -> np.ndarray:
 
 
 def variance_score(samples: np.ndarray) -> np.ndarray:
-    """Score of [T, ..., C] probability draws (MC dropout, sampled variational):
+    """Score of [T, ..., C] probability draws (MC dropout, variational draws):
     mean over classes of the unbiased per-class variance, shape [...]."""
     return unbiased_variance(samples).mean(axis=-1)
 
@@ -230,7 +230,7 @@ def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: in
 
 
 def sampled_scores(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int) -> np.ndarray:
-    """Sampled-space scores of a batch, [N], from its [N, C] head outputs:
+    """Variational scores of a batch, [N], from its [N, C] head outputs:
     the bytes of ``variance_score(np_softmax(reparameterized_samples(mu,
     sigma2, S, seed)))`` without its [S, N, C] arrays.
 
@@ -246,7 +246,7 @@ def sampled_scores(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int) -> np.
     if mu.ndim != 2:
         raise ValueError(f"expected [N, C] head outputs, got {mu.shape}")
     if S < 2:
-        raise ValueError("sampled scoring needs at least 2 reparameterized draws")
+        raise ValueError("variational scoring needs at least 2 reparameterized draws")
     n, c = mu.shape
     gens = [_rng.stream(seed, _rng.NS_EVAL_NOISE, i) for i in range(S)]
     scores = np.empty(n)
@@ -314,27 +314,22 @@ def kld_from_logvar(mu: Tensor, logvar: Tensor) -> Tensor:
 # -- scalar scores -----------------------------------------------------------------
 
 
-def uncertainty_score(post, space: str = "analytic"):
+def uncertainty_score(post):
     """Reduce a posterior to its nonnegative uncertainty: a float for one
     example, an [N] array for a batch.
 
-    MC dropout: mean over classes of the per-class probability variance.
-    Variational: mean predicted sigma^2 (logit space) in ``analytic`` mode;
-    in ``sampled`` mode the draws are pushed through softmax and scored like
-    MC dropout.
+    The mean over classes of the per-class variance of the probability
+    samples: the MC dropout passes, or the variational draws pushed through
+    softmax (which needs at least 2 draws).
     """
     if isinstance(post, PosteriorSamples):
         score = variance_score(post.samples)
     elif not isinstance(post, VariationalOutput):
         raise TypeError(f"cannot score {type(post).__name__}")
-    elif space == "analytic":
-        score = post.sigma2.mean(axis=-1)
-    elif space == "sampled":
-        if post.samples is None or len(post.samples) < 2:
-            raise ValueError("sampled scoring needs at least 2 reparameterized draws")
-        score = variance_score(np_softmax(post.samples))
+    elif post.samples is None or len(post.samples) < 2:
+        raise ValueError("variational scoring needs at least 2 reparameterized draws")
     else:
-        raise ValueError(f"unknown scoring space {space!r}")
+        score = variance_score(np_softmax(post.samples))
     return float(score) if np.ndim(score) == 0 else score
 
 

@@ -8,8 +8,8 @@ The heavy end-to-end criteria use frozen configurations:
 
 * separation run: blobs(n=5000, C=4, overlap=0.4, dim=2), split
   0.7/0.15/0.15, MLP hidden 192, Adam lr 1e-3, 40 epochs, batch 64,
-  KLD weight 0.01, T=100, S=100, seeds 0/1/2; the variational ratio is
-  measured in probability space (sampled scoring).
+  KLD weight 0.01, T=100, S=100, seeds 0/1/2; the variational score is
+  the probability variance of its S softmaxed draws.
 * conv sweep: textures(n=800, 16x16), noise in {0, 0.2, 0.35, 0.5}, split
   0.6/0.15/0.25, MiniResNet bayesian1, Adam lr 1e-3, 40 epochs, batch 32,
   T=100, seed 0.
@@ -57,9 +57,8 @@ def separation_runs():
             spec = mlp_spec(2, variant=variant, hidden=192)
             params = build_model(spec, seed)
             trained = train(params, spec, tr, va, SEP_TRAIN, seed)
-            space = "sampled" if variant == "variational" else "analytic"
             metrics, report = evaluate(trained.params, spec, te,
-                                       EvalConfig(T=100, S=100, seed=seed, space=space))
+                                       EvalConfig(T=100, S=100, seed=seed))
             results[(variant, seed)] = (metrics, report)
     results["elapsed"] = time.time() - t0
     return results

@@ -130,11 +130,10 @@ class TestBlockedEqualsUnblocked:
         assert same_bytes(smallest_blocks(lambda: layers.eval_heads(params, spec, ds.inputs))[0], whole)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
-    @pytest.mark.parametrize("variant,space", [(v, "analytic") for v in VARIANTS]
-                             + [("variational", "sampled")])
-    def test_evaluate(self, backbone, variant, space):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_evaluate(self, backbone, variant):
         spec, params, ds = make(backbone, variant)
-        cfg = EvalConfig(T=5, S=5, seed=2, space=space)
+        cfg = EvalConfig(T=5, S=5, seed=2)
         (m1, r1), (m2, r2) = (evaluate(params, spec, ds, cfg),
                               smallest_blocks(lambda: evaluate(params, spec, ds, cfg)))
         for a, b in ((r1.y_pred, r2.y_pred), (r1.scores, r2.scores),

@@ -161,6 +161,23 @@ class TestEvaluate:
         assert "T must be >= 2" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_checkpoint_saved_with_the_analytic_space_evaluates(self, tmp_path):
+        # a checkpoint saved while sigma^2 scoring existed holds its defaults
+        out = self._train(tmp_path, variant="variational")
+        spec, params, meta = load_checkpoint(os.path.join(out, "checkpoint.bin"))
+        text = (meta["config"].replace("space = sampled", "space = analytic")
+                .replace("beta = 0.01", "beta = 1.0"))
+        assert "space = analytic" in text and "beta = 1.0" in text
+        legacy = str(tmp_path / "legacy.bin")
+        save_checkpoint(legacy, spec, params, {**meta, "config": text})
+        evaluated = str(tmp_path / "eval")
+        assert run(["evaluate", "--checkpoint", legacy, "--T", "4", "--S", "4",
+                    "--out", evaluated]) == 0
+        text = open(os.path.join(evaluated, "metrics.csv")).read()
+        assert "uncertainty_method,,variational-sampled" in text
+        saved = RunConfig.from_file(os.path.join(evaluated, "run_config.cfg"))
+        assert saved.uncertainty.space == "sampled" and saved.training.beta == 1.0
+
     def test_baseline_reports_entropy_method(self, tmp_path):
         out = self._train(tmp_path, variant="baseline")
         assert run(["evaluate", "--checkpoint", os.path.join(out, "checkpoint.bin"),
@@ -496,6 +513,9 @@ class TestRunConfig:
         assert (cfg.seed, cfg.out) == (7, "runs/x")
         assert cfg.to_text().startswith("[run]\nseed = 7\nout = runs/x\n\n[dataset]\n")
 
+    def test_legacy_analytic_space_reads_as_sampled(self):
+        assert RunConfig.from_text("[uncertainty]\nspace = analytic\n").uncertainty.space == "sampled"
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown config section"):
             RunConfig.from_text("[wormhole]\nx = 1\n")
@@ -522,7 +542,8 @@ class TestRunConfig:
         (["--overlap", "2"], None, "dataset.overlap must lie in [0, 1], got 2.0"),
         (["--epochs", "0"], None, "epochs must be >= 1, got 0"),
         (["--batch-size", "0"], None, "batch_size must be >= 1, got 0"),
-        (["--space", "sampled", "--S", "1"], None, "S >= 2, got 1"),
+        (["--S", "1"], None, "S >= 2, got 1"),
+        (["--space", "analytic"], None, "invalid choice: 'analytic'"),
         ([], "[uncertainty]\nspace = bogus\n", "unknown scoring space 'bogus'"),
         ([], "[uncertainty]\nworkers = 0\n", "workers must be >= 1, got 0"),
         ([], "[training]\noptimizer = bogus\n", "unknown optimizer kind 'bogus'"),
@@ -538,7 +559,7 @@ class TestRunConfig:
         (["--beta1", "1"], None, "beta1 must lie in [0, 1), got 1.0"),
         ([], "[training]\nbeta2 = -0.1\n", "beta2 must lie in [0, 1), got -0.1"),
         (["--beta", "-1"], None, "beta must be >= 0, got -1.0"),
-    ], ids=["T", "workers", "overlap", "epochs", "batch-size", "sampled-S",
+    ], ids=["T", "workers", "overlap", "epochs", "batch-size", "S", "analytic-space",
             "file-space", "file-workers", "file-optimizer", "nan-lr", "nan-train-frac",
             "file-inf-beta", "file-variant", "negative-lr", "momentum", "beta1",
             "file-beta2", "negative-beta"])
@@ -577,16 +598,16 @@ class TestRunConfig:
         assert "space 'bogus'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_sampled_space_with_one_draw_fails_before_training(self, tmp_path, no_training,
-                                                                capsys):
+    def test_one_variational_draw_fails_before_training(self, tmp_path, no_training, capsys):
         out = str(tmp_path / "c")
         with pytest.raises(SystemExit) as exc:
-            run(["compare", "--space", "sampled", "--S", "1", "--out", out] + TINY_TRAIN)
+            run(["compare", "--S", "1", "--out", out] + TINY_TRAIN)
         assert exc.value.code == 2
         assert "S >= 2" in capsys.readouterr().err
         assert not os.path.exists(out)
-        # the analytic space draws no samples, so it ignores S
-        assert RunConfig.from_text("[uncertainty]\nspace = analytic\nS = 1\n").uncertainty.S == 1
+        # S = 1 is rejected in any config, a legacy one included
+        with pytest.raises(ValueError, match="S >= 2, got 1"):
+            RunConfig.from_text("[uncertainty]\nspace = analytic\nS = 1\n")
 
     @pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
     def test_bad_training_config_leaves_no_out(self, flag, tmp_path, no_training, capsys):
@@ -626,7 +647,8 @@ class TestRunConfig:
             RunConfig.from_text("[training]\noptimizer = bogus\n")
 
 
-# one valid, non-default value for every config key, and the flag that sets it
+# one valid value for every config key, and the flag that sets it; each is
+# not the default, except for space, whose one legal value is its default
 SETTING_FLAGS = {
     "seed": ("--seed", "7"), "out": ("--out", "runs/x"),
     "kind": ("--kind", "textures"), "n": ("--n", "99"), "classes": ("--classes", "3"),
@@ -663,7 +685,8 @@ class TestSettingFlags:
                 path.write_text(f"[{section}]\n{key} = {value}\n")
                 by_flag = resolve_config(parser.parse_args([command, flag, value]))
                 by_file = resolve_config(parser.parse_args([command, "--config", str(path)]))
-                assert by_flag == by_file != RunConfig(), f"{command} {flag}"
+                assert by_flag == by_file, f"{command} {flag}"
+                assert (by_flag != RunConfig()) == (key != "space"), f"{command} {flag}"
 
     def test_unparsable_flag_and_file_key_fail_alike(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"

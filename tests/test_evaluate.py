@@ -10,6 +10,7 @@ from uqnet.evaluate import EvalConfig, compare_variants, evaluate
 from uqnet.layers import build_model, mlp_spec
 from uqnet.optim import OptimizerConfig
 from uqnet.train import TrainConfig, train
+from uqnet.uncertainty import np_softmax, reparameterized_samples, variance_score, variational_outputs
 
 TRAIN_CFG = TrainConfig(OptimizerConfig("adam", lr=2e-3), epochs=8, batch_size=64, beta=0.05)
 
@@ -37,19 +38,19 @@ class TestVariantRules:
         assert report.method == "mc-dropout"
         assert report.scores.min() >= 0.0
 
-    def test_variational_analytic_and_sampled_spaces(self):
+    def test_variational_scores_the_variance_of_its_draws(self):
         spec, params, te = trained("variational")
-        _, analytic = evaluate(params, spec, te, EvalConfig(seed=0, space="analytic"))
-        _, sampled = evaluate(params, spec, te, EvalConfig(S=64, seed=0, space="sampled"))
-        assert analytic.method == "variational-analytic"
-        assert sampled.method == "variational-sampled"
-        assert not np.array_equal(analytic.scores, sampled.scores)
-        np.testing.assert_array_equal(analytic.y_pred, sampled.y_pred)
+        _, report = evaluate(params, spec, te, EvalConfig(S=64, seed=0))
+        assert report.method == "variational-sampled"
+        mu, sigma2 = variational_outputs(params, spec, te.inputs)
+        draws = np_softmax(reparameterized_samples(mu, sigma2, 64, seed=0))
+        assert report.scores.tobytes() == variance_score(draws).tobytes()
+        np.testing.assert_array_equal(report.y_pred, mu.argmax(axis=1))
 
-    def test_unknown_space_rejected(self):
-        spec, params, te = trained("variational")
+    @pytest.mark.parametrize("space", ["orbital", "analytic"])
+    def test_unknown_space_rejected(self, space):
         with pytest.raises(ValueError, match="space"):
-            evaluate(params, spec, te, EvalConfig(space="orbital"))
+            EvalConfig(space=space)
 
     def test_bad_scoring_config_fails_before_training(self, monkeypatch):
         def no_training(*args, **kwargs):
@@ -63,7 +64,7 @@ class TestVariantRules:
             evaluate(build_model(spec, 0), spec, te, EvalConfig(space="bogus"))
         with pytest.raises(ValueError, match="S >= 2"):
             compare_variants(lambda seed: (te, te, te), lambda v: mlp_spec(2, variant=v, hidden=8),
-                             TRAIN_CFG, EvalConfig(S=1, space="sampled"), seeds=[0])
+                             TRAIN_CFG, EvalConfig(S=1), seeds=[0])
 
     def test_class_count_mismatch_rejected(self):
         spec, params, _ = trained("baseline")
@@ -103,7 +104,7 @@ class TestComparison:
 
         rows, runs = compare_variants(
             make_splits, lambda v: mlp_spec(2, variant=v, hidden=32),
-            TRAIN_CFG, EvalConfig(T=16, S=16, seed=0, space="sampled"), seeds=[0])
+            TRAIN_CFG, EvalConfig(T=16, S=16, seed=0), seeds=[0])
 
         assert [r.variant for r in rows] == ["baseline", "bayesian1", "bayesian2", "variational"]
         for row in rows:

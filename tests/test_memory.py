@@ -56,7 +56,7 @@ def test_sampled_variational_evaluation_peak_does_not_grow_with_n():
     # [S, N, C] exists; the [S, 640, C] draw alone would be 2 MB.
     spec = miniresnet_spec((1, 16, 16), CLASSES, "variational")
     params = build_model(spec, 0)
-    cfg = EvalConfig(S=100, seed=0, space="sampled")
+    cfg = EvalConfig(S=100, seed=0)
     assert 640 >= 10 * block_rows(spec)
     small = evaluate_peak(spec, params, 64, cfg)
     large = evaluate_peak(spec, params, 640, cfg)

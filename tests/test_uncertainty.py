@@ -300,27 +300,24 @@ class TestScores:
         np.testing.assert_allclose(post.variance, [v, v, 0.0, 0.0], atol=1e-12)
         assert abs(uncertainty_score(post) - v / 2.0) < 1e-12
 
-    def test_variational_analytic_score_is_mean_sigma2(self):
-        out = VariationalOutput(np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4]))
-        assert abs(uncertainty_score(out) - 0.25) < 1e-15
-
     def test_variational_sampled_scores_probability_space(self):
         mu = np.array([2.0, 0.0, 0.0, 0.0])
         s2 = np.full(4, 0.5)
         out = VariationalOutput(mu, s2, reparameterized_samples(mu, s2, 500, seed=8))
-        score = uncertainty_score(out, space="sampled")
+        score = uncertainty_score(out)
         probs = np_softmax(out.samples)
         assert abs(score - probs.var(axis=0, ddof=1).mean()) < 1e-15
 
     def test_identical_sampled_draws_score_exactly_zero(self):
         row = np.array([0.3, -1.7, 2.2, 0.05])
         out = VariationalOutput(row, np.ones(4), np.tile(row, (10, 1)))
-        assert uncertainty_score(out, space="sampled") == 0.0
+        assert uncertainty_score(out) == 0.0
 
-    def test_sampled_space_requires_draws(self):
-        out = VariationalOutput(np.zeros(4), np.ones(4))
+    @pytest.mark.parametrize("draws", [None, np.zeros((1, 4))], ids=["none", "one"])
+    def test_sampled_space_requires_draws(self, draws):
+        out = VariationalOutput(np.zeros(4), np.ones(4), draws)
         with pytest.raises(ValueError, match="draws"):
-            uncertainty_score(out, space="sampled")
+            uncertainty_score(out)
 
 
 class TestSampledScores:
@@ -392,8 +389,8 @@ class TestSingleExampleIsBatchOfOne:
         params = build_model(spec, 0)
         out = variational_forward(params, spec, self.x, S=32, seed=5)
         _, report = evaluate(params, spec, self.one_example(),
-                             EvalConfig(S=32, seed=5, space="sampled"))
-        score = uncertainty_score(out, space="sampled")
+                             EvalConfig(S=32, seed=5))
+        score = uncertainty_score(out)
         assert np.float64(score).tobytes() == report.scores.tobytes()
 
     def test_entropy_rows_match_single_calls_and_loop_reference(self):
@@ -423,43 +420,38 @@ class TestBatchPosteriorIsItsRows:
         return spec, build_model(spec, 7), ds
 
     @staticmethod
-    def batch_posterior(params, spec, x, space):
+    def batch_posterior(params, spec, x):
         """The posterior ``evaluate`` builds, from the public batched functions."""
         if spec.variant in MC_VARIANTS:
             return PosteriorSamples(mc_probs(params, spec, x, T=5, seed=2))
         mu, sigma2 = variational_outputs(params, spec, x)
-        draws = reparameterized_samples(mu, sigma2, 5, seed=2) if space == "sampled" else None
-        return VariationalOutput(mu, sigma2, draws)
+        return VariationalOutput(mu, sigma2, reparameterized_samples(mu, sigma2, 5, seed=2))
 
     @staticmethod
     def row_posterior(post, i):
         if isinstance(post, PosteriorSamples):
             return PosteriorSamples(post.samples[:, i])
-        draws = None if post.samples is None else post.samples[:, i]
-        return VariationalOutput(post.mu[i], post.sigma2[i], draws)
+        return VariationalOutput(post.mu[i], post.sigma2[i], post.samples[:, i])
 
     @pytest.mark.parametrize("backbone", ["mlp", "miniresnet"])
-    @pytest.mark.parametrize("variant,space", [("bayesian1", "analytic"),
-                                               ("bayesian2", "analytic"),
-                                               ("variational", "analytic"),
-                                               ("variational", "sampled")])
-    def test_rows_and_evaluate_read_the_batch_posterior(self, backbone, variant, space):
+    @pytest.mark.parametrize("variant", ["bayesian1", "bayesian2", "variational"])
+    def test_rows_and_evaluate_read_the_batch_posterior(self, backbone, variant):
         spec, params, ds = self.make(backbone, variant)
         if backbone == "miniresnet":
             assert self.N >= 2 * block_rows(spec)
-        post = self.batch_posterior(params, spec, ds.inputs, space)
-        labels, scores = post.predicted_label, uncertainty_score(post, space)
+        post = self.batch_posterior(params, spec, ds.inputs)
+        labels, scores = post.predicted_label, uncertainty_score(post)
         assert labels.shape == scores.shape == (self.N,)
 
         rows = [self.row_posterior(post, i) for i in range(self.N)]
         row_labels = [row.predicted_label for row in rows]
-        row_scores = [uncertainty_score(row, space) for row in rows]
+        row_scores = [uncertainty_score(row) for row in rows]
         assert all(type(v) is int for v in row_labels)
         assert all(type(v) is float for v in row_scores)
         assert labels.tobytes() == np.array(row_labels, dtype=labels.dtype).tobytes()
         assert scores.tobytes() == np.array(row_scores).tobytes()
 
-        _, report = evaluate(params, spec, ds, EvalConfig(T=5, S=5, seed=2, space=space))
+        _, report = evaluate(params, spec, ds, EvalConfig(T=5, S=5, seed=2))
         assert report.y_pred.tobytes() == labels.astype(np.int64).tobytes()
         assert report.scores.tobytes() == scores.tobytes()
 
