@@ -17,11 +17,12 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import NoReturn
 
 from . import artifacts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import DATASET_KINDS, SECTIONS, RunConfig
+from .config import DATASET_KINDS, SECTIONS, RunConfig, read_config, saved_seed
 from .data import DataError, save_csv, save_idx, splits_sha256
 from .evaluate import SPACES, compare_variants, evaluate, make_comparison_row
 from .layers import BACKBONES, VARIANTS, build_model
@@ -124,40 +125,41 @@ def build_parser() -> argparse.ArgumentParser:
 # -- config assembly -------------------------------------------------------------
 
 
-def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
-    """The keys of the config file (if any) layered over ``base`` (default:
-    the defaults), then flags on top. A value that the config or a library
-    config it builds rejects, or a config file that cannot be read, is a
-    usage error."""
-    cfg = base or RunConfig()
+def resolve_config(args, saved: str | None = None) -> RunConfig:
+    """The defaults, a checkpoint's ``saved`` config text (if any), the config file and
+    the flags, layered in that order and validated once. A rejected value or unreadable
+    config file is a usage error; over ``saved`` text the flags did not repair, it is raised."""
     try:
-        if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = cfg.with_text(fh.read())
-        return cfg.with_overrides({
-            section: {key: getattr(args, key) for key in cfg.section(section)
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else None
+        return read_config(saved, text, {
+            section: {key: getattr(args, key) for key in RunConfig().section(section)
                       if getattr(args, key, None) is not None}
             for section in SECTIONS})
     except (OSError, ValueError) as e:
+        if saved is not None:
+            raise
         _usage_error(e)
 
 
 def _score_checkpoint(args, path: str, splits: dict):
     """Load and score the checkpoint at ``path``: it fixes the data, the flags the scoring.
 
-    The saved config (or, for a checkpoint without one, the flags) and its
-    seed regenerate the splits; dataset flags still layer over it, and the
-    stored digest refuses splits that differ. Flags and ``--config`` over the
-    saved config choose T, S, workers and the evaluation seed.
-    ``splits`` caches the splits by (dataset, seed) across calls.
+    Its saved config, ``--config`` and the flags are layered in one call, so a flag
+    repairs a saved value that no longer validates; a ValueError names ``path``. The
+    saved ``run.seed`` (without a saved config, the resolved seed) regenerates the
+    splits, which the stored digest checks and ``splits`` caches by (dataset, seed).
     Returns (resolved config, spec, data seed, metrics, report).
     """
     spec, params, meta = load_checkpoint(path)
-    base = RunConfig.from_text(meta["config"]) if "config" in meta else resolve_config(args)
-    cfg = resolve_config(args, base)
-    key = (cfg.dataset, base.seed)
+    saved = meta.get("config")
+    try:
+        cfg = resolve_config(args, saved)
+        seed = cfg.seed if saved is None else saved_seed(saved)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    key = (cfg.dataset, seed)
     if key not in splits:
-        splits[key] = replace(cfg, seed=base.seed).make_splits()
+        splits[key] = replace(cfg, seed=seed).make_splits()
     trained = meta.get("dataset_sha256")   # absent from checkpoints older than the digest
     digest = splits_sha256(splits[key])
     if trained is not None and digest != trained:
@@ -165,7 +167,7 @@ def _score_checkpoint(args, path: str, splits: dict):
                         f"the checkpoint was trained on (sha256 {digest[:12]}, "
                         f"trained on {trained[:12]})")
     metrics, report = evaluate(params, spec, splits[key][2], cfg.eval_config())
-    return cfg, spec, base.seed, metrics, report
+    return cfg, spec, seed, metrics, report
 
 
 def _write_report(report, out: str, variant: str, tag: str = "") -> None:

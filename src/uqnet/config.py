@@ -1,9 +1,9 @@
 """Run configuration: one file fully specifies a reproducible pipeline run.
 
-Flat key=value text with ``[section]`` headers (configparser syntax).
-Command-line flags override file values; the resolved configuration is
-persisted next to the run outputs so any run can be re-executed bit-exactly
-from its own artifact directory.
+Flat key=value text with ``[section]`` headers (configparser syntax), read only by
+:func:`read_config`: the defaults, a saved config, ``--config`` and the flags are
+layered in that order, then validated once. The resolved configuration is persisted
+next to the run outputs so any run can be re-executed bit-exactly from its own outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import get_type_hints
 
 from .data import DataError, Dataset, SplitSpec, load_csv, load_idx, split, synth_blobs, synth_textures
@@ -85,40 +86,22 @@ class RunConfig:
         cp = configparser.ConfigParser()
         cp.optionxform = str  # keep key case (uncertainty.T)
         for name in SECTIONS:
-            cp[name] = {key: _dump(value) for key, value in self.section(name).items()}
+            cp[name] = {key: repr(v) if isinstance(v, float) else str(v)
+                        for key, v in self.section(name).items()}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
 
     def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        return cls().with_text(text)
+        return read_config(text)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
-    def with_text(self, text: str) -> "RunConfig":
-        """Layer the keys present in config ``text`` over this configuration."""
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        try:
-            cp.read_string(text)
-        except configparser.Error as e:
-            raise ValueError(f"malformed config: {e}") from e
-        for section in cp.sections():
-            if section not in SECTIONS:
-                raise ValueError(f"unknown config section [{section}]")
-        # configs written while sigma^2 scoring existed carry its default, space = analytic;
-        # read it as the one space left, so that old checkpoints still evaluate
-        if cp.get("uncertainty", "space", fallback=None) == "analytic":
-            cp["uncertainty"]["space"] = "sampled"
-        return self.with_overrides({section: dict(cp[section]) for section in cp.sections()})
+        return read_config(Path(path).read_text(encoding="utf-8"))
 
     def section(self, name: str) -> dict:
         """Key -> value of config section ``name``; ``[run]`` holds the top-level keys."""
@@ -130,6 +113,8 @@ class RunConfig:
         each parsed as its field's declared type."""
         cfg = self
         for section, values in overrides.items():
+            if section not in SECTIONS:
+                raise ValueError(f"unknown config section [{section}]")
             holder = cfg if section == "run" else getattr(cfg, section)
             types = get_type_hints(type(holder))
             current = cfg.section(section)
@@ -213,10 +198,33 @@ class RunConfig:
         return EvalConfig(u.T, u.S, self.seed, u.space, u.workers)
 
 
-def _dump(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def read_config(*layers: str | dict[str, dict[str, str]] | None) -> RunConfig:
+    """The defaults, then ``layers`` in order (config text, or per-section string overrides
+    such as flags; ``None`` is skipped), a later key replacing an earlier; validated once."""
+    merged: dict[str, dict[str, str]] = {}
+    for layer in layers:
+        for section, values in (_sections(layer) if isinstance(layer, str) else layer or {}).items():
+            merged.setdefault(section, {}).update(values)
+    # configs written while sigma^2 scoring existed carry its default, space = analytic;
+    # read it as the one space left, so that old checkpoints still evaluate
+    if merged.get("uncertainty", {}).get("space") == "analytic":
+        merged["uncertainty"]["space"] = "sampled"
+    return RunConfig().with_overrides(merged)
+
+
+def saved_seed(text: str) -> int:
+    """``run.seed`` of config ``text`` alone: the seed a checkpoint's data was made with."""
+    return _parse(int, "run", "seed", _sections(text).get("run", {}).get("seed", RunConfig.seed))
+
+
+def _sections(text: str) -> dict[str, dict[str, str]]:
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    try:
+        cp.read_string(text)
+    except configparser.Error as e:
+        raise ValueError(f"malformed config: {e}") from e
+    return {section: dict(cp[section]) for section in cp.sections()}
 
 
 def _parse(typ, section: str, key: str, raw: str):

@@ -178,6 +178,28 @@ class TestEvaluate:
         saved = RunConfig.from_file(os.path.join(evaluated, "run_config.cfg"))
         assert saved.uncertainty.space == "sampled" and saved.training.beta == 1.0
 
+    def test_flags_repair_a_stored_configuration(self, tmp_path, capsys):
+        # S = 1 was legal beside the removed analytic space, which ignored S
+        out = self._train(tmp_path, variant="variational")
+        spec, params, meta = load_checkpoint(os.path.join(out, "checkpoint.bin"))
+        text = (meta["config"].replace("space = sampled", "space = analytic")
+                .replace("\nS = 100\n", "\nS = 1\n"))
+        assert "space = analytic" in text and "\nS = 1\n" in text
+        legacy = str(tmp_path / "legacy.bin")
+        save_checkpoint(legacy, spec, params, {**meta, "config": text})
+        repaired = tmp_path / "repaired"
+        assert run(["evaluate", "--checkpoint", legacy, "--S", "4", "--T", "4",
+                    "--out", str(repaired)]) == 0
+        assert "\nS = 4\n" in (repaired / "run_config.cfg").read_text()
+        capsys.readouterr()
+        # without --S the stored S = 1 stands: a failed run that names the checkpoint
+        refused = tmp_path / "refused"
+        assert run(["evaluate", "--checkpoint", legacy, "--T", "4", "--out", str(refused)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {legacy}: ") and err.count("\n") == 1
+        assert "S >= 2, got 1" in err
+        assert not refused.exists()
+
     def test_baseline_reports_entropy_method(self, tmp_path):
         out = self._train(tmp_path, variant="baseline")
         assert run(["evaluate", "--checkpoint", os.path.join(out, "checkpoint.bin"),
@@ -435,6 +457,35 @@ class TestCompare:
         assert written == replace(RunConfig.from_file(os.path.join(trained, "run_config.cfg")),
                                   out=scored)
 
+    def test_each_layering_validates_once(self, tmp_path, monkeypatch):
+        ckpt_dir = tmp_path / "ckpts"
+        ckpt_dir.mkdir()
+        for variant in ("baseline", "bayesian1", "bayesian2", "variational"):
+            run_dir = str(tmp_path / variant)
+            assert run(["train", "--variant", variant, "--seed", "3", "--out", run_dir]
+                       + TINY_TRAIN) == 0
+            os.rename(os.path.join(run_dir, "checkpoint.bin"), str(ckpt_dir / f"{variant}.bin"))
+        path = tmp_path / "s.cfg"
+        path.write_text("[uncertainty]\nT = 4\nS = 4\n")
+
+        calls = []
+        validate = RunConfig.validate
+
+        def counted(self):
+            calls.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(RunConfig, "validate", counted)
+        # once for the command's --config and flags alone, then once per checkpoint
+        # for its saved config, --config and the flags together
+        assert run(["evaluate", "--checkpoint", str(ckpt_dir / "bayesian1.bin"),
+                    "--config", str(path), "--T", "8", "--out", str(tmp_path / "e")]) == 0
+        assert len(calls) == 2
+        calls.clear()
+        assert run(["compare", "--checkpoint-dir", str(ckpt_dir), "--config", str(path),
+                    "--out", str(tmp_path / "c")]) == 0
+        assert len(calls) == 5
+
     def test_training_compare_builds_each_dataset_once(self, tmp_path, monkeypatch):
         calls = []
         make_dataset = RunConfig.make_dataset
@@ -576,6 +627,19 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
         assert not os.path.exists(out)
+
+    def test_flag_repairs_an_invalid_config_value(self, tmp_path):
+        # the file and the flags are validated once, together, so the flag wins
+        f = tmp_path / "f.cfg"
+        f.write_text("[dataset]\noverlap = 2\n")
+        out = tmp_path / "g"
+        assert run(["generate", "--config", str(f), "--overlap", "0.3", "--n", "40",
+                    "--out", str(out)]) == 0
+        assert "\noverlap = 0.3\n" in (out / "run_config.cfg").read_text()
+        g = tmp_path / "g.cfg"
+        g.write_text("[uncertainty]\nS = 1\n")
+        args = build_parser().parse_args(["compare", "--config", str(g), "--S", "4"])
+        assert resolve_config(args).uncertainty.S == 4
 
     @pytest.mark.parametrize("command", ["compare", "train", "evaluate"])
     def test_unreadable_config_file_is_usage_error(self, command, tmp_path, no_training,
