@@ -147,7 +147,8 @@ def _score_checkpoint(args, path: str, splits: dict):
     Its saved config, ``--config`` and the flags are layered in one call, so a flag
     repairs a saved value that no longer validates; a ValueError names ``path``. The
     saved ``run.seed`` (without a saved config, the resolved seed) regenerates the
-    splits, which the stored digest checks and ``splits`` caches by (dataset, seed).
+    splits, which the stored digest checks; ``splits`` caches each split with its
+    digest by (dataset, seed), so checkpoints sharing a split hash it once.
     Returns (resolved config, spec, data seed, metrics, report).
     """
     spec, params, meta = load_checkpoint(path)
@@ -159,14 +160,15 @@ def _score_checkpoint(args, path: str, splits: dict):
         raise ValueError(f"{path}: {e}") from e
     key = (cfg.dataset, seed)
     if key not in splits:
-        splits[key] = replace(cfg, seed=seed).make_splits()
+        regenerated = replace(cfg, seed=seed).make_splits()
+        splits[key] = regenerated, splits_sha256(regenerated)
+    (_, _, test), digest = splits[key]
     trained = meta.get("dataset_sha256")   # absent from checkpoints older than the digest
-    digest = splits_sha256(splits[key])
     if trained is not None and digest != trained:
         raise DataError(f"{path}: the regenerated dataset splits differ from the ones "
                         f"the checkpoint was trained on (sha256 {digest[:12]}, "
                         f"trained on {trained[:12]})")
-    metrics, report = evaluate(params, spec, splits[key][2], cfg.eval_config())
+    metrics, report = evaluate(params, spec, test, cfg.eval_config())
     return cfg, spec, seed, metrics, report
 
 

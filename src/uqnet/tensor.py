@@ -16,7 +16,7 @@ Deliberate restrictions, chosen for the small models this library trains:
   parameters, their gradients, the head and the loss stay float64.
   :func:`conv2d` computes in its input's dtype too (im2col GEMMs for the
   forward and the weight gradient, and a transposed convolution for the
-  input gradient), with its float64 weights cast to it;
+  input gradient), with its float64 weight and bias cast to it;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -557,8 +557,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     gradient, and runs only when the weight requires a gradient.
 
     The arithmetic runs in the dtype of the input ``x`` (float64 or
-    float32), with the weight cast to it: the padded input and output
-    gradient, their im2col patches and the forward, weight and input GEMMs.
+    float32), with the float64 weight and bias cast to it: the padded input
+    and output gradient, their im2col patches, the forward, weight and input
+    GEMMs and the bias add (a float32 add costs a quarter of the mixed one).
     The output and the input gradient have that dtype; the weight and bias
     gradients are float64, and the bias gradient is summed in float64. The
     row-indexed products (the forward and the input gradient) run through
@@ -600,12 +601,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     xl = X.transpose(0, 2, 3, 1)   # channels-last view
 
     def patch_rows(win, rows):
-        """Rows ``rows`` of ``_im2col(win)``, copied from the output lines they touch."""
+        """Rows ``rows`` of ``_im2col(win)``, copied from the output lines they
+        touch: a partial image at the start, the whole images in one copy, and
+        a partial image at the end."""
         l0, l1 = rows.start // wo, -(-rows.stop // wo)   # lines are (image, y) pairs
         lines = np.empty((l1 - l0, wo, k, k, cin), dtype)
-        for i in range(l0 // ho, -(-l1 // ho)):
-            a, b = max(l0, i * ho), min(l1, (i + 1) * ho)
-            lines[a - l0:b - l0] = win[i, a - i * ho:b - i * ho]
+        i0, i1 = -(-l0 // ho), l1 // ho   # the images wholly inside lines l0..l1
+        if i0 > i1:   # inside one image
+            lines[:] = win[i1, l0 - i1 * ho:l1 - i1 * ho]
+        else:
+            a, b = i0 * ho - l0, i1 * ho - l0
+            if a:
+                lines[:a] = win[i0 - 1, ho - a:]
+            if i1 > i0:   # the destination is reshaped, never the strided window view
+                lines[a:b].reshape(i1 - i0, ho, wo, k, k, cin)[...] = win[i0:i1]
+            if b < len(lines):
+                lines[b:] = win[i1, :len(lines) - b]
         return lines.reshape(-1, k * k * cin)[rows.start - l0 * wo:rows.stop - l0 * wo]
 
     wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype, copy=False)
@@ -618,7 +629,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
         align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
         for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin, align)):
             _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
-        out += B
+        out += B.astype(dtype, copy=False)
 
     def back(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)

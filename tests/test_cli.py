@@ -299,15 +299,27 @@ class TestDatasetFingerprint:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "differ" in err and ckpt in err
 
-    def test_compare_checkpoint_dir_refuses_edited_data(self, tmp_path, capsys):
-        csv_path = self.make_csv(tmp_path)
+    def compare_argv(self, csv_path, tmp_path):
+        """``uqnet compare`` over the four variants trained on ``csv_path``."""
         ckpt_dir = tmp_path / "ckpts"
         ckpt_dir.mkdir()
         for variant in ("baseline", "bayesian1", "bayesian2", "variational"):
             ckpt = self.train_on(csv_path, str(tmp_path / variant), variant)
             os.rename(ckpt, str(ckpt_dir / f"{variant}.bin"))
-        argv = ["compare", "--checkpoint-dir", str(ckpt_dir), "--T", "4", "--S", "4",
+        return ["compare", "--checkpoint-dir", str(ckpt_dir), "--T", "4", "--S", "4",
                 "--out", str(tmp_path / "c")]
+
+    def test_compare_checkpoint_dir_hashes_a_shared_split_once(self, tmp_path, monkeypatch):
+        argv = self.compare_argv(self.make_csv(tmp_path), tmp_path)
+        cli = importlib.import_module("uqnet.cli")
+        calls = []
+        monkeypatch.setattr(cli, "splits_sha256", lambda splits: calls.append(1) or splits_sha256(splits))
+        assert run(argv) == 0
+        assert len(calls) == 1
+
+    def test_compare_checkpoint_dir_refuses_edited_data(self, tmp_path, capsys):
+        csv_path = self.make_csv(tmp_path)
+        argv = self.compare_argv(csv_path, tmp_path)
         assert run(argv) == 0
         self.edit_first_value(csv_path)
         capsys.readouterr()

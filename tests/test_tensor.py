@@ -363,7 +363,13 @@ class TestConvOps:
         # float32 chunks are whole 256-row tiles: one tile, then a tile and
         # a 63-row tail (575 rows), which the last product pads with zeros
         ("float32", 23, (5, 5), 5, 1, (2, slice(256, 575))),
-    ], ids=["one-chunk", "chunked", "one-chunk-float32", "chunked-float32"])
+        # the MiniResNet's 16 x 16 images: at k = 3, p = 1 an image is
+        # exactly one 256-row tile, so every chunk starts and ends on an image
+        ("float32", 3, (16, 16), 4, 1, (3, slice(512, 768))),
+        # 4 x 4 images and 16-row chunks: at k = 3, p = 1 one image a chunk
+        ("float64", 5, (4, 4), 3, 1, (5, slice(64, 80))),
+    ], ids=["one-chunk", "chunked", "one-chunk-float32", "chunked-float32",
+            "image-tiles-float32", "image-chunks"])
     def test_conv2d_is_byte_identical_to_kept_patches(self, dtype, n, size, cout, chunk_bytes,
                                                        chunks, monkeypatch):
         # Graph mode keeps only the input, multiplies the im2col patches in row
@@ -518,7 +524,8 @@ def _kept_patches_conv(x, w, b, p, g):
     patches built once in the forward and reused by the backward, and dX as
     one product over the output gradient's patches: the output and the
     gradients of sum(out * g) with respect to x, w and b, the output and dX
-    in ``x``'s dtype and the other two in float64."""
+    in ``x``'s dtype and the other two in float64. The weights and the bias
+    are cast to ``x``'s dtype, as conv2d casts them."""
     dtype = x.dtype
     rows = np.matmul if dtype == np.float64 else _fixed_height
     n, cin, h, wd = x.shape
@@ -530,7 +537,7 @@ def _kept_patches_conv(x, w, b, p, g):
     patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
     wmat = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype)
     out = rows(patches, wmat)
-    out += b
+    out += b.astype(dtype)
     gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
     gb = gmat.sum(axis=0, dtype=np.float64)
     dw = (patches.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)

@@ -1,11 +1,16 @@
 """Training loop: determinism, logging, divergence, capacity sanity check."""
 
+import hashlib
 import importlib
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import uqnet
 from uqnet import rng as _rng
 from uqnet.data import Dataset, SplitSpec, split, synth_blobs
 from uqnet.layers import body_forward, build_model, eval_heads, head_forward, miniresnet_spec, mlp_spec
@@ -13,7 +18,7 @@ from uqnet.losses import objective
 from uqnet.optim import OptimizerConfig
 from uqnet.tensor import NonFiniteError, Tensor, cross_entropy
 from uqnet.train import TrainConfig, TrainingDivergedError, train
-from uqnet.uncertainty import kld_from_logvar
+from uqnet.uncertainty import kld_from_logvar, mc_probs
 
 
 def quick_splits(seed=0, n=600, overlap=0.2):
@@ -45,6 +50,37 @@ class TestDeterminism:
         train(params, spec, tr, va, cfg, seed=0)
         for name, data in before.items():
             np.testing.assert_array_equal(params[name].data, data)
+
+
+def blas_work_digest() -> str:
+    """sha256 of a MiniResNet bayesian2's parameters after one training step
+    on 32 16x16 images and of its 4-pass ``mc_probs`` on 32 more. Its conv
+    GEMMs (256 x 144 x 16 and larger) are big enough for OpenBLAS to split
+    over threads."""
+    x = np.random.default_rng(0).normal(size=(64, 1, 16, 16))
+    ds = Dataset(x[:32], np.arange(32) % 4, ["a", "b", "c", "d"])
+    spec = miniresnet_spec((1, 16, 16), 4, "bayesian2")
+    cfg = TrainConfig(OptimizerConfig("adam", lr=1e-3), epochs=1, batch_size=32)
+    params = train(build_model(spec, 0), spec, ds, ds, cfg, seed=0).params
+    h = hashlib.sha256()
+    for name in sorted(params.tensors):
+        h.update(params[name].data.tobytes())
+    h.update(mc_probs(params, spec, x[32:], T=4, seed=0).tobytes())
+    return h.hexdigest()
+
+
+class TestBlasThreads:
+    def test_one_blas_thread_gives_the_bits_of_the_default_count(self):
+        # This process runs OpenBLAS at its default thread count (one a
+        # core) unless the environment says otherwise; the subprocess runs
+        # the same training step and MC passes on one thread.
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(uqnet.__file__)))
+        path = [tests, src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+        one = subprocess.run([sys.executable, "-c", "import test_train; print(test_train.blas_work_digest())"],
+                             env=env, capture_output=True, text=True, check=True).stdout.strip()
+        assert one == blas_work_digest()
 
 
 class TestLog:
