@@ -445,9 +445,10 @@ def _example_bytes(spec: ModelSpec) -> int:
     """Bytes of the largest per-example layer activation of a forward pass.
 
     A conv's im2col patches do not count: :func:`conv2d` builds them in row
-    chunks under its own byte budget. It counts 8 bytes a float whatever
-    ``spec.conv_dtype``: exact for a float64 body and an upper bound for a
-    float32 one."""
+    chunks under its own byte budget, in the forward and the backward alike,
+    and never holds a whole patch matrix. It counts 8 bytes a float
+    whatever ``spec.conv_dtype``: exact for a float64 body and an upper
+    bound for a float32 one."""
     return 8 * max(math.prod(shape) for shape in infer_shapes(spec))
 
 

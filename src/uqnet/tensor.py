@@ -16,7 +16,8 @@ Deliberate restrictions, chosen for the small models this library trains:
   parameters, their gradients, the head and the loss stay float64.
   :func:`conv2d` computes in its input's dtype too (im2col GEMMs for the
   forward and the weight gradient, and a transposed convolution for the
-  input gradient), with its float64 weight and bias cast to it;
+  input gradient, each over row chunks of patches that are never built
+  whole), with its float64 weight and bias cast to it;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -80,9 +81,10 @@ def _deferred_checks():
 
     A NaN or Inf then flows on through the ops after it (which would warn),
     and the caller checks what comes out once with :func:`_check_deferred`.
-    NaN and Inf survive every op the models use, with two exceptions that
-    the per-op checks catch and this one does not: relu maps -Inf to 0, and
-    clip caps an Inf (the variational head's log-variance).
+    NaN and Inf survive every op the models use (clip turns them into NaN),
+    with one exception that the per-op checks catch and this one does not:
+    relu maps -Inf to 0. Checking for it would cost a pass over every
+    activation.
     """
     prev = getattr(_tls, "defer_checks", False)
     _tls.defer_checks = True
@@ -368,10 +370,17 @@ def square(x: Tensor) -> Tensor:
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only through unclamped entries."""
+    """Clamp values to [lo, hi]; gradient passes only through unclamped entries.
+
+    A non-finite entry (+-Inf or NaN) comes out as NaN, not as a bound, so a
+    result checked once (:func:`_check_deferred`) still shows it, and the
+    replay with per-op checks names the op that made it."""
     lo = float(lo)
     hi = float(hi)
     data = np.clip(x.data, lo, hi)
+    bad = ~np.isfinite(x.data)
+    if bad.any():
+        data[bad] = np.nan
 
     def back(g):
         _accumulate(x, g * ((x.data >= lo) & (x.data <= hi)))
@@ -456,12 +465,13 @@ _ROW_ALIGN = 16
 # row-indexed product runs through ``_row_matmul`` in products of exactly
 # this many rows, and float32 ``conv2d`` chunks are whole tiles.
 _TILE_ROWS = 256
-# A conv2d forward multiplies its im2col patches in row chunks of
-# about this many bytes (in its input's dtype), so no more than one chunk of
-# patches exists at once. The chunk is a transient on top of the graph, and
-# with float32 activations the MiniResNet's graph is half its float64 size:
-# at 2 MiB a training step peaked at 2.26 times its graph's node values, at
-# 1 MiB 2.08 (tests/test_memory.py bounds it at 2.2), for the same bits.
+# A conv2d forward, weight gradient and input gradient each build their
+# im2col patches in row chunks of about this many bytes (in the input's
+# dtype), so no more than one chunk of patches exists at once. The chunk is
+# a transient on top of the graph, and with float32 activations the
+# MiniResNet's graph is half its float64 size: at 2 MiB a training step
+# peaked at 2.26 times its graph's node values, at 1 MiB 2.08
+# (tests/test_memory.py bounds it at 2.2), for the same bits.
 _CONV_CHUNK_BYTES = 1 << 20
 
 
@@ -531,10 +541,47 @@ def _windows(a: np.ndarray, q: int, k: int) -> np.ndarray:
     return np.ndarray((n, hp - k + 1, wp - k + 1, k, k, c), ap.dtype, ap, 0, (sn, sh, sw, sh, sw, sc))
 
 
-def _im2col(win: np.ndarray) -> np.ndarray:
-    """The [N*Ho*Wo, k*k*C] patch rows of ``_windows``' view, C innermost."""
-    k, c = win.shape[3], win.shape[5]
-    return np.ascontiguousarray(win).reshape(-1, k * k * c)
+def _conv_chunks(m: int, row_bytes: int, dtype) -> list[slice]:
+    """The row chunks of an m-row patch matrix in ``dtype`` whose rows take
+    ``row_bytes`` bytes: about ``_CONV_CHUNK_BYTES`` each, starting on
+    ``_ROW_ALIGN`` rows in float64 and whole ``_TILE_ROWS`` tiles in
+    float32."""
+    align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
+    return _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, row_bytes, align))
+
+
+def _patches(win: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the [N*Ho*Wo, k*k*C] im2col patch matrix of
+    ``_windows``' view ``win`` (C innermost), copied from the output lines
+    they touch: a partial image at the start, the whole images in one copy,
+    and a partial image at the end."""
+    _, ho, wo, k, _, c = win.shape
+    l0, l1 = rows.start // wo, -(-rows.stop // wo)   # lines are (image, y) pairs
+    lines = np.empty((l1 - l0, wo, k, k, c), win.dtype)
+    i0, i1 = -(-l0 // ho), l1 // ho   # the images wholly inside lines l0..l1
+    if i0 > i1:   # inside one image
+        lines[:] = win[i1, l0 - i1 * ho:l1 - i1 * ho]
+    else:
+        a, b = i0 * ho - l0, i1 * ho - l0
+        if a:
+            lines[:a] = win[i0 - 1, ho - a:]
+        if i1 > i0:   # the destination is reshaped, never the strided window view
+            lines[a:b].reshape(i1 - i0, ho, wo, k, k, c)[...] = win[i0:i1]
+        if b < len(lines):
+            lines[b:] = win[i1, :len(lines) - b]
+    return lines.reshape(-1, k * k * c)[rows.start - l0 * wo:rows.stop - l0 * wo]
+
+
+def _patch_matmul(win: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The im2col patch matrix of ``win`` times ``b`` (in ``win``'s dtype),
+    one ``_conv_chunks`` chunk of patches at a time, each chunk's
+    ``_row_matmul`` filling its own rows of the [N*Ho*Wo, b.shape[1]]
+    result."""
+    n, ho, wo, k, _, c = win.shape
+    out = np.empty((n * ho * wo, b.shape[1]), win.dtype)
+    for rows in _conv_chunks(len(out), win.dtype.itemsize * k * k * c, win.dtype):
+        _row_matmul(_patches(win, rows), b, out=out[rows])
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) -> Tensor:
@@ -552,29 +599,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     The input gradient is a transposed convolution: the channels-last
     output gradient, padded by k-1-p on each side (cropped when p > k-1),
     goes through the same im2col as the input, into [N*H*W, k*k*Cout] rows,
-    and one GEMM with the flipped kernel [k*k*Cout, Cin] gives dX. The
-    weight gradient is the GEMM of the input's patches with the output
-    gradient, and runs only when the weight requires a gradient.
+    times the flipped kernel [k*k*Cout, Cin]. The weight gradient is the
+    product of the input's patches with the output gradient, and runs only
+    when the weight requires a gradient.
 
     The arithmetic runs in the dtype of the input ``x`` (float64 or
     float32), with the float64 weight and bias cast to it: the padded input
     and output gradient, their im2col patches, the forward, weight and input
     GEMMs and the bias add (a float32 add costs a quarter of the mixed one).
     The output and the input gradient have that dtype; the weight and bias
-    gradients are float64, and the bias gradient is summed in float64. The
-    row-indexed products (the forward and the input gradient) run through
-    ``_row_matmul``.
+    gradients are float64.
 
-    The forward builds the patches one row chunk of about
-    ``_CONV_CHUNK_BYTES`` at a time, each chunk's product filling its own
-    rows of the output, so a graph node keeps only its input, which its
-    parent holds anyway; the backward rebuilds all the patches from
-    ``x.data`` for the weight gradient, then releases them before it builds
-    the gradient's patches. The chunks start on ``_ROW_ALIGN`` rows in
-    float64 and are whole ``_TILE_ROWS`` tiles in float32, and they are the
-    same patches in the same order, so the output and every gradient are
-    bit-identical to one product over kept patches, at the cost of one more
-    im2col copy per backward and no extra GEMM.
+    No patch matrix exists whole. The forward, the weight gradient and the
+    input gradient each build their patches one ``_conv_chunks`` chunk of
+    about ``_CONV_CHUNK_BYTES`` at a time (``_patches``), so a graph node
+    keeps only its input, which its parent holds anyway, and the backward
+    rebuilds the patches rather than keeping them. The forward and the
+    input gradient fill their output rows chunk by chunk through
+    ``_row_matmul``; their chunks start on ``_ROW_ALIGN`` rows in float64
+    and are whole ``_TILE_ROWS`` tiles in float32, so both are
+    bit-identical to one product over kept patches. The weight gradient is
+    the float64 sum over the input's chunks of each chunk's product with
+    its rows of the output gradient, and the bias gradient, in the same
+    loop, the float64 sum of each chunk's float64 column sums (one GEMV
+    with a ones vector). Both therefore depend on the chunking: where a
+    conv spans more than one chunk they differ from one product over kept
+    patches by the rounding of the split sums.
     """
     X, W, B = x.data, weight.data, bias.data
     if X.ndim != 4 or W.ndim != 4:
@@ -600,50 +650,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     dtype = X.dtype
     xl = X.transpose(0, 2, 3, 1)   # channels-last view
 
-    def patch_rows(win, rows):
-        """Rows ``rows`` of ``_im2col(win)``, copied from the output lines they
-        touch: a partial image at the start, the whole images in one copy, and
-        a partial image at the end."""
-        l0, l1 = rows.start // wo, -(-rows.stop // wo)   # lines are (image, y) pairs
-        lines = np.empty((l1 - l0, wo, k, k, cin), dtype)
-        i0, i1 = -(-l0 // ho), l1 // ho   # the images wholly inside lines l0..l1
-        if i0 > i1:   # inside one image
-            lines[:] = win[i1, l0 - i1 * ho:l1 - i1 * ho]
-        else:
-            a, b = i0 * ho - l0, i1 * ho - l0
-            if a:
-                lines[:a] = win[i0 - 1, ho - a:]
-            if i1 > i0:   # the destination is reshaped, never the strided window view
-                lines[a:b].reshape(i1 - i0, ho, wo, k, k, cin)[...] = win[i0:i1]
-            if b < len(lines):
-                lines[b:] = win[i1, :len(lines) - b]
-        return lines.reshape(-1, k * k * cin)[rows.start - l0 * wo:rows.stop - l0 * wo]
-
     wmat = W.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        # The padded input comes before the output buffer on purpose: the
-        # other order packed the heap tighter, but glibc then trimmed and
-        # refaulted it on every training step.
-        win = _windows(xl, p, k)
-        out = np.empty((m, cout), dtype)
-        align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
-        for rows in _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, dtype.itemsize * k * k * cin, align)):
-            _row_matmul(patch_rows(win, rows), wmat, out=out[rows])
+        # The padded input comes before the output buffer (which
+        # ``_patch_matmul`` allocates) on purpose: the other order packed the
+        # heap tighter, but glibc then trimmed and refaulted it on every
+        # training step.
+        out = _patch_matmul(_windows(xl, p, k), wmat)
         out += B.astype(dtype, copy=False)
 
     def back(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)
-        _accumulate(bias, gmat.sum(axis=0, dtype=np.float64))
+        win = _windows(xl, p, k) if weight.requires_grad else None
+        dw, db = np.zeros((k * k * cin, cout)), np.zeros(cout)
+        for rows in _conv_chunks(m, dtype.itemsize * k * k * cin, dtype):
+            gc = gmat[rows]
+            db += np.ones(len(gc)) @ gc.astype(np.float64, copy=False)
+            if win is not None:
+                dw += _patches(win, rows).T @ gc
+        del win   # the padded input goes before the padded gradient comes
+        _accumulate(bias, db)
         if weight.requires_grad:
-            dw = _im2col(_windows(xl, p, k)).T @ gmat
-            _accumulate(weight, np.ascontiguousarray(dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1),
-                                                     dtype=np.float64))
+            _accumulate(weight, np.ascontiguousarray(dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1)))
         if x.requires_grad:
             # The transposed convolution: the output gradient padded by
             # k-1-p, convolved with the flipped kernel, Cout and Cin swapped.
             wflip = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-            gpatches = _im2col(_windows(gmat.reshape(n, ho, wo, cout), k - 1 - p, k))
-            gx = _row_matmul(gpatches, wflip.astype(dtype, copy=False))
+            gx = _patch_matmul(_windows(gmat.reshape(n, ho, wo, cout), k - 1 - p, k),
+                               wflip.astype(dtype, copy=False))
             _accumulate(x, gx.reshape(n, h, w, cin).transpose(0, 3, 1, 2))
 
     return _from_op(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), (x, weight, bias), "conv2d", back)

@@ -3,8 +3,9 @@
 Evaluation: the peak of ``evaluate`` does not grow with the test set beyond
 the arrays that hold its outputs. Training: a graph-mode forward holds little
 more than its nodes' values until the backward (``conv2d`` keeps its input,
-not its im2col patches), and a whole training step peaks near two graphs'
-values (the backward releases intermediate gradients as it goes)."""
+not its im2col patches), a conv's backward holds one chunk of patches at a
+time, never a whole patch matrix, and a whole training step peaks near two
+graphs' values (the backward releases intermediate gradients as it goes)."""
 
 import dataclasses
 import tracemalloc
@@ -18,7 +19,8 @@ from uqnet.layers import (block_rows, body_forward, build_model, head_forward, m
                           model_forward)
 from uqnet.losses import objective
 from uqnet.optim import OptimizerConfig
-from uqnet.tensor import Tensor, _windows, cross_entropy
+from uqnet import tensor
+from uqnet.tensor import Tensor, _windows, conv2d, cross_entropy
 
 T, CLASSES = 3, 4
 
@@ -128,12 +130,43 @@ def test_float32_miniresnet_graph_is_about_half_the_float64_one():
     assert values["float32"] <= 0.55 * values["float64"], values
 
 
+def test_conv2d_backward_holds_one_patch_chunk_at_a_time():
+    # The MiniResNet's widest conv at batch 32: float32, 16 -> 16 channels,
+    # 3 x 3 on 16 x 16 images. Its whole [8192, 144] patch matrix would be
+    # 4.7 MB; the backward builds dW's and dX's patches in row chunks of
+    # about _CONV_CHUNK_BYTES instead. Above the gradients it returns, it may
+    # hold one chunk of patches (up to 1.5 chunks when a short tail joins the
+    # chunk before it) with the chunk's float64 rows of the output gradient
+    # (2/9 of a chunk here), the padded input or the padded gradient (the same
+    # size here), and the output gradient's channels-last copy (smaller than
+    # the padded input): within two chunks and two padded inputs.
+    rng = np.random.default_rng(0)
+    n, c, size = 32, 16, 16
+    x = Tensor(rng.normal(size=(n, c, size, size)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(c, c, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=c), requires_grad=True)
+    y = conv2d(x, w, b)
+    g = rng.normal(size=y.shape).astype(np.float32)   # NCHW: the backward copies it channels-last
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
+    padded = n * (size + 2) ** 2 * c * x.data.itemsize
+    assert peak - returned <= 2 * tensor._CONV_CHUNK_BYTES + 2 * padded, (peak, returned, padded)
+
+
 def test_miniresnet_training_step_peak_stays_near_two_graphs():
     # train() holds the previous step's graph through ``loss`` and ``out``
     # until the next step's forward rebinds them, so two graphs briefly
     # coexist. Beyond them, a step's backward holds only the gradients it is
-    # passing on and one conv's rebuilt patches (3.1x the node values when
-    # every intermediate gradient stayed until the backward returned).
+    # passing on and one chunk of one conv's patches (3.1x the node values
+    # when every intermediate gradient stayed until the backward returned).
+    # It peaks at 2.06x with whole-batch patches in the backward and with
+    # chunked ones alike: the peak comes in the second step's forward, while
+    # the two graphs coexist.
     spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
     params = build_model(spec, 0)
     opt = OptimizerConfig().build(params)

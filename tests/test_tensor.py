@@ -126,6 +126,16 @@ class TestBackward:
         assert relu_grad.tobytes() == want_relu.tobytes()
         assert x.grad.tobytes() == want_clip.tobytes()
 
+    def test_clip_turns_non_finite_input_into_nan(self):
+        # A capped Inf would hide an overflow from a check of the result;
+        # finite entries keep np.clip's bits, -0.0 included.
+        x = np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 5.0, -5.0, 0.3])
+        with tensor._deferred_checks():
+            got = Tensor(x).clip(-1.0, 1.0).data
+        finite = np.isfinite(x)
+        assert np.isnan(got[~finite]).all()
+        assert got[finite].tobytes() == np.clip(x[finite], -1.0, 1.0).tobytes()
+
     def test_no_grad_skips_recording(self):
         x = Tensor(3.0, requires_grad=True)
         with no_grad():
@@ -372,17 +382,21 @@ class TestConvOps:
             "image-tiles-float32", "image-chunks"])
     def test_conv2d_is_byte_identical_to_kept_patches(self, dtype, n, size, cout, chunk_bytes,
                                                        chunks, monkeypatch):
-        # Graph mode keeps only the input, multiplies the im2col patches in row
-        # chunks and rebuilds them all in the backward; the output and all three
-        # gradients must equal, bit for bit, the formula that built the
-        # patches once and kept them until the backward, in the same dtype.
+        # Graph mode keeps only the input and builds the im2col patches in row
+        # chunks, in the forward and again in the backward. The output and dX
+        # must equal, bit for bit, one product over patches built once and
+        # kept until the backward, in the same dtype; dW and the bias gradient
+        # must equal the float64 sums over the same row chunks of those kept
+        # patches, and dW must stay within float rounding of one float64
+        # product.
+        align = tensor._ROW_ALIGN if dtype == "float64" else tensor._TILE_ROWS
         if chunk_bytes is not None:
             monkeypatch.setattr(tensor, "_CONV_CHUNK_BYTES", chunk_bytes)
-            align = tensor._ROW_ALIGN if dtype == "float64" else tensor._TILE_ROWS
             got = tensor._row_chunks(n * size[0] * size[1], tensor._chunk_rows(chunk_bytes, 1, align))
             assert (len(got), got[-1]) == chunks
         h, wd = size
         rng = np.random.default_rng(7)
+        eps = np.finfo(dtype).eps
         for cin in (1, 3):
             for k in (1, 3):
                 for p in (0, 1, 2):
@@ -390,7 +404,8 @@ class TestConvOps:
                     w = rng.normal(size=(cout, cin, k, k))
                     b = rng.normal(size=cout)
                     g = rng.normal(size=(n, cout, h + 1 + 2 * p - k, wd + 1 + 2 * p - k)).astype(dtype)
-                    want = _kept_patches_conv(x, w, b, p, g)
+                    rows = tensor._chunk_rows(tensor._CONV_CHUNK_BYTES, x.itemsize * k * k * cin, align)
+                    want = _kept_patches_conv(x, w, b, p, g, rows)
                     channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
                     for stored in (x, channels_last):
                         tx = Tensor(stored, requires_grad=True)
@@ -401,22 +416,43 @@ class TestConvOps:
                         for got, ref in zip((y.data, tx.grad, tw.grad, tb.grad), want):
                             assert got.shape == ref.shape and got.dtype == ref.dtype
                             assert np.array_equal(got, ref), (cin, k, p)
+                    # dW against one float64 product over the same patches: an
+                    # entry sums K = N*Ho*Wo products of values exact in
+                    # ``dtype``, each product and running sum rounded with
+                    # relative error u = eps/2 in chunks (float64 across
+                    # them), so it is within (K + 1) * u of the sum of the
+                    # magnitudes; the float64 product is within K * u, so
+                    # (K + 1) * eps bounds the difference for either dtype.
+                    patches, gmat = _kept_patches(x, p, k), _kept_patches(g, None, 1)
+                    ref = patches.astype(np.float64).T @ gmat.astype(np.float64)
+                    mag = np.abs(patches.astype(np.float64)).T @ np.abs(gmat.astype(np.float64))
+                    dw = tw.grad.transpose(2, 3, 1, 0).reshape(ref.shape)
+                    assert np.all(np.abs(dw - ref) <= (len(patches) + 1) * eps * mag), (cin, k, p)
 
     def test_conv2d_backward_builds_weight_patches_only_for_a_trained_weight(self, monkeypatch):
-        # The backward's im2col runs once for dW ([.., k, k, Cin] windows)
-        # and once for dX ([.., k, k, Cout]); a constant weight skips the
-        # first, and dX keeps its bits.
+        # Every conv patch comes from one chunk builder: the forward's and
+        # dW's from [.., k, k, Cin] windows of the input, dX's from
+        # [.., k, k, Cout] windows of the output gradient (one chunk each at
+        # this size). A constant weight skips dW's, and dX keeps its bits.
         shapes = []
-        im2col = tensor._im2col
-        monkeypatch.setattr(tensor, "_im2col", lambda win: shapes.append(win.shape[3:]) or im2col(win))
+        patches = tensor._patches
+
+        def counted(win, rows):
+            shapes.append(win.shape[3:])
+            return patches(win, rows)
+
+        monkeypatch.setattr(tensor, "_patches", counted)
         rng = np.random.default_rng(12)
         x, w, b = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
         grads = []
         for trained in (True, False):
             tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=trained)
+            y = conv2d(tx, tw, Tensor(b))
+            assert shapes == [(3, 3, 3)]
             shapes.clear()
-            conv2d(tx, tw, Tensor(b)).sum().backward()
+            y.sum().backward()
             assert shapes == [(3, 3, 3), (3, 3, 4)][not trained:]
+            shapes.clear()
             assert (tw.grad is not None) == trained
             grads.append(tx.grad)
         assert np.array_equal(*grads)
@@ -519,35 +555,51 @@ def _fixed_height(a, b):
     return np.concatenate([a[i:i + 256] @ b for i in range(0, len(a), 256)])[:len(a) - pad]
 
 
-def _kept_patches_conv(x, w, b, p, g):
+def _kept_patches(a, p, k):
+    """The [N*Ho*Wo, k*k*C] im2col patches of the NCHW ``a``, C innermost,
+    built whole: ``a`` zero-padded by ``p`` (cropped by ``-p`` when ``p`` < 0),
+    or with ``p`` None the channels-last rows of ``a`` itself (k = 1)."""
+    al = a.transpose(0, 2, 3, 1)
+    if p is None:
+        return np.ascontiguousarray(al).reshape(-1, al.shape[3])
+    n, h, wd, c = al.shape
+    if p >= 0:
+        ap = np.zeros((n, h + 2 * p, wd + 2 * p, c), a.dtype)
+        ap[:, p:p + h, p:p + wd] = al
+    else:
+        ap = al[:, -p:p, -p:p]
+    windows = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(1, 2))
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, k * k * c)
+
+
+def _kept_patches_conv(x, w, b, p, g, rows):
     """conv2d's im2col formula in the dtype of ``x`` (and ``g``), with the
-    patches built once in the forward and reused by the backward, and dX as
-    one product over the output gradient's patches: the output and the
-    gradients of sum(out * g) with respect to x, w and b, the output and dX
-    in ``x``'s dtype and the other two in float64. The weights and the bias
-    are cast to ``x``'s dtype, as conv2d casts them."""
+    patches built once in the forward and kept for the backward: the output
+    and the gradients of sum(out * g) with respect to x, w and b. The output
+    and dX are one product each over whole patches, in ``x``'s dtype; dW and
+    the bias gradient are float64 sums over the ``tensor._row_chunks`` of
+    ``rows`` rows, of each chunk's product of its kept patches with its rows
+    of the output gradient, and of its float64 column sums (a GEMV with a
+    ones vector). The weights and the bias are cast to ``x``'s dtype, as
+    conv2d casts them."""
     dtype = x.dtype
-    rows = np.matmul if dtype == np.float64 else _fixed_height
+    rowprod = np.matmul if dtype == np.float64 else _fixed_height
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     ho, wo = h + 2 * p - k + 1, wd + 2 * p - k + 1
-    xp = np.zeros((n, h + 2 * p, wd + 2 * p, cin), dtype)
-    xp[:, p:p + h, p:p + wd] = x.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * cin)
+    patches = _kept_patches(x, p, k)
     wmat = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype)
-    out = rows(patches, wmat)
+    out = rowprod(patches, wmat)
     out += b.astype(dtype)
-    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-    gb = gmat.sum(axis=0, dtype=np.float64)
-    dw = (patches.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+    gmat = _kept_patches(g, None, 1)
+    dw, gb = np.zeros((k * k * cin, cout)), np.zeros(cout)
+    for c in tensor._row_chunks(len(patches), rows):
+        dw += patches[c].T @ gmat[c]
+        gb += np.ones(c.stop - c.start) @ gmat[c].astype(np.float64)
+    dw = dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
     # dX: the output gradient padded by k-1-p (cropped when p > k-1), its
     # patches kept, times the flipped kernel with Cout and Cin swapped
-    q = k - 1 - p
-    gp = gmat.reshape(n, ho, wo, cout)
-    gp = np.pad(gp, ((0, 0), (q, q), (q, q), (0, 0))) if q >= 0 else gp[:, -q:q, -q:q]
-    gwindows = np.lib.stride_tricks.sliding_window_view(gp, (k, k), axis=(1, 2))
-    gpatches = np.ascontiguousarray(gwindows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * wd, k * k * cout)
+    gpatches = _kept_patches(g, k - 1 - p, k)
     wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin).astype(dtype)
-    dx = rows(gpatches, wflip).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
-    return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), dx, dw.astype(np.float64), gb
+    dx = rowprod(gpatches, wflip).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
+    return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), dx, dw, gb

@@ -289,6 +289,23 @@ class TestFailureModes:
         for name in params.names():   # the step was not applied
             np.testing.assert_array_equal(params[name].data, before[name])
 
+    def test_overflowed_logvar_is_not_hidden_by_the_clip(self):
+        # The variational head clips its log-variance; an Inf from its matmul
+        # must still fail the once-per-step check and be named on replay, as
+        # per-op checks name it, rather than train on at the clip's bound.
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(64, 2)), np.arange(64) % 4, ["a", "b", "c", "d"])
+        spec = mlp_spec(2, variant="variational", hidden=8)
+        params = build_model(spec, 0)
+        params["head.logvar.w"].data[...] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError,
+                               match=r"step 0 \(epoch 0\): op 'matmul' produced non-finite values"):
+                train(params, spec, ds, ds, TrainConfig(epochs=1, batch_size=32), seed=0)
+            with pytest.raises(NonFiniteError, match="op 'matmul'"):
+                eval_heads(params, spec, ds.inputs)
+
     def test_epochs_must_be_positive(self):
         tr, va, _ = quick_splits()
         spec = mlp_spec(2, hidden=32)
