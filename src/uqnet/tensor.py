@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over numpy float64 (and float32) arrays.
 
-The engine is eager: each operation executes immediately and records an
-operation node (parent tensors plus a gradient closure) on the result.
-Calling :meth:`Tensor.backward` on a scalar output replays the recorded
-graph once in reverse topological order, so every node is visited exactly
-once and a value used k times accumulates the sum of its k path gradients.
+The engine is eager: each operation executes immediately, and when a
+gradient can flow through it records a value-free :class:`_Node` on the
+result: the nodes of its operands (a leaf is its own node) plus a gradient
+closure that keeps only the arrays it reads, never an operand's tensor. An
+intermediate value is therefore freed with its tensor unless a closure
+reads it (:meth:`Tensor.backward` lists what each op keeps). Calling
+:meth:`Tensor.backward` on a scalar output replays the recorded graph once
+in reverse topological order, so every node is visited exactly once and a
+value used k times accumulates the sum of its k path gradients.
 
 Deliberate restrictions, chosen for the small models this library trains:
 
@@ -136,9 +140,14 @@ class Tensor:
     float64 ndarray made from anything else (ints, float16, lists, scalars);
     ``grad`` is None until a backward pass populates it, after which it has
     the shape and dtype of ``data``.
+
+    A leaf is its own graph node. A tracked op result records a
+    :class:`_Node` in ``_node``; ``op``, ``_parents`` and ``_backward`` read
+    through to it, and assigning ``_backward`` replaces the closure the
+    backward calls.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         if not (isinstance(data, np.ndarray) and data.dtype == np.float32):
@@ -147,8 +156,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
-        self._parents = ()
-        self._backward = None
+        self._node = None
         if not getattr(_tls, "defer_checks", False):
             _checked(self.data, "leaf")
 
@@ -166,6 +174,10 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
     def __float__(self) -> float:
         return float(self.data)
 
@@ -178,22 +190,44 @@ class Tensor:
 
     # -- graph construction ------------------------------------------------
 
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node._backward = fn
+
     def backward(self) -> None:
         """Populate ``grad`` on every tracked leaf this scalar depends on, and on
         the scalar itself.
 
-        An intermediate op node's gradient is released as soon as its closure
-        has passed it to the parents, so the backward holds the gradients of
-        the frontier it is crossing, not of the whole graph.
+        The walk goes over graph nodes, not tensors: an op node keeps its
+        parents' nodes and the arrays its closure reads, which are the
+        operand shapes of ``add``, ``reshape``, ``sum``, ``mean``,
+        ``global_avg_pool`` and ``cast`` (``neg`` keeps nothing); the output
+        of ``relu``, ``exp`` and ``softmax`` and the probabilities of
+        ``cross_entropy``; the input of ``clip``, ``log``, ``square`` and
+        ``reciprocal``; for ``mul`` and ``matmul``, each operand only while
+        the other one takes a gradient; and for ``conv2d`` its weight, plus
+        its input while the weight trains. So an intermediate value no
+        closure reads is freed with its tensor. An op node's gradient is released as soon as its closure has
+        passed it to the parents, so the backward holds the gradients of the
+        frontier it is crossing, not of the whole graph.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.data.shape}")
         if not self.requires_grad:
             raise ValueError("output does not depend on any tensor with requires_grad=True")
 
-        order: list[Tensor] = []
+        root = _node_of(self)
+        order = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -207,30 +241,63 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
-                if node is not self:
+                if node is not root:
                     node.grad = None   # passed on to its parents
+        self.grad = root.grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+class _Node:
+    """The graph record of a tracked op result: a gradient slot, the result's
+    dtype and op name, the nodes of the operands that take a gradient, and
+    the backward closure, called with the gradient. It holds no value: the
+    closure keeps only the arrays it reads."""
+
+    __slots__ = ("grad", "dtype", "op", "_parents", "_backward")
+
+    def __init__(self, dtype, op: str, parents: tuple, backward):
+        self.grad = None
+        self.dtype = dtype
+        self.op = op
+        self._parents = parents
+        self._backward = backward
+
+
+def _node_of(t: Tensor):
+    """The graph node a gradient for ``t`` goes to (``t`` itself for a leaf),
+    or None when ``t`` takes no gradient."""
     if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
+def _accumulate(node, g: np.ndarray) -> None:
+    if node is None:
         return
-    g = g.astype(t.data.dtype, copy=False)
-    t.grad = g if t.grad is None else t.grad + g
+    g = g.astype(node.dtype, copy=False)
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _from_op(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
-    track = _grad_enabled() and any(p.requires_grad for p in parents)
+    """The result tensor of an op on the tensors ``parents``. When graph
+    recording is on and a parent takes a gradient, it records a node whose
+    closure calls ``backward(g, *nodes)``, ``nodes`` being the parents'
+    :func:`_node_of` in order, so ``backward`` itself never refers to a
+    parent tensor."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = track
     out.op = op
-    out._parents = parents if track else ()
-    out._backward = backward if track else None
+    out._node = None
+    if _grad_enabled():
+        nodes = tuple(map(_node_of, parents))
+        tracked = tuple(n for n in nodes if n is not None)
+        if tracked:
+            out._node = _Node(data.dtype, op, tracked, lambda g: backward(g, *nodes))
+    out.requires_grad = out._node is not None
     if not getattr(_tls, "defer_checks", False):
         _checked(data, op)
     return out
@@ -267,12 +334,13 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
     if not (A.shape == B.shape or _is_scalar(A) or _is_scalar(B)
             or _is_bias(A, B) or _is_bias(B, A)):
         raise ShapeError(f"add: unsupported shapes {A.shape} + {B.shape}")
+    sa, sb = A.shape, B.shape
 
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _sum_to(g, A.shape))
-        if b.requires_grad:
-            _accumulate(b, _sum_to(g, B.shape))
+    def back(g, na, nb):
+        if na is not None:
+            _accumulate(na, _sum_to(g, sa))
+        if nb is not None:
+            _accumulate(nb, _sum_to(g, sb))
 
     return _from_op(A + B, (a, b), "add", back)
 
@@ -281,12 +349,15 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     if not (A.shape == B.shape or _is_scalar(A) or _is_scalar(B)):
         raise ShapeError(f"mul: unsupported shapes {A.shape} * {B.shape}")
+    sa, sb = A.shape, B.shape
+    ka = A if b.requires_grad else None   # each operand only for the other's gradient
+    kb = B if a.requires_grad else None
 
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _sum_to(g * B, A.shape))
-        if b.requires_grad:
-            _accumulate(b, _sum_to(g * A, B.shape))
+    def back(g, na, nb):
+        if na is not None:
+            _accumulate(na, _sum_to(g * kb, sa))
+        if nb is not None:
+            _accumulate(nb, _sum_to(g * ka, sb))
 
     return _from_op(A * B, (a, b), "mul", back)
 
@@ -295,25 +366,33 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ShapeError(f"matmul: expected 2-d operands with matching inner dim, got {A.shape} @ {B.shape}")
+    ka = A if b.requires_grad else None
+    kb = B if a.requires_grad else None
 
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, g @ B.T)
-        if b.requires_grad:
-            _accumulate(b, A.T @ g)
+    def back(g, na, nb):
+        if na is not None:
+            _accumulate(na, g @ kb.T)
+        if nb is not None:
+            _accumulate(nb, ka.T @ g)
 
     with np.errstate(over="ignore", invalid="ignore"):
         data = A @ B
     return _from_op(data, (a, b), "matmul", back)
 
 
-def _ew_unary(x: Tensor, op: str, fwd, dfdx) -> Tensor:
+def _ew_unary(x: Tensor, op: str, fwd, dfdx, of_output: bool = False) -> Tensor:
+    """An elementwise op whose derivative is ``dfdx`` of the one array its
+    node keeps: its input, or its output when ``of_output``."""
     # non-finite results surface as NonFiniteError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         data = fwd(x.data)
+    saved = data if of_output else x.data
 
-    def back(g):
-        _accumulate(x, g * dfdx(x.data, data))
+    def back(g, nx):
+        # In the saved array's memory layout, which is the result's: below a
+        # conv2d that is channels-last, so the conv's backward need not copy
+        # the gradient it gets, even where ``g`` came NCHW from the pooling.
+        _accumulate(nx, np.multiply(g, dfdx(saved), out=np.empty_like(saved)))
 
     return _from_op(data, (x,), op, back)
 
@@ -329,7 +408,7 @@ def _t_radd(self, other):
 
 
 def _t_neg(self):
-    return _ew_unary(self, "neg", lambda d: -d, lambda d, out: np.full_like(d, -1.0))
+    return _from_op(-self.data, (self,), "neg", lambda g, nx: _accumulate(nx, -g))
 
 
 def _t_sub(self, other):
@@ -348,25 +427,26 @@ def _t_div(self, other):
     if isinstance(other, Tensor):
         if not _is_scalar(other.data):
             raise ShapeError("div: only division by a scalar is supported")
-        inv = _ew_unary(other, "reciprocal", lambda d: 1.0 / d, lambda d, out: -1.0 / (d * d))
+        inv = _ew_unary(other, "reciprocal", lambda d: 1.0 / d, lambda d: -1.0 / (d * d))
         return _mul(self, inv)
     return _mul(self, Tensor(1.0 / float(other)))
 
 
 def relu(x: Tensor) -> Tensor:
-    return _ew_unary(x, "relu", lambda d: np.maximum(d, 0.0), lambda d, out: d > 0)
+    # out > 0 is the mask d > 0, NaN and signed zeros included
+    return _ew_unary(x, "relu", lambda d: np.maximum(d, 0.0), lambda out: out > 0, of_output=True)
 
 
 def exp(x: Tensor) -> Tensor:
-    return _ew_unary(x, "exp", np.exp, lambda d, out: out)
+    return _ew_unary(x, "exp", np.exp, lambda out: out, of_output=True)
 
 
 def log(x: Tensor) -> Tensor:
-    return _ew_unary(x, "log", np.log, lambda d, out: 1.0 / d)
+    return _ew_unary(x, "log", np.log, lambda d: 1.0 / d)
 
 
 def square(x: Tensor) -> Tensor:
-    return _ew_unary(x, "square", np.square, lambda d, out: 2.0 * d)
+    return _ew_unary(x, "square", np.square, lambda d: 2.0 * d)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -377,34 +457,34 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     replay with per-op checks names the op that made it."""
     lo = float(lo)
     hi = float(hi)
-    data = np.clip(x.data, lo, hi)
-    bad = ~np.isfinite(x.data)
+    X = x.data
+    data = np.clip(X, lo, hi)
+    bad = ~np.isfinite(X)
     if bad.any():
         data[bad] = np.nan
 
-    def back(g):
-        _accumulate(x, g * ((x.data >= lo) & (x.data <= hi)))
+    def back(g, nx):
+        _accumulate(nx, g * ((X >= lo) & (X <= hi)))
 
     return _from_op(data, (x,), "clip", back)
 
 
 def tsum(x: Tensor) -> Tensor:
-    data = np.asarray(x.data.sum())
+    shape = x.data.shape
 
-    def back(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+    def back(g, nx):
+        _accumulate(nx, np.broadcast_to(g, shape).copy())
 
-    return _from_op(data, (x,), "sum", back)
+    return _from_op(np.asarray(x.data.sum()), (x,), "sum", back)
 
 
 def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.asarray(x.data.mean())
+    shape, n = x.data.shape, x.data.size
 
-    def back(g):
-        _accumulate(x, np.broadcast_to(g / n, x.data.shape).copy())
+    def back(g, nx):
+        _accumulate(nx, np.broadcast_to(g / n, shape).copy())
 
-    return _from_op(data, (x,), "mean", back)
+    return _from_op(np.asarray(x.data.mean()), (x,), "mean", back)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -413,21 +493,21 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
 
-    def back(g):
+    def back(g, nx):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - dot))
+        _accumulate(nx, s * (g - dot))
 
     return _from_op(s, (x,), "softmax", back)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    data = x.data.reshape(shape)
+    src = x.data.shape
 
-    def back(g):
-        _accumulate(x, g.reshape(x.data.shape))
+    def back(g, nx):
+        _accumulate(nx, g.reshape(src))
 
-    return _from_op(data, (x,), "reshape", back)
+    return _from_op(x.data.reshape(shape), (x,), "reshape", back)
 
 
 Tensor.__add__ = _t_add
@@ -469,9 +549,10 @@ _TILE_ROWS = 256
 # im2col patches in row chunks of about this many bytes (in the input's
 # dtype), so no more than one chunk of patches exists at once. The chunk is
 # a transient on top of the graph, and with float32 activations the
-# MiniResNet's graph is half its float64 size: at 2 MiB a training step
-# peaked at 2.26 times its graph's node values, at 1 MiB 2.08
-# (tests/test_memory.py bounds it at 2.2), for the same bits.
+# MiniResNet's graph is half its float64 size: when graphs kept every node's
+# value, a training step peaked at 2.26 times them at 2 MiB and 2.08 times
+# at 1 MiB, for the same bits. tests/test_memory.py bounds the step's peak
+# by two graphs plus two chunks and two padded inputs.
 _CONV_CHUNK_BYTES = 1 << 20
 
 
@@ -613,8 +694,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     No patch matrix exists whole. The forward, the weight gradient and the
     input gradient each build their patches one ``_conv_chunks`` chunk of
     about ``_CONV_CHUNK_BYTES`` at a time (``_patches``), so a graph node
-    keeps only its input, which its parent holds anyway, and the backward
-    rebuilds the patches rather than keeping them. The forward and the
+    keeps only its weight and, while the weight trains, its input, and the
+    backward rebuilds the patches rather than keeping them. The forward and the
     input gradient fill their output rows chunk by chunk through
     ``_row_matmul``; their chunks start on ``_ROW_ALIGN`` rows in float64
     and are whole ``_TILE_ROWS`` tiles in float32, so both are
@@ -659,9 +740,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
         out = _patch_matmul(_windows(xl, p, k), wmat)
         out += B.astype(dtype, copy=False)
 
-    def back(g):
+    xs = xl if weight.requires_grad else None   # dW's patches come from the input
+
+    def back(g, nx, nw, nb):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)
-        win = _windows(xl, p, k) if weight.requires_grad else None
+        win = None if nw is None else _windows(xs, p, k)
         dw, db = np.zeros((k * k * cin, cout)), np.zeros(cout)
         for rows in _conv_chunks(m, dtype.itemsize * k * k * cin, dtype):
             gc = gmat[rows]
@@ -669,16 +752,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
             if win is not None:
                 dw += _patches(win, rows).T @ gc
         del win   # the padded input goes before the padded gradient comes
-        _accumulate(bias, db)
-        if weight.requires_grad:
-            _accumulate(weight, np.ascontiguousarray(dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1)))
-        if x.requires_grad:
+        _accumulate(nb, db)
+        if nw is not None:
+            _accumulate(nw, np.ascontiguousarray(dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1)))
+        if nx is not None:
             # The transposed convolution: the output gradient padded by
             # k-1-p, convolved with the flipped kernel, Cout and Cin swapped.
             wflip = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
             gx = _patch_matmul(_windows(gmat.reshape(n, ho, wo, cout), k - 1 - p, k),
                                wflip.astype(dtype, copy=False))
-            _accumulate(x, gx.reshape(n, h, w, cin).transpose(0, 3, 1, 2))
+            _accumulate(nx, gx.reshape(n, h, w, cin).transpose(0, 3, 1, 2))
 
     return _from_op(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), (x, weight, bias), "conv2d", back)
 
@@ -688,7 +771,7 @@ def _cast(x: Tensor, dtype) -> Tensor:
     back in ``x``'s dtype. ``x`` itself when it already has that dtype."""
     if x.data.dtype == dtype:
         return x
-    return _from_op(x.data.astype(dtype), (x,), "cast", lambda g: _accumulate(x, g))
+    return _from_op(x.data.astype(dtype), (x,), "cast", lambda g, nx: _accumulate(nx, g))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -696,10 +779,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     X = x.data
     if X.ndim != 4:
         raise ShapeError(f"global_avg_pool: expected 4-d input, got {X.shape}")
-    n_spatial = X.shape[2] * X.shape[3]
+    shape, n_spatial = X.shape, X.shape[2] * X.shape[3]
 
-    def back(g):
-        _accumulate(x, np.broadcast_to(g[:, :, None, None] / n_spatial, X.shape).copy())
+    def back(g, nx):
+        _accumulate(nx, np.broadcast_to(g[:, :, None, None] / n_spatial, shape).copy())
 
     return _from_op(X.mean(axis=(2, 3)), (x,), "global_avg_pool", back)
 
@@ -735,10 +818,10 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     probs = e / denom
     data = np.asarray(-logp[np.arange(n), t].mean())
 
-    def back(g):
+    def back(g, nl):
         gx = probs.copy()
         gx[np.arange(n), t] -= 1.0
-        _accumulate(logits, float(g) * gx / n)
+        _accumulate(nl, float(g) * gx / n)
 
     return _from_op(data, (logits,), "cross_entropy", back)
 

@@ -117,11 +117,14 @@ def train(params: ModelParams, spec: ModelSpec, train_ds: Dataset, val_ds: Datas
                 return (out, logvar, *objective(out, logvar, y, cfg.beta, eps))
 
             # Rebinding out and loss frees the previous step's graph only
-            # here, so two graphs coexist during this forward. Dropping it
-            # after opt.step() (loss = out = None) lowered the peak RSS,
-            # but glibc then trimmed and refaulted the heap every step:
-            # on the benchmark's conv-train, 114k-137k minor faults per
-            # training against 8k, and 10-20 % more train time.
+            # here, so two graphs coexist during this forward. A graph keeps
+            # only what its backward reads: 5.1 MB for the MiniResNet
+            # bayesian2 preset at batch 32, against the 9.7 MB of every
+            # activation its forward makes. Dropping it after opt.step()
+            # (loss = out = None) lowered the peak RSS, but glibc then
+            # trimmed and refaulted the heap every step: on the
+            # benchmark's conv-train, 114k-137k minor faults per training
+            # against 8k, and 10-20 % more train time.
             with _deferred_checks():
                 out, logvar, loss, breakdown = forward()
                 opt.zero_grad()

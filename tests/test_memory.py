@@ -2,21 +2,24 @@
 
 Evaluation: the peak of ``evaluate`` does not grow with the test set beyond
 the arrays that hold its outputs. Training: a graph-mode forward holds little
-more than its nodes' values until the backward (``conv2d`` keeps its input,
-not its im2col patches), a conv's backward holds one chunk of patches at a
-time, never a whole patch matrix, and a whole training step peaks near two
-graphs' values (the backward releases intermediate gradients as it goes)."""
+more than the arrays its backward closures read until the backward, about
+half of every activation it makes (``conv2d`` keeps its input, not its
+im2col patches), a conv's backward holds one chunk of patches at a time,
+never a whole patch matrix, and a whole training step peaks near two
+graphs (the backward releases intermediate gradients as it goes)."""
 
 import dataclasses
+import math
 import tracemalloc
+import types
 
 import numpy as np
 
 from uqnet import rng
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import (block_rows, body_forward, build_model, head_forward, miniresnet_spec,
-                          model_forward)
+from uqnet.layers import (block_rows, body_forward, build_model, head_forward, infer_shapes,
+                          miniresnet_spec, model_forward)
 from uqnet.losses import objective
 from uqnet.optim import OptimizerConfig
 from uqnet import tensor
@@ -82,25 +85,72 @@ def test_conv_windows_leave_no_traced_memory_behind():
     assert grown < 64 << 10, grown
 
 
-def node_value_bytes(root):
-    """Summed nbytes of the distinct base arrays of every node value in the
-    graph that ends at ``root``."""
-    seen, bases, stack = set(), {}, [root]
+def graph_nodes(root):
+    """Every node of the graph that ends at the tensor ``root``: ``root``,
+    the op nodes, and the leaves, each its own node."""
+    seen, nodes, stack = set(), [], [root]
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        base = t.data
-        while base.base is not None:
-            base = base.base
-        bases[id(base)] = base.nbytes
-        stack.extend(t._parents)
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def saved_arrays(fn):
+    """The arrays a backward closure keeps, followed into the functions it
+    keeps. Asserts that the only tensors it reaches are leaves, which it
+    keeps as their own nodes: never an op result's tensor."""
+    arrays, fns = [], [fn]
+    while fns:
+        for cell in fns.pop().__closure__ or ():
+            value = cell.cell_contents
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, np.ndarray):
+                    arrays.append(v)
+                elif isinstance(v, Tensor):
+                    assert v.op == "leaf", v
+                elif isinstance(v, types.FunctionType):
+                    fns.append(v)
+    return arrays
+
+
+def saved_bytes(root):
+    """Summed nbytes of the distinct base arrays that the backward closures
+    of the graph ending at ``root`` keep."""
+    bases = {}
+    for node in graph_nodes(root):
+        for base in saved_arrays(node._backward) if node._backward is not None else ():
+            while base.base is not None:
+                base = base.base
+            bases[id(base)] = base.nbytes
     return sum(bases.values())
 
 
-def test_miniresnet_training_graph_holds_only_its_node_values():
-    spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
+def body_activation_bytes(spec, n):
+    """Bytes of the arrays a graph-mode forward of the body makes at batch
+    ``n``, counted from ``infer_shapes`` in the body's dtype: the cast input,
+    an output per conv3x3, relu and pooling, a mask and a product per
+    dropout, and per conv residual block its two convs, the relu between
+    them, the sum, the relu after it and, when the channel count changes,
+    the projection. A graph that kept every value would hold all of them."""
+    per_layer = {"conv3x3": 1, "relu": 1, "global-avg-pool": 1, "dropout": 2}
+    shapes = infer_shapes(spec)
+    arrays = math.prod(shapes[0])
+    for layer, shape in zip(spec.layers, shapes[1:]):
+        if layer.kind == "residual-block":
+            count = 5 + (layer.in_ch != layer.out_ch)
+        else:
+            count = per_layer[layer.kind]
+        arrays += count * math.prod(shape)
+    return n * arrays * np.dtype(spec.conv_dtype).itemsize
+
+
+def training_forward(spec):
+    """The batch-32 cross-entropy of a training forward of ``spec``, and the
+    bytes tracemalloc holds once it is built (the parameters and input are
+    made beforehand)."""
     params = build_model(spec, 0)
     x = np.random.default_rng(0).normal(size=(32,) + spec.input_shape)
     y = np.arange(32) % CLASSES
@@ -108,26 +158,39 @@ def test_miniresnet_training_graph_holds_only_its_node_values():
     try:
         pass_rng = rng.PassRng(0, 0, rng.NS_TRAIN_DROPOUT)
         loss = cross_entropy(model_forward(params, spec, Tensor(x), pass_rng), y)
-        held = tracemalloc.get_traced_memory()[0]
+        return loss, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    values = node_value_bytes(loss)
-    assert held <= 1.25 * values, (held, values)
+
+
+def test_miniresnet_training_graph_holds_only_what_its_closures_save():
+    # Nothing but the arrays the backward closures read outlives the
+    # forward: the op results' tensors are gone with the intermediates.
+    loss, held = training_forward(miniresnet_spec((1, 16, 16), CLASSES, "bayesian2"))
+    saved = saved_bytes(loss)
+    assert held <= 1.25 * saved, (held, saved)
+
+
+def test_miniresnet_training_graph_keeps_about_half_the_activations():
+    # A node keeps what its backward reads: relu its output, dropout's mul
+    # its mask, a conv its input (which the relu or the product before it
+    # keeps anyway); the convs' outputs, the sums and the pooling keep no
+    # array. A graph that kept every value held all of body_activation_bytes.
+    spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
+    loss, held = training_forward(spec)
+    activations = body_activation_bytes(spec, 32)
+    saved = saved_bytes(loss)
+    assert saved <= 0.55 * activations, (saved, activations)
+    assert held <= 0.55 * activations, (held, activations)
 
 
 def test_float32_miniresnet_graph_is_about_half_the_float64_one():
     # The float32 preset keeps its body's activations and dropout masks in
     # float32; only the parameters, the head and the loss are float64.
     spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
-    x = np.random.default_rng(0).normal(size=(32,) + spec.input_shape)
-    y = np.arange(32) % CLASSES
-    values = {}
-    for dtype in ("float32", "float64"):
-        s = dataclasses.replace(spec, conv_dtype=dtype)
-        pass_rng = rng.PassRng(0, 0, rng.NS_TRAIN_DROPOUT)
-        loss = cross_entropy(model_forward(build_model(s, 0), s, Tensor(x), pass_rng), y)
-        values[dtype] = node_value_bytes(loss)
-    assert values["float32"] <= 0.55 * values["float64"], values
+    saved = {dtype: saved_bytes(training_forward(dataclasses.replace(spec, conv_dtype=dtype))[0])
+             for dtype in ("float32", "float64")}
+    assert saved["float32"] <= 0.55 * saved["float64"], saved
 
 
 def test_conv2d_backward_holds_one_patch_chunk_at_a_time():
@@ -161,12 +224,12 @@ def test_conv2d_backward_holds_one_patch_chunk_at_a_time():
 def test_miniresnet_training_step_peak_stays_near_two_graphs():
     # train() holds the previous step's graph through ``loss`` and ``out``
     # until the next step's forward rebinds them, so two graphs briefly
-    # coexist. Beyond them, a step's backward holds only the gradients it is
-    # passing on and one chunk of one conv's patches (3.1x the node values
-    # when every intermediate gradient stayed until the backward returned).
-    # It peaks at 2.06x with whole-batch patches in the backward and with
-    # chunked ones alike: the peak comes in the second step's forward, while
-    # the two graphs coexist.
+    # coexist, each within 0.55 of body_activation_bytes. Beyond them, a
+    # step holds its parameter gradients and Adam's state and, in the
+    # backward, only the gradients it is passing on, or in a conv the
+    # working set bounded above: two patch chunks and two padded inputs.
+    # A graph that kept every value peaked here at 20.3 MB, 2.08 times the
+    # activations; the peak comes in the second step's forward.
     spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
     params = build_model(spec, 0)
     opt = OptimizerConfig().build(params)
@@ -188,5 +251,8 @@ def test_miniresnet_training_step_peak_stays_near_two_graphs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    values = node_value_bytes(loss)
-    assert peak <= 2.2 * values, (peak, values)
+    state = sum(3 * p.data.nbytes for p in params.tensors.values())   # grad, m and v
+    padded = 32 * 18 * 18 * 16 * 4   # the widest conv's padded float32 input
+    bound = (2 * 0.55 * body_activation_bytes(spec, 32) + state
+             + 2 * tensor._CONV_CHUNK_BYTES + 2 * padded)
+    assert peak <= bound, (peak, bound)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import uqnet.tensor as tensor
+from uqnet import rng as _rng
+from uqnet.layers import build_model, miniresnet_spec, model_forward
 from uqnet.tensor import (
     NonFiniteError,
     ShapeError,
@@ -109,6 +111,7 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, [2.0, -2.0])
         assert float(root.grad) == 1.0
         assert prod.grad is None and act.grad is None
+        assert prod._node.grad is None and act._node.grad is None
         assert root._parents[0].grad is None
 
     def test_relu_and_clip_gradients_keep_signed_zeros_and_nonfinite(self):
@@ -143,6 +146,63 @@ class TestBackward:
         assert y._parents == ()
         with pytest.raises(ValueError):
             y.backward()
+
+    def test_leaf_backward_gives_the_leaf_a_unit_gradient(self):
+        x = Tensor(3.0, requires_grad=True)
+        x.backward()
+        assert x.grad == 1.0 and x.grad.dtype == np.float64
+
+
+class TestGraphNodes:
+    """What a graph keeps, and what outside code may do with it."""
+
+    def test_a_reassigned_conv2d_backward_is_the_one_that_runs(self):
+        # The benchmark's tracer times conv backwards this way: it wraps the
+        # _backward of each graph-mode conv2d result and assigns the wrapper.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
+        w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        calls = []
+
+        def grads(wrap):
+            tx = Tensor(x, requires_grad=True)
+            tw, tb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            y = conv2d(tx, tw, tb)
+            if wrap:
+                inner = y._backward
+
+                def wrapper(g):
+                    calls.append(g.shape)
+                    return inner(g)
+
+                y._backward = wrapper
+                assert y._backward is wrapper
+            (y.relu() * 2.0).sum().backward()
+            return [t.grad.tobytes() for t in (tx, tw, tb)]
+
+        assert grads(True) == grads(False)
+        assert calls == [(2, 4, 5, 5)]
+
+    def test_gradients_do_not_depend_on_which_intermediates_the_caller_keeps(self, monkeypatch):
+        spec = miniresnet_spec((1, 8, 8), 4, "bayesian2")
+        x = np.random.default_rng(0).normal(size=(6, 1, 8, 8))
+
+        def loss_of(params):   # every intermediate Tensor is dropped on return
+            pass_rng = _rng.PassRng(0, 0, _rng.NS_TRAIN_DROPOUT)
+            return cross_entropy(model_forward(params, spec, Tensor(x), pass_rng), np.arange(6) % 4)
+
+        def grads():
+            params = build_model(spec, 0)
+            loss_of(params).backward()
+            return {name: p.grad.tobytes() for name, p in params.tensors.items()}
+
+        dropped = grads()
+        kept = []
+        from_op = tensor._from_op
+        monkeypatch.setattr(tensor, "_from_op", lambda *args: kept.append(from_op(*args)) or kept[-1])
+        held = grads()
+        assert sum(t.op == "mul" for t in kept) == 4   # the four dropouts ran
+        assert held == dropped
 
 
 class TestShapeRules:

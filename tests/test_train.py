@@ -177,15 +177,16 @@ class TestCapacity:
 
 
 def _graph_nodes(root):
-    """Every tensor of the graph that ends at ``root``, walked as
-    ``tests/test_memory.py``'s ``node_value_bytes`` walks it."""
+    """Every node of the graph that ends at the tensor ``root`` (``root``,
+    the op nodes and the leaves that take a gradient), walked as
+    ``tests/test_memory.py``'s ``graph_nodes`` walks it."""
     seen, nodes, stack = set(), [], [root]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
     return nodes
 
 
@@ -221,21 +222,21 @@ class TestActivationDtypes:
     def test_float32_miniresnet_step(self, variant):
         spec = miniresnet_spec((1, 8, 8), 4, variant)
         x_data = np.random.default_rng(0).normal(size=(6, 1, 8, 8))
-        x, h, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(6) % 4)
-        body = _graph_nodes(h)
+        _, h, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(6) % 4)
+        body = _graph_nodes(h)   # the input takes no gradient, so it is no node
         param_ids = {id(p) for p in params.tensors.values()}
         assert any(t.op == "mul" for t in body) == (variant == "bayesian2")   # dropout ran
-        for t in body:
-            want = np.float64 if (id(t) in param_ids or t is x) else np.float32
-            assert t.data.dtype == want, (t.op, t.data.dtype)
+        for node in body:
+            want = np.float64 if id(node) in param_ids else np.float32
+            assert node.dtype == want, (node.op, node.dtype)
         self._check_float64_outside_the_body(heads, loss, params, opt)
 
     def test_mlp_step_stays_float64(self):
         spec = mlp_spec(5, 4, "bayesian2", hidden=8)
         x_data = np.random.default_rng(0).normal(size=(6, 5))
         _, _, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(6) % 4)
-        for t in _graph_nodes(loss):
-            assert t.data.dtype == np.float64, t.op
+        for node in _graph_nodes(loss):
+            assert node.dtype == np.float64, node.op
         self._check_float64_outside_the_body(heads, loss, params, opt)
 
 
