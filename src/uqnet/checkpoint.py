@@ -46,10 +46,10 @@ def spec_to_dict(spec: ModelSpec) -> dict:
         "variant": spec.variant,
         "backbone": spec.backbone,
     }
-    # written only when it is not the default, so float64 headers (every MLP,
-    # and every file from before the key existed) keep their bytes
-    if spec.conv_dtype != "float64":
-        out["conv_dtype"] = spec.conv_dtype
+    # written only when it is not the default, so float64 headers (hand-built
+    # specs, and every file from before the key existed) keep their bytes
+    if spec.dtype != "float64":
+        out["dtype"] = spec.dtype
     return out
 
 
@@ -61,7 +61,8 @@ def spec_from_dict(d: dict) -> ModelSpec:
         input_shape=tuple(int(v) for v in d["input_shape"]),
         variant=d["variant"],
         backbone=d["backbone"],
-        conv_dtype=d.get("conv_dtype", "float64"),
+        # files written before the key's rename hold ``conv_dtype``
+        dtype=d.get("dtype", d.get("conv_dtype", "float64")),
     )
     validate_spec(spec)
     return spec

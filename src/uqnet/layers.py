@@ -41,7 +41,7 @@ from .tensor import (Tensor, ShapeError, _cast, _chunk_rows, _row_chunks, _run_d
 VARIANTS = ("baseline", "bayesian1", "bayesian2", "variational")
 MC_VARIANTS = ("bayesian1", "bayesian2")   # the variants with dropout, sampled at evaluation
 BACKBONES = ("mlp", "miniresnet")
-CONV_DTYPES = ("float64", "float32")   # ModelSpec.conv_dtype: the body's dtype
+DTYPES = ("float64", "float32")   # ModelSpec.dtype: the body's dtype
 
 # A no-grad forward runs its batch in row blocks whose largest layer
 # activation holds about this many bytes, so its working memory does not
@@ -108,16 +108,16 @@ class ModelSpec:
     the dtype of its body (float64 unless a preset says otherwise).
     :func:`forward_range` casts what enters the body to it, and the
     activations, their gradients, the dropout masks and the arithmetic of
-    every body op, the convolutions included, follow from the input to the
-    end of the body. The parameters, their gradients, the head and the loss
-    are float64."""
+    every body op follow from the input to the end of the body; its linear
+    layers and convolutions cast their weights and biases to it. The
+    parameters, their gradients, the head and the loss are float64."""
 
     layers: tuple[LayerSpec, ...]
     n_classes: int
     input_shape: tuple[int, ...]
     variant: str
     backbone: str
-    conv_dtype: str = "float64"
+    dtype: str = "float64"
 
     @property
     def head(self) -> str:
@@ -171,8 +171,8 @@ def validate_spec(spec: ModelSpec) -> None:
         raise ValueError(f"unknown variant {spec.variant!r}, expected one of {VARIANTS}")
     if spec.n_classes < 2:
         raise ValueError("need at least two classes")
-    if spec.conv_dtype not in CONV_DTYPES:
-        raise ValueError(f"unknown conv_dtype {spec.conv_dtype!r}, expected one of {CONV_DTYPES}")
+    if spec.dtype not in DTYPES:
+        raise ValueError(f"unknown dtype {spec.dtype!r}, expected one of {DTYPES}")
     infer_shapes(spec)  # raises on inconsistent shapes
     _ = spec.feature_dim
 
@@ -203,10 +203,18 @@ def _place_dropout(body, variant: str, p: float) -> tuple[LayerSpec, ...]:
 
 def mlp_spec(input_dim: int, n_classes: int = 4, variant: str = "baseline",
              hidden: int = 64, p: float = 0.5) -> ModelSpec:
-    """Vector-input backbone: stem linear + 2 residual fc blocks."""
+    """Vector-input backbone: stem linear + 2 residual fc blocks.
+
+    The body runs in float32 (``dtype``), as the MiniResNet's does: its
+    activations, their gradients and the dropout masks are float32 from the
+    input to the features, and each linear layer casts its float64 weight
+    and bias to float32. The parameters, their gradients, Adam's state, the
+    head outputs and the loss stay float64.
+    """
     body = [LayerSpec("linear", in_dim=input_dim, out_dim=hidden), LayerSpec("relu")]
     body += [LayerSpec("residual-block", block="fc", in_dim=hidden)] * 2
-    spec = ModelSpec(_place_dropout(body, variant, p), n_classes, (input_dim,), variant, "mlp")
+    spec = ModelSpec(_place_dropout(body, variant, p), n_classes, (input_dim,), variant, "mlp",
+                     dtype="float32")
     validate_spec(spec)
     return spec
 
@@ -219,7 +227,7 @@ def miniresnet_spec(input_shape: tuple[int, int, int] = (1, 16, 16), n_classes: 
     Blocks are conv-relu-conv plus an identity shortcut (1x1 projection when
     the channel count changes), relu after the add. Stride 1 throughout, so
     every block preserves the spatial size. The body runs in float32
-    (``conv_dtype``): the activations, their gradients and the dropout
+    (``dtype``): the activations, their gradients and the dropout
     masks are float32 from the input to the pooled features, and the
     convolutions compute in float32 because their inputs are. The
     parameters, their gradients, Adam's state, the head outputs and the
@@ -230,7 +238,7 @@ def miniresnet_spec(input_shape: tuple[int, int, int] = (1, 16, 16), n_classes: 
              for cin, cout in zip((channels[0], *channels), channels)]
     body.append(LayerSpec("global-avg-pool"))
     spec = ModelSpec(_place_dropout(body, variant, p), n_classes, tuple(input_shape),
-                     variant, "miniresnet", conv_dtype="float32")
+                     variant, "miniresnet", dtype="float32")
     validate_spec(spec)
     return spec
 
@@ -358,6 +366,14 @@ def _as_batch(x, input_shape: tuple[int, ...]) -> Tensor:
     return t
 
 
+def _linear(params: ModelParams, prefix: str, h: Tensor) -> Tensor:
+    """``h @ w + b`` for the body parameters ``<prefix>.w`` and ``<prefix>.b``,
+    cast to the dtype of ``h``, so a float32 body multiplies in float32
+    (``tensor._row_matmul``'s fixed-height tiles); ``_cast`` is the
+    identity in a float64 body."""
+    return h @ _cast(params[f"{prefix}.w"], h.dtype) + _cast(params[f"{prefix}.b"], h.dtype)
+
+
 def _residual_block(params: ModelParams, prefix: str, layer: LayerSpec, h: Tensor) -> Tensor:
     if layer.block == "conv":
         y = conv2d(h, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"]).relu()
@@ -367,9 +383,8 @@ def _residual_block(params: ModelParams, prefix: str, layer: LayerSpec, h: Tenso
         else:
             shortcut = h
         return (y + shortcut).relu()
-    y = (h @ params[f"{prefix}.fc1.w"] + params[f"{prefix}.fc1.b"]).relu()
-    y = y @ params[f"{prefix}.fc2.w"] + params[f"{prefix}.fc2.b"]
-    return (y + h).relu()
+    y = _linear(params, f"{prefix}.fc1", h).relu()
+    return (_linear(params, f"{prefix}.fc2", y) + h).relu()
 
 
 def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int,
@@ -381,18 +396,18 @@ def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int
     Dropout masks come from ``pass_rng.layer(i)`` for absolute layer index i,
     so splitting a pass into consecutive ranges changes no bit of its output.
     Without a ``pass_rng`` every dropout is the identity. Whatever enters
-    the range is cast to ``spec.conv_dtype``, at any ``start``, so every
-    activation of the range has that dtype and each op on it, the
-    convolutions included, computes in it.
+    the range is cast to ``spec.dtype``, at any ``start``, so every
+    activation of the range has that dtype and each op on it, the linear
+    layers and convolutions included, computes in it.
     """
     if not 0 <= start <= stop <= len(spec.layers):
         raise ValueError(f"layer range [{start}, {stop}) is outside 0..{len(spec.layers)}")
-    h = _cast(_as_batch(h, spec.input_shape) if start == 0 else h, spec.conv_dtype)
+    h = _cast(_as_batch(h, spec.input_shape) if start == 0 else h, spec.dtype)
     for i in range(start, stop):
         layer = spec.layers[i]
         prefix = f"body.{i}"
         if layer.kind == "linear":
-            h = h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+            h = _linear(params, prefix, h)
         elif layer.kind == "conv3x3":
             h = conv2d(h, params[f"{prefix}.w"], params[f"{prefix}.b"])
         elif layer.kind == "relu":
@@ -447,8 +462,10 @@ def _example_bytes(spec: ModelSpec) -> int:
     A conv's im2col patches do not count: :func:`conv2d` builds them in row
     chunks under its own byte budget, in the forward and the backward alike,
     and never holds a whole patch matrix. It counts 8 bytes a float
-    whatever ``spec.conv_dtype``: exact for a float64 body and an upper
-    bound for a float32 one."""
+    whatever ``spec.dtype``: exact for a float64 body and twice the bytes
+    of a float32 one. Counting the body's itemsize doubled the MiniResNet's
+    blocks and made its MC evaluation slower, and the MLP's blocks are
+    already whole ``_ROW_ALIGN`` tiles of its float32 products."""
     return 8 * max(math.prod(shape) for shape in infer_shapes(spec))
 
 

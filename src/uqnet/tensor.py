@@ -14,14 +14,17 @@ Deliberate restrictions, chosen for the small models this library trains:
 
 * a tensor is float64 unless it was made from a float32 array; a gradient
   takes its tensor's dtype, and an op result numpy's dtype of its operands
-  (float32 only when no float64 array takes part). The float32 MiniResNet
-  keeps its body's activations and dropout masks float32 this way, from
-  the input cast in ``layers.forward_range`` through the pooling, while its
-  parameters, their gradients, the head and the loss stay float64.
-  :func:`conv2d` computes in its input's dtype too (im2col GEMMs for the
-  forward and the weight gradient, and a transposed convolution for the
-  input gradient, each over row chunks of patches that are never built
-  whole), with its float64 weight and bias cast to it;
+  (float32 only when no float64 array takes part). The float32 bodies of
+  the MLP and the MiniResNet keep their activations and dropout masks
+  float32 this way, from the input cast in ``layers.forward_range`` to the
+  features, while their parameters, their gradients, the head and the loss
+  stay float64. Their linear layers cast each float64 weight and bias to
+  the body's dtype, and :func:`conv2d` computes in its input's dtype too
+  (im2col GEMMs for the forward and the weight gradient, and a transposed
+  convolution for the input gradient, each over row chunks of patches that
+  are never built whole), with its float64 weight and bias cast to it. A
+  float32 product runs in fixed-height tiles (``_row_matmul``), so a row's
+  result does not depend on the rows around it;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -376,7 +379,17 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(nb, ka.T @ g)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        data = A @ B
+        if A.dtype == np.float32:
+            # Rows of a float32 body: its layers multiply in float32 and the
+            # head, on its float32 features, in float64, both in fixed-height
+            # tiles, so one example gives the bytes of its row in any batch.
+            # Untiled they would not: numpy sends a one-row product to GEMV,
+            # and OpenBLAS's dgemm rows moved with the height (at 2, 3,
+            # 15 and 17 rows for heads of 2, 3 or 10 classes, and at every
+            # height for 192 features and 10 classes).
+            data = _row_matmul(A.astype(B.dtype, copy=False), B, tile=_ROW_ALIGN)
+        else:
+            data = A @ B
     return _from_op(data, (a, b), "matmul", back)
 
 
@@ -537,13 +550,16 @@ Tensor.reshape = lambda self, *shape: reshape(self, shape[0] if len(shape) == 1 
 # product to gemv, so aligned chunks keep every output row bit-identical to
 # the unchunked product (measured with OpenBLAS on the mlp and miniresnet
 # preset shapes). ``layers.row_blocks`` and float64 ``conv2d`` both chunk
-# by it.
+# by it, and a ``matmul`` of float32 rows multiplies them in tiles of it.
 _ROW_ALIGN = 16
 # sgemm does not keep that promise: a float32 row's result can depend on the
 # height of the product it sits in (OpenBLAS, K = 36 and 54, M = 1024 and
 # 2048), though not on where the product starts. So every float32
-# row-indexed product runs through ``_row_matmul`` in products of exactly
-# this many rows, and float32 ``conv2d`` chunks are whole tiles.
+# row-indexed product runs through ``_row_matmul`` in products of a fixed
+# height: float32 ``conv2d`` in tiles of this many rows, its chunks being
+# whole tiles, and a ``matmul`` of float32 rows in ``_ROW_ALIGN``-row
+# tiles, which split a 64-row training batch into four products where a
+# 256-row tile would pad it fourfold.
 _TILE_ROWS = 256
 # A conv2d forward, weight gradient and input gradient each build their
 # im2col patches in row chunks of about this many bytes (in the input's
@@ -562,25 +578,25 @@ def _chunk_rows(budget: int, row_bytes: int, align: int = _ROW_ALIGN) -> int:
     return max(budget // row_bytes // align * align, align)
 
 
-def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b``, into ``out`` (contiguous, in ``a``'s dtype) when given. A
-    float64 product is one GEMM. A float32 product runs as GEMMs of exactly
-    ``_TILE_ROWS`` rows, so each output row depends on its own row of ``a``
-    and on ``b``, not on how many rows came before or after it: the whole
-    tiles go through one stacked ``np.matmul`` straight into their rows of
-    ``out``, which issues one sgemm per tile, and the rest as one
-    zero-padded tile."""
-    if a.dtype == np.float64:
-        return np.matmul(a, b, out=out)
+def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                tile: int = _TILE_ROWS) -> np.ndarray:
+    """``a @ b`` (operands of one dtype), into ``out`` (contiguous, in that
+    dtype) when given, as GEMMs of exactly ``tile`` rows, so each output row
+    depends on its own row of ``a`` and on ``b``, not on how many rows came
+    before or after it: the whole tiles go through one stacked
+    ``np.matmul`` straight into their rows of ``out``, which issues one GEMM
+    per tile, and the rest as one zero-padded tile. A float32 ``conv2d``
+    multiplies its patch chunks in ``_TILE_ROWS`` tiles, and
+    :func:`_matmul` rows from a float32 body in ``_ROW_ALIGN`` tiles."""
     m, k = a.shape
     n = b.shape[1]
     if out is None:
         out = np.empty((m, n), a.dtype)
-    whole = m // _TILE_ROWS * _TILE_ROWS
+    whole = m // tile * tile
     if whole:
-        np.matmul(a[:whole].reshape(-1, _TILE_ROWS, k), b, out=out[:whole].reshape(-1, _TILE_ROWS, n))
+        np.matmul(a[:whole].reshape(-1, tile, k), b, out=out[:whole].reshape(-1, tile, n))
     if whole < m:
-        tail = np.zeros((_TILE_ROWS, k), a.dtype)
+        tail = np.zeros((tile, k), a.dtype)
         tail[:m - whole] = a[whole:]
         out[whole:] = (tail @ b)[:m - whole]
     return out
@@ -655,13 +671,16 @@ def _patches(win: np.ndarray, rows: slice) -> np.ndarray:
 
 def _patch_matmul(win: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The im2col patch matrix of ``win`` times ``b`` (in ``win``'s dtype),
-    one ``_conv_chunks`` chunk of patches at a time, each chunk's
-    ``_row_matmul`` filling its own rows of the [N*Ho*Wo, b.shape[1]]
-    result."""
+    one ``_conv_chunks`` chunk of patches at a time, each chunk's product
+    (one GEMM in float64, ``_row_matmul``'s tiles in float32) filling its
+    own rows of the [N*Ho*Wo, b.shape[1]] result."""
     n, ho, wo, k, _, c = win.shape
     out = np.empty((n * ho * wo, b.shape[1]), win.dtype)
     for rows in _conv_chunks(len(out), win.dtype.itemsize * k * k * c, win.dtype):
-        _row_matmul(_patches(win, rows), b, out=out[rows])
+        if win.dtype == np.float64:
+            np.matmul(_patches(win, rows), b, out=out[rows])
+        else:
+            _row_matmul(_patches(win, rows), b, out=out[rows])
     return out
 
 
@@ -771,7 +790,9 @@ def _cast(x: Tensor, dtype) -> Tensor:
     back in ``x``'s dtype. ``x`` itself when it already has that dtype."""
     if x.data.dtype == dtype:
         return x
-    return _from_op(x.data.astype(dtype), (x,), "cast", lambda g, nx: _accumulate(nx, g))
+    with np.errstate(over="ignore"):   # a float32 overflow surfaces as NonFiniteError
+        data = x.data.astype(dtype)
+    return _from_op(data, (x,), "cast", lambda g, nx: _accumulate(nx, g))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

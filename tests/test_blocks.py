@@ -13,7 +13,7 @@ from uqnet.layers import VARIANTS, block_rows, build_model, miniresnet_spec, mlp
 from uqnet.optim import OptimizerConfig
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng, stream
 from uqnet.train import TrainConfig, train
-from uqnet.uncertainty import mc_probs, variational_outputs
+from uqnet.uncertainty import mc_predict, mc_probs, variational_outputs
 
 N = 77   # 16-row blocks 16, 16, 16, 16, 13 under the smallest budget
 
@@ -28,12 +28,17 @@ def make(backbone, variant, n=N, classes=4, size=8):
     return spec, build_model(spec, 5), ds
 
 
+def with_budget(nbytes, fn):
+    """``fn()`` with the block budget set to ``nbytes``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(layers, "_BLOCK_BYTES", nbytes)
+        return fn()
+
+
 def smallest_blocks(fn):
     """``fn()`` with the block budget shrunk to one byte: every forward runs
     in blocks of the alignment's row count."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(layers, "_BLOCK_BYTES", 1)
-        return fn()
+    return with_budget(1, fn)
 
 
 def same_bytes(a, b):
@@ -121,7 +126,7 @@ class TestBlockedEqualsUnblocked:
         # block starts at patch row 400: the blocked forward's products start
         # where the whole batch's products are mid-tile.
         spec, params, ds = make("miniresnet", "bayesian2", size=5)
-        assert spec.conv_dtype == "float32"
+        assert spec.dtype == "float32"
         starts = [rows.start * 25 for rows, _ in smallest_blocks(lambda: row_blocks(spec, ds.inputs))]
         assert [s % tensor._TILE_ROWS for s in starts] == [0, 144, 32, 176, 64]
         whole = mc_probs(params, spec, ds.inputs, 6, seed=3)
@@ -163,3 +168,61 @@ class TestBlockedEqualsUnblocked:
         for name in whole.params.names():
             assert same_bytes(whole.params[name].data, blocked.params[name].data)
 
+
+
+class TestFloat32Mlp:
+    """The MLP's float32 body multiplies its rows in fixed 16-row sgemm
+    tiles, so its evaluation gives the same bytes in 16-row blocks, in the
+    default blocks and in one whole block, and one example gives the bytes
+    of its row in a batch."""
+
+    N = 600
+
+    def make(self, variant):
+        # hidden 100: the default block, 240 rows, is no multiple of 64
+        spec = mlp_spec(3, 4, variant, hidden=100)
+        assert spec.dtype == "float32" and block_rows(spec) == 240
+        x = np.random.default_rng(1).normal(size=(self.N, 3))
+        ds = Dataset(x, np.arange(self.N) % 4, [f"c{k}" for k in range(4)])
+        return spec, build_model(spec, 5), ds
+
+    def at_three_block_sizes(self, spec, fn):
+        """``fn()`` in 16-row blocks, in the default blocks (240, 240, 120)
+        and in one block of every row."""
+        sizes = {"16": 1, "default": layers._BLOCK_BYTES, "whole": 1 << 40}
+        x = np.zeros((self.N, 3))
+        blocks = {k: [r.stop - r.start for r, _ in with_budget(b, lambda: row_blocks(spec, x))]
+                  for k, b in sizes.items()}
+        assert blocks == {"16": [16] * 37 + [8], "default": [240, 240, 120], "whole": [self.N]}
+        return [with_budget(b, fn) for b in sizes.values()]
+
+    @pytest.mark.parametrize("variant", ["bayesian1", "bayesian2"])
+    def test_mc_probs(self, variant):
+        spec, params, ds = self.make(variant)
+        outs = self.at_three_block_sizes(spec, lambda: mc_probs(params, spec, ds.inputs, 4, seed=3))
+        assert all(same_bytes(o, outs[0]) for o in outs[1:])
+
+    @pytest.mark.parametrize("variant", ["baseline", "variational"])
+    def test_eval_heads(self, variant):
+        spec, params, ds = self.make(variant)
+        outs = self.at_three_block_sizes(spec, lambda: layers.eval_heads(params, spec, ds.inputs))
+        for out in outs[1:]:
+            assert all(a is b is None or same_bytes(a, b) for a, b in zip(out, outs[0]))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_evaluate(self, variant):
+        spec, params, ds = self.make(variant)
+        cfg = EvalConfig(T=4, S=4, seed=2)
+        outs = self.at_three_block_sizes(spec, lambda: evaluate(params, spec, ds, cfg))
+        for m, r in outs[1:]:
+            m0, r0 = outs[0]
+            for a, b in ((r.y_pred, r0.y_pred), (r.scores, r0.scores),
+                         (r.entropies, r0.entropies), (m.confusion, m0.confusion)):
+                assert same_bytes(a, b)
+
+    @pytest.mark.parametrize("variant", ["bayesian1", "bayesian2"])
+    def test_one_example_is_row_0_of_the_batch(self, variant):
+        spec, params, ds = self.make(variant)
+        batch = mc_probs(params, spec, ds.inputs, 4, seed=3)
+        one = mc_predict(params, spec, ds.inputs[0], 4, seed=3)
+        assert same_bytes(one.samples, batch[:, 0])

@@ -41,6 +41,11 @@ def _edit_header(path, edit):
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + n:])
 
 
+def _without_dtype(spec_dict):
+    """A header's spec as a writer from before the dtype key wrote it."""
+    return {k: v for k, v in spec_dict.items() if k != "dtype"}
+
+
 def _with_unknown_layer_field(header):
     header["spec"]["layers"][0]["width"] = 3
     return header
@@ -271,7 +276,7 @@ class TestModelForward:
         # in NCHW order, so only the rounding of the sums may differ. The
         # preset computes its convs in float32; this pins the float64 path.
         spec = replace(miniresnet_spec((1, 16, 16), n_classes=4, variant="bayesian2"),
-                       conv_dtype="float64")
+                       dtype="float64")
         params = build_model(spec, 7)
         x = np.random.default_rng(8).normal(size=(3, 1, 16, 16))
         got = model_forward(params, spec, x, PassRng(5, 1)).data
@@ -292,7 +297,7 @@ class TestModelForward:
         # their largest magnitude. This is an estimate, not a worst case:
         # the bound allows 7 eps32, and the preset measures 0.29 eps32.
         spec = miniresnet_spec((1, 16, 16), n_classes=4, variant="bayesian2")
-        assert spec.conv_dtype == "float32"
+        assert spec.dtype == "float32"
         convs = sum({"conv3x3": 1, "residual-block": 2}.get(layer.kind, 0) for layer in spec.layers)
         params = build_model(spec, 7)
         x = np.random.default_rng(8).normal(size=(3, 1, 16, 16))
@@ -300,7 +305,7 @@ class TestModelForward:
         want = _reference_forward(params, spec, x, PassRng(5, 1))
         atol = convs * np.finfo(np.float32).eps * np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
-        assert not np.array_equal(got, model_forward(params, replace(spec, conv_dtype="float64"),
+        assert not np.array_equal(got, model_forward(params, replace(spec, dtype="float64"),
                                                      x, PassRng(5, 1)).data)
 
     def test_zero_input_baseline_logits(self):
@@ -402,11 +407,11 @@ class TestForwardRange:
         assert counter.layers_touched == spec.dropout_positions()
 
     def test_range_casts_what_enters_it_to_the_spec_dtype(self):
-        # spec.conv_dtype alone sets the body's dtype: a float64 copy of a
+        # spec.dtype alone sets the body's dtype: a float64 copy of a
         # float32 prefix enters the rest of the body as float32 and gives
         # the same bits as the prefix itself.
         spec, params, x = self.make("miniresnet", "bayesian2")
-        assert spec.conv_dtype == "float32"
+        assert spec.dtype == "float32"
         first, end = spec.dropout_positions()[0], len(spec.layers)
         prefix = forward_range(params, spec, x, 0, first)
         outs = [forward_range(params, spec, h, first, end, PassRng(9, 2))
@@ -501,9 +506,12 @@ class TestCheckpoint:
          "malformed header: missing key 'spec'"),
         (_with_unknown_layer_field, "malformed header: .*unexpected keyword argument 'width'"),
         (lambda h: {**h, "meta": [1]}, "malformed header"),
-        (lambda h: {**h, "spec": {**h["spec"], "conv_dtype": "float16"}},
-         "malformed header: unknown conv_dtype 'float16'"),
-    ], ids=["array", "no-spec", "unknown-layer-field", "meta-array", "unknown-conv-dtype"])
+        (lambda h: {**h, "spec": {**_without_dtype(h["spec"]), "conv_dtype": "float16"}},
+         "malformed header: unknown dtype 'float16'"),
+        (lambda h: {**h, "spec": {**h["spec"], "dtype": "float16"}},
+         "malformed header: unknown dtype 'float16'"),
+    ], ids=["array", "no-spec", "unknown-layer-field", "meta-array", "unknown-conv-dtype",
+            "unknown-dtype"])
     def test_malformed_header_names_the_file(self, tmp_path, edit, message):
         spec = mlp_spec(2)
         path = tmp_path / "model.bin"
@@ -513,32 +521,49 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(exc.value).startswith(f"{path}: ")
 
-    def test_header_without_conv_dtype_loads_as_float64(self, tmp_path):
-        # Files written before the key existed hold no conv_dtype: their
-        # MiniResNet loads with float64 convs, scores like a float64 spec
-        # and saves back to the same bytes.
-        spec = miniresnet_spec((1, 8, 8), variant="bayesian1", p=0.3)
-        spec64 = replace(spec, conv_dtype="float64")
+    def _assert_loads_as_float64(self, tmp_path, spec, x):
+        """A file of ``spec`` whose header holds no dtype key loads as the
+        float64 spec, scores like it and saves back to the same bytes."""
+        spec64 = replace(spec, dtype="float64")
         params = build_model(spec, 9)
         old, resaved = tmp_path / "old.bin", tmp_path / "resaved.bin"
         save_checkpoint(str(old), spec, params, {"epochs": 2})
-        _edit_header(old, lambda h: {**h, "spec": {k: v for k, v in h["spec"].items()
-                                                  if k != "conv_dtype"}})
+        _edit_header(old, lambda h: {**h, "spec": _without_dtype(h["spec"])})
         loaded, params2, meta = load_checkpoint(str(old))
         assert loaded == spec64
-        x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
         want = model_forward(params, spec64, x).data
         assert model_forward(params2, loaded, x).data.tobytes() == want.tobytes()
         save_checkpoint(str(resaved), loaded, params2, meta)
         assert resaved.read_bytes() == old.read_bytes()
 
-    def test_conv_dtype_key_is_written_only_when_not_float64(self, tmp_path):
-        for spec, key in ((miniresnet_spec((1, 8, 8)), "float32"), (mlp_spec(2), None)):
+    def test_header_without_conv_dtype_loads_as_float64(self, tmp_path):
+        # Files written before the key existed hold neither ``dtype`` nor
+        # ``conv_dtype``: their MiniResNet loads with float64 convs.
+        spec = miniresnet_spec((1, 8, 8), variant="bayesian1", p=0.3)
+        self._assert_loads_as_float64(tmp_path, spec, np.random.default_rng(0).normal(size=(2, 1, 8, 8)))
+
+    def test_mlp_header_without_dtype_loads_as_float64(self, tmp_path):
+        # Every MLP file written while the MLP body was float64 holds no key.
+        spec = mlp_spec(3, variant="bayesian1", hidden=12)
+        assert spec.dtype == "float32"
+        self._assert_loads_as_float64(tmp_path, spec, np.random.default_rng(0).normal(size=(5, 3)))
+
+    def test_header_with_the_old_conv_dtype_key_loads(self, tmp_path):
+        spec = miniresnet_spec((1, 8, 8))
+        path = tmp_path / "m.bin"
+        save_checkpoint(str(path), spec, build_model(spec, 1))
+        _edit_header(path, lambda h: {**h, "spec": {**_without_dtype(h["spec"]), "conv_dtype": "float32"}})
+        assert load_checkpoint(str(path))[0] == spec
+
+    def test_dtype_key_is_written_only_when_not_float64(self, tmp_path):
+        for spec, key in ((miniresnet_spec((1, 8, 8)), "float32"), (mlp_spec(2), "float32"),
+                          (replace(mlp_spec(2), dtype="float64"), None)):
             path = tmp_path / "m.bin"
             save_checkpoint(str(path), spec, build_model(spec, 1))
             raw = path.read_bytes()
             header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
-            assert header["spec"].get("conv_dtype") == key
+            assert header["spec"].get("dtype") == key
+            assert "conv_dtype" not in header["spec"]
             assert load_checkpoint(str(path))[0] == spec
 
     @pytest.mark.parametrize("legacy_dropout_p", [False, True])

@@ -144,7 +144,7 @@ def body_activation_bytes(spec, n):
         else:
             count = per_layer[layer.kind]
         arrays += count * math.prod(shape)
-    return n * arrays * np.dtype(spec.conv_dtype).itemsize
+    return n * arrays * np.dtype(spec.dtype).itemsize
 
 
 def training_forward(spec):
@@ -188,7 +188,7 @@ def test_float32_miniresnet_graph_is_about_half_the_float64_one():
     # The float32 preset keeps its body's activations and dropout masks in
     # float32; only the parameters, the head and the loss are float64.
     spec = miniresnet_spec((1, 16, 16), CLASSES, "bayesian2")
-    saved = {dtype: saved_bytes(training_forward(dataclasses.replace(spec, conv_dtype=dtype))[0])
+    saved = {dtype: saved_bytes(training_forward(dataclasses.replace(spec, dtype=dtype))[0])
              for dtype in ("float32", "float64")}
     assert saved["float32"] <= 0.55 * saved["float64"], saved
 

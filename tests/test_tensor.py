@@ -1,5 +1,6 @@
 """Core autodiff engine: forward values, backward values, graph semantics."""
 
+import itertools
 import threading
 import warnings
 
@@ -315,24 +316,38 @@ class TestDeferredChecks:
 
 class TestRowMatmul:
     """float32 ``_row_matmul`` stacks its whole tiles into one ``np.matmul``
-    and equals a loop of zero-padded 256-row products byte for byte."""
+    and equals a loop of zero-padded products of the tile height byte for
+    byte, at conv2d's 256-row tiles and at matmul's 16-row tiles."""
 
     @pytest.mark.parametrize("m", [1, 200, 256, 3 * 256, 3 * 256 + 17])
     @pytest.mark.parametrize("n", [1, 8])
     def test_equals_per_tile_products(self, m, n):
         rng = np.random.default_rng(m + n)
-        for k in (9, 36, 144):
+        for tile, k in itertools.product((tensor._TILE_ROWS, tensor._ROW_ALIGN), (9, 36, 144)):
             a = rng.normal(size=(m, k)).astype(np.float32)
             b = rng.normal(size=(k, n)).astype(np.float32)
-            want = _fixed_height(a, b)
-            got = tensor._row_matmul(a, b)
+            want = _fixed_height(a, b, tile)
+            got = tensor._row_matmul(a, b, tile=tile)
             assert got.dtype == np.float32
             assert got.tobytes() == want.tobytes()
             # into rows of a larger buffer, as graph-mode conv2d's chunks write
             into = np.zeros((m + 3, n), np.float32)
-            tensor._row_matmul(a, b, out=into[1:m + 1])
+            tensor._row_matmul(a, b, out=into[1:m + 1], tile=tile)
             assert into[1:m + 1].tobytes() == want.tobytes()
             assert not into[0].any() and not into[m + 1:].any()
+
+    def test_matmul_of_float32_rows_runs_in_16_row_tiles(self):
+        # float32 rows times float32 weights (a float32 body's layers) in
+        # float32, times float64 weights (the head) in float64; a float64
+        # product (a float64 body) is one GEMM
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(77, 36)), rng.normal(size=(36, 8))
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+        for w, want in ((b32, _fixed_height(a32, b32, 16)),
+                        (b, _fixed_height(a32.astype(np.float64), b, 16))):
+            got = (Tensor(a32) @ Tensor(w)).data
+            assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
+        assert (Tensor(a) @ Tensor(b)).data.tobytes() == (a @ b).tobytes()
 
 
 class TestConvOps:
@@ -549,6 +564,13 @@ class TestConvOps:
         assert x.grad.dtype == np.float64
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
 
+    def test_cast_overflow_raises_non_finite_error_without_a_warning(self):
+        # a float64 weight beyond float32's range, as in a diverged float32 body
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match="op 'cast'"):
+                tensor._cast(Tensor(np.array([1e150, 1.0])), "float32")
+
     def test_conv2d_output_is_channels_last_in_memory(self):
         # The speed of conv2d rests on this layout; the NCHW shape is a view.
         rng = np.random.default_rng(6)
@@ -607,12 +629,13 @@ class TestCrossEntropyValues:
             cross_entropy(Tensor(np.zeros((1, 4))), np.array([4]))
 
 
-def _fixed_height(a, b):
-    """``a @ b`` as products of exactly 256 rows, the last one zero-padded:
-    how ``conv2d`` multiplies float32 rows."""
-    pad = -len(a) % 256
+def _fixed_height(a, b, tile=256):
+    """``a @ b`` as products of exactly ``tile`` rows, the last one
+    zero-padded: how ``conv2d`` multiplies float32 rows (256) and how
+    ``matmul`` does (16)."""
+    pad = -len(a) % tile
     a = np.concatenate([a, np.zeros((pad, a.shape[1]), a.dtype)])
-    return np.concatenate([a[i:i + 256] @ b for i in range(0, len(a), 256)])[:len(a) - pad]
+    return np.concatenate([a[i:i + tile] @ b for i in range(0, len(a), tile)])[:len(a) - pad]
 
 
 def _kept_patches(a, p, k):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,11 +219,9 @@ class TestActivationDtypes:
             assert p.data.dtype == p.grad.dtype == np.float64, name
             assert opt.m[name].dtype == opt.v[name].dtype == np.float64, name
 
-    @pytest.mark.parametrize("variant", ["bayesian2", "variational"])
-    def test_float32_miniresnet_step(self, variant):
-        spec = miniresnet_spec((1, 8, 8), 4, variant)
-        x_data = np.random.default_rng(0).normal(size=(6, 1, 8, 8))
-        _, h, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(6) % 4)
+    def _check_float32_step(self, spec, x_data, variant):
+        assert spec.dtype == "float32"
+        _, h, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(len(x_data)) % 4)
         body = _graph_nodes(h)   # the input takes no gradient, so it is no node
         param_ids = {id(p) for p in params.tensors.values()}
         assert any(t.op == "mul" for t in body) == (variant == "bayesian2")   # dropout ran
@@ -231,8 +230,20 @@ class TestActivationDtypes:
             assert node.dtype == want, (node.op, node.dtype)
         self._check_float64_outside_the_body(heads, loss, params, opt)
 
+    @pytest.mark.parametrize("variant", ["bayesian2", "variational"])
+    def test_float32_miniresnet_step(self, variant):
+        spec = miniresnet_spec((1, 8, 8), 4, variant)
+        self._check_float32_step(spec, np.random.default_rng(0).normal(size=(6, 1, 8, 8)), variant)
+
+    @pytest.mark.parametrize("variant", ["bayesian2", "variational"])
+    def test_float32_mlp_step(self, variant):
+        # The linear layers' float64 weights and biases enter the body
+        # through float32 casts, so every body node but the parameters is float32.
+        spec = mlp_spec(5, 4, variant, hidden=8)
+        self._check_float32_step(spec, np.random.default_rng(0).normal(size=(6, 5)), variant)
+
     def test_mlp_step_stays_float64(self):
-        spec = mlp_spec(5, 4, "bayesian2", hidden=8)
+        spec = replace(mlp_spec(5, 4, "bayesian2", hidden=8), dtype="float64")
         x_data = np.random.default_rng(0).normal(size=(6, 5))
         _, _, heads, loss, params, opt = _dtype_step(spec, x_data, np.arange(6) % 4)
         for node in _graph_nodes(loss):
@@ -250,22 +261,30 @@ class TestFailureModes:
         with pytest.raises(TrainingDivergedError, match="step"):
             train(params, spec, tr, va, cfg, seed=4)
 
-    def test_divergence_replay_names_step_and_op(self):
+    def _replay_names_step_and_op(self, dtype, op):
         # The step runs with per-op checks deferred; its non-finite loss makes
         # it run again with them on, which names the op that per-op checking
-        # names, at the same step, without a numpy warning on the way.
+        # names, at the same step, without a numpy warning on the way. The
+        # first step leaves weights near 1e150: a float64 body's first
+        # matmul overflows, and a float32 body's cast of the stem's weight.
         tr, va, _ = quick_splits()
-        spec = mlp_spec(2, variant="baseline", hidden=32)
+        spec = replace(mlp_spec(2, variant="baseline", hidden=32), dtype=dtype)
         params = build_model(spec, 4)
         cfg = TrainConfig(OptimizerConfig("sgd-momentum", lr=1e150, momentum=0.0),
                           epochs=3, batch_size=64)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(TrainingDivergedError,
-                               match=r"step 1 \(epoch 0\): op 'matmul' produced non-finite values") as info:
+                               match=rf"step 1 \(epoch 0\): op '{op}' produced non-finite values") as info:
                 train(params, spec, tr, va, cfg, seed=4)
         assert (info.value.step, info.value.epoch) == (1, 0)
         assert isinstance(info.value.__cause__, NonFiniteError)
+
+    def test_divergence_replay_names_step_and_op(self):
+        self._replay_names_step_and_op("float64", "matmul")
+
+    def test_divergence_replay_names_the_cast_in_a_float32_body(self):
+        self._replay_names_step_and_op("float32", "cast")
 
     def test_backward_only_non_finite_gradient_names_parameter(self):
         # Every forward value is finite, but the stem's weight gradient

@@ -1,6 +1,7 @@
 """Uncertainty mechanisms: KLD, reparameterized sampling, MC dropout, scores."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -471,11 +472,15 @@ class TestNonFinite:
             with pytest.raises(ValueError, match="finite"):
                 reparameterized_samples(mu, s2, 4, seed=0)
 
-    @pytest.mark.parametrize("backbone,variant,op", [("mlp", "bayesian1", "matmul"),
-                                                     ("miniresnet", "bayesian2", "conv2d")])
-    def test_nan_weight_raises_from_mc_probs_in_worker_threads(self, backbone, variant, op):
-        spec = (mlp_spec(3, variant=variant, hidden=12) if backbone == "mlp"
-                else miniresnet_spec((1, 8, 8), variant=variant))
+    @pytest.mark.parametrize("backbone,variant,dtype,op", [
+        ("mlp", "bayesian1", "float64", "matmul"),
+        # a float32 body meets the NaN first in its cast of the weight
+        ("mlp", "bayesian1", "float32", "cast"),
+        ("miniresnet", "bayesian2", "float32", "conv2d"),
+    ], ids=["mlp-bayesian1-matmul", "mlp-bayesian1-cast", "miniresnet-bayesian2-conv2d"])
+    def test_nan_weight_raises_from_mc_probs_in_worker_threads(self, backbone, variant, dtype, op):
+        spec = replace(mlp_spec(3, variant=variant, hidden=12) if backbone == "mlp"
+                       else miniresnet_spec((1, 8, 8), variant=variant), dtype=dtype)
         params = build_model(spec, 0)
         params["body.0.w"].data[0, 0] = np.nan
         x = np.random.default_rng(0).normal(size=(6,) + spec.input_shape)
