@@ -201,7 +201,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             raw_label = float(fields[label_idx])
         except ValueError as e:
             raise DataError(f"{path}: line {lineno}: {e}") from e
-        if raw_label != int(raw_label):
+        if not raw_label.is_integer():   # inf and nan included
             raise DataError(f"{path}: line {lineno}: label {fields[label_idx]!r} is not an integer")
         rows.append(values)
         labels.append(int(raw_label))

@@ -24,7 +24,7 @@ from .train import TrainConfig, TrainResult, train
 from .uncertainty import (
     PosteriorSamples,
     VariationalOutput,
-    _batched_eval_noise,   # unused here; perfbench/tracer.py times it under this module
+    _batched_eval_noise,   # unused here; perfbench/tracer.py times the scorer's draws by this name
     mc_probs,
     np_softmax,
     predictive_entropy,

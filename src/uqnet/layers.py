@@ -465,7 +465,7 @@ def _example_bytes(spec: ModelSpec) -> int:
     whatever ``spec.dtype``: exact for a float64 body and twice the bytes
     of a float32 one. Counting the body's itemsize doubled the MiniResNet's
     blocks and made its MC evaluation slower, and the MLP's blocks are
-    already whole ``_ROW_ALIGN`` tiles of its float32 products."""
+    already whole ``_ROW_ALIGN`` tiles of its products."""
     return 8 * max(math.prod(shape) for shape in infer_shapes(spec))
 
 

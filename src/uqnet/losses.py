@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor, _as_tensor, cross_entropy, no_grad
-from .uncertainty import VariationalOutput, kld_from_logvar, noise_draw
+from .uncertainty import VariationalOutput, _batched_eval_noise, kld_from_logvar
 
 __all__ = ["cross_entropy", "LossBreakdown", "objective", "variational_loss", "variational_loss_graph"]
 
@@ -60,9 +60,10 @@ def objective(out, logvar, targets, beta: float, eps) -> tuple[Tensor, LossBreak
 def variational_loss(out: VariationalOutput, target: int, beta: float,
                      eps: np.ndarray | None = None, seed: int = 0) -> LossBreakdown:
     """Single-example loss CE(mu + sigma*eps) + beta*KLD: the batch-of-one
-    :func:`variational_loss_graph` with logvar = log(sigma2)."""
+    :func:`variational_loss_graph` with logvar = log(sigma2). ``eps``
+    defaults to evaluation-noise draw 0 of ``seed``."""
     if eps is None:
-        eps = noise_draw(seed, 0, out.mu.shape)
+        eps = _batched_eval_noise(seed, 1, out.mu.shape)[0]
     with no_grad():
         _, breakdown = variational_loss_graph(
             Tensor(out.mu[None, :]), Tensor(np.log(out.sigma2)[None, :]),

@@ -23,8 +23,9 @@ Deliberate restrictions, chosen for the small models this library trains:
   (im2col GEMMs for the forward and the weight gradient, and a transposed
   convolution for the input gradient, each over row chunks of patches that
   are never built whole), with its float64 weight and bias cast to it. A
-  float32 product runs in fixed-height tiles (``_row_matmul``), so a row's
-  result does not depend on the rows around it;
+  row-indexed product, in either dtype, runs in fixed-height tiles
+  (``_row_matmul``), so a row's result does not depend on the rows around
+  it;
 * broadcasting is limited to (scalar op tensor) and rank-1 bias addition
   along the last axis -- anything else raises :class:`ShapeError`;
 * every operation checks its result for NaN/Inf and raises
@@ -379,17 +380,14 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(nb, ka.T @ g)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if A.dtype == np.float32:
-            # Rows of a float32 body: its layers multiply in float32 and the
-            # head, on its float32 features, in float64, both in fixed-height
-            # tiles, so one example gives the bytes of its row in any batch.
-            # Untiled they would not: numpy sends a one-row product to GEMV,
-            # and OpenBLAS's dgemm rows moved with the height (at 2, 3,
-            # 15 and 17 rows for heads of 2, 3 or 10 classes, and at every
-            # height for 192 features and 10 classes).
-            data = _row_matmul(A.astype(B.dtype, copy=False), B, tile=_ROW_ALIGN)
-        else:
-            data = A @ B
+        # Rows in fixed-height tiles, in any dtype, so one example gives the
+        # bytes of its row in any batch. Untiled they would not: numpy sends
+        # a one-row product to GEMV, and OpenBLAS's dgemm rows moved with
+        # the height (at 2, 3, 15 and 17 rows for heads of 2, 3 or 10
+        # classes, and at every height for 192 features and 10 classes).
+        # A float32 body's features meet the head's float64 weights here.
+        dtype = np.result_type(A, B)
+        data = _row_matmul(A.astype(dtype, copy=False), B.astype(dtype, copy=False), tile=_ROW_ALIGN)
     return _from_op(data, (a, b), "matmul", back)
 
 
@@ -545,21 +543,19 @@ Tensor.reshape = lambda self, *shape: reshape(self, shape[0] if len(shape) == 1 
 
 # -- row chunks --------------------------------------------------------------
 
-# Row chunks of a float64 product start on multiples of this many rows.
-# dgemm tiles the rows of a product from its first row and sends a one-row
-# product to gemv, so aligned chunks keep every output row bit-identical to
-# the unchunked product (measured with OpenBLAS on the mlp and miniresnet
-# preset shapes). ``layers.row_blocks`` and float64 ``conv2d`` both chunk
-# by it, and a ``matmul`` of float32 rows multiplies them in tiles of it.
+# Every row-indexed product, in float64 as in float32, runs through
+# ``_row_matmul`` in GEMMs of one fixed height, so a row's result depends
+# on its own row and not on how many rows share its batch or block: BLAS
+# may round a row differently in a product of another height (OpenBLAS
+# sgemm at K = 36 and 54, M = 1024 and 2048; dgemm at the heights that
+# ``_matmul`` lists), and numpy sends a one-row product to GEMV. A
+# ``matmul`` multiplies in tiles of this many rows, which split a 64-row
+# training batch into four products where a 256-row tile would pad it
+# fourfold, and ``layers.row_blocks`` starts its blocks on multiples of it,
+# so a row keeps its place in its tile in any block.
 _ROW_ALIGN = 16
-# sgemm does not keep that promise: a float32 row's result can depend on the
-# height of the product it sits in (OpenBLAS, K = 36 and 54, M = 1024 and
-# 2048), though not on where the product starts. So every float32
-# row-indexed product runs through ``_row_matmul`` in products of a fixed
-# height: float32 ``conv2d`` in tiles of this many rows, its chunks being
-# whole tiles, and a ``matmul`` of float32 rows in ``_ROW_ALIGN``-row
-# tiles, which split a 64-row training batch into four products where a
-# 256-row tile would pad it fourfold.
+# ``conv2d``'s forward and input gradient multiply their patch rows in tiles
+# of this many rows, and its patch chunks are whole tiles.
 _TILE_ROWS = 256
 # A conv2d forward, weight gradient and input gradient each build their
 # im2col patches in row chunks of about this many bytes (in the input's
@@ -585,9 +581,9 @@ def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
     depends on its own row of ``a`` and on ``b``, not on how many rows came
     before or after it: the whole tiles go through one stacked
     ``np.matmul`` straight into their rows of ``out``, which issues one GEMM
-    per tile, and the rest as one zero-padded tile. A float32 ``conv2d``
-    multiplies its patch chunks in ``_TILE_ROWS`` tiles, and
-    :func:`_matmul` rows from a float32 body in ``_ROW_ALIGN`` tiles."""
+    per tile, and the rest as one zero-padded tile. ``conv2d`` multiplies
+    its patch chunks in ``_TILE_ROWS`` tiles, and :func:`_matmul` its rows
+    in ``_ROW_ALIGN`` tiles."""
     m, k = a.shape
     n = b.shape[1]
     if out is None:
@@ -638,13 +634,11 @@ def _windows(a: np.ndarray, q: int, k: int) -> np.ndarray:
     return np.ndarray((n, hp - k + 1, wp - k + 1, k, k, c), ap.dtype, ap, 0, (sn, sh, sw, sh, sw, sc))
 
 
-def _conv_chunks(m: int, row_bytes: int, dtype) -> list[slice]:
-    """The row chunks of an m-row patch matrix in ``dtype`` whose rows take
-    ``row_bytes`` bytes: about ``_CONV_CHUNK_BYTES`` each, starting on
-    ``_ROW_ALIGN`` rows in float64 and whole ``_TILE_ROWS`` tiles in
-    float32."""
-    align = _ROW_ALIGN if dtype == np.float64 else _TILE_ROWS
-    return _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, row_bytes, align))
+def _conv_chunks(m: int, row_bytes: int) -> list[slice]:
+    """The row chunks of an m-row patch matrix whose rows take
+    ``row_bytes`` bytes: about ``_CONV_CHUNK_BYTES`` each, in whole
+    ``_TILE_ROWS`` tiles."""
+    return _row_chunks(m, _chunk_rows(_CONV_CHUNK_BYTES, row_bytes, _TILE_ROWS))
 
 
 def _patches(win: np.ndarray, rows: slice) -> np.ndarray:
@@ -672,15 +666,12 @@ def _patches(win: np.ndarray, rows: slice) -> np.ndarray:
 def _patch_matmul(win: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The im2col patch matrix of ``win`` times ``b`` (in ``win``'s dtype),
     one ``_conv_chunks`` chunk of patches at a time, each chunk's product
-    (one GEMM in float64, ``_row_matmul``'s tiles in float32) filling its
-    own rows of the [N*Ho*Wo, b.shape[1]] result."""
+    (``_row_matmul``'s ``_TILE_ROWS`` tiles) filling its own rows of the
+    [N*Ho*Wo, b.shape[1]] result."""
     n, ho, wo, k, _, c = win.shape
     out = np.empty((n * ho * wo, b.shape[1]), win.dtype)
-    for rows in _conv_chunks(len(out), win.dtype.itemsize * k * k * c, win.dtype):
-        if win.dtype == np.float64:
-            np.matmul(_patches(win, rows), b, out=out[rows])
-        else:
-            _row_matmul(_patches(win, rows), b, out=out[rows])
+    for rows in _conv_chunks(len(out), win.dtype.itemsize * k * k * c):
+        _row_matmul(_patches(win, rows), b, out=out[rows])
     return out
 
 
@@ -716,15 +707,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
     keeps only its weight and, while the weight trains, its input, and the
     backward rebuilds the patches rather than keeping them. The forward and the
     input gradient fill their output rows chunk by chunk through
-    ``_row_matmul``; their chunks start on ``_ROW_ALIGN`` rows in float64
-    and are whole ``_TILE_ROWS`` tiles in float32, so both are
-    bit-identical to one product over kept patches. The weight gradient is
-    the float64 sum over the input's chunks of each chunk's product with
-    its rows of the output gradient, and the bias gradient, in the same
-    loop, the float64 sum of each chunk's float64 column sums (one GEMV
-    with a ones vector). Both therefore depend on the chunking: where a
-    conv spans more than one chunk they differ from one product over kept
-    patches by the rounding of the split sums.
+    ``_row_matmul``, in either dtype; their chunks are whole ``_TILE_ROWS``
+    tiles, so both are bit-identical to one tiled product over kept
+    patches. The weight gradient is the float64 sum over the input's
+    chunks of each chunk's product with its rows of the output gradient,
+    and the bias gradient, in the same loop, the float64 sum of each
+    chunk's float64 column sums (one GEMV with a ones vector). Both
+    therefore depend on the chunking: where a conv spans more than one
+    chunk they differ from one product over kept patches by the rounding
+    of the split sums.
     """
     X, W, B = x.data, weight.data, bias.data
     if X.ndim != 4 or W.ndim != 4:
@@ -765,7 +756,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int | None = None) 
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(m, cout)
         win = None if nw is None else _windows(xs, p, k)
         dw, db = np.zeros((k * k * cin, cout)), np.zeros(cout)
-        for rows in _conv_chunks(m, dtype.itemsize * k * k * cin, dtype):
+        for rows in _conv_chunks(m, dtype.itemsize * k * k * cin):
             gc = gmat[rows]
             db += np.ones(len(gc)) @ gc.astype(np.float64, copy=False)
             if win is not None:

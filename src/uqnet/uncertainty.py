@@ -201,15 +201,20 @@ def mc_predict(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
 # -- variational head ----------------------------------------------------------
 
 
-def noise_draw(seed: int, index: int, shape) -> np.ndarray:
-    """Evaluation-noise draw ``index``, standard normal and reproducible from
-    (seed, index); streams fill sequentially, so a (1, C) draw equals a (C,) draw."""
-    return _rng.stream(seed, _rng.NS_EVAL_NOISE, index).standard_normal(shape)
-
-
-def _batched_eval_noise(seed: int, S: int, shape) -> np.ndarray:
-    """[S, *shape] standard-normal draws; draw i is ``noise_draw(seed, i, shape)``."""
-    return np.stack([noise_draw(seed, i, shape) for i in range(S)])
+def _batched_eval_noise(seed: int, S: int, shape, gens: list | None = None) -> np.ndarray:
+    """[S, *shape] standard-normal evaluation noise: draw i continues
+    ``gens[i]``, the generator on evaluation-noise stream (seed, i). A call
+    without ``gens`` starts the S streams. A caller that draws a batch in
+    row blocks passes one list, empty at first, to every block's call; the
+    first call fills it, so each block's draws continue where the previous
+    block's stopped and together they equal one full-batch draw."""
+    gens = [] if gens is None else gens
+    if not gens:
+        gens += [_rng.stream(seed, _rng.NS_EVAL_NOISE, i) for i in range(S)]
+    eps = np.empty((S, *shape))
+    for gen, draw in zip(gens, eps):
+        gen.standard_normal(out=draw)
+    return eps
 
 
 def reparameterized_samples(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int,
@@ -235,12 +240,11 @@ def sampled_scores(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int) -> np.
     sigma2, S, seed)))`` without its [S, N, C] arrays.
 
     The rows run in blocks sized like :func:`uqnet.layers.row_blocks`, the
-    evaluation byte budget over one row's S * C draws. Draw i keeps one
-    generator on its (seed, i) stream for the whole call, so each block's
-    noise continues where the previous block's stopped and together they
-    equal one full-batch draw; every later step is per element or per
-    row, so each block's scores are the bytes of those rows of the
-    unblocked result.
+    evaluation byte budget over one row's S * C draws. Each block's noise
+    comes from :func:`_batched_eval_noise` with one list of generators for
+    the whole call, so together the blocks' draws equal one full-batch
+    draw; every later step is per element or per row, so each block's
+    scores are the bytes of those rows of the unblocked result.
     """
     mu, sigma2 = np.asarray(mu), np.asarray(sigma2)
     if mu.ndim != 2:
@@ -248,12 +252,10 @@ def sampled_scores(mu: np.ndarray, sigma2: np.ndarray, S: int, seed: int) -> np.
     if S < 2:
         raise ValueError("variational scoring needs at least 2 reparameterized draws")
     n, c = mu.shape
-    gens = [_rng.stream(seed, _rng.NS_EVAL_NOISE, i) for i in range(S)]
+    gens = []
     scores = np.empty(n)
     for rows in _row_chunks(n, _budget_rows(8 * S * c)):
-        eps = np.empty((S, rows.stop - rows.start, c))
-        for gen, draw in zip(gens, eps):
-            gen.standard_normal(out=draw)
+        eps = _batched_eval_noise(seed, S, (rows.stop - rows.start, c), gens)
         draws = reparameterized_samples(mu[rows], sigma2[rows], S, seed, eps)
         scores[rows] = variance_score(np_softmax(draws))
     return scores

@@ -2,6 +2,8 @@
 size comes from the spec, and blocked output equals unblocked output byte
 for byte."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ import uqnet.layers as layers
 import uqnet.tensor as tensor
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
-from uqnet.layers import VARIANTS, block_rows, build_model, miniresnet_spec, mlp_spec, row_blocks
+from uqnet.layers import (MC_VARIANTS, VARIANTS, block_rows, build_model, miniresnet_spec, mlp_spec,
+                          row_blocks)
 from uqnet.optim import OptimizerConfig
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng, stream
 from uqnet.train import TrainConfig, train
@@ -170,59 +173,82 @@ class TestBlockedEqualsUnblocked:
 
 
 
-class TestFloat32Mlp:
-    """The MLP's float32 body multiplies its rows in fixed 16-row sgemm
-    tiles, so its evaluation gives the same bytes in 16-row blocks, in the
-    default blocks and in one whole block, and one example gives the bytes
-    of its row in a batch."""
+class TestRowInvariance:
+    """Every row-indexed product runs in fixed-height GEMM tiles, 16 rows for
+    a matmul and 256 for a conv, in a float32 body and a float64 one alike.
+    So evaluation gives the same bytes in 16-row blocks, in the default
+    blocks and in one whole block, and one example gives the bytes of its
+    row in a batch."""
 
-    N = 600
-
-    def make(self, variant):
+    # (backbone, body dtype, classes): the MLP's float32 preset and float64
+    # copies, with the 4-class head and a 10-class one, and a float64
+    # MiniResNet on 5x5 images, whose 25 patch rows an example start its
+    # default blocks inside conv tiles
+    CASES = [("mlp", "float32", 4), ("mlp", "float32", 10), ("mlp", "float64", 4),
+             ("mlp", "float64", 10), ("miniresnet", "float64", 4)]
+    # the row counts of the blocks at each budget, and the batch size
+    BLOCKS = {
         # hidden 100: the default block, 240 rows, is no multiple of 64
-        spec = mlp_spec(3, 4, variant, hidden=100)
-        assert spec.dtype == "float32" and block_rows(spec) == 240
-        x = np.random.default_rng(1).normal(size=(self.N, 3))
-        ds = Dataset(x, np.arange(self.N) % 4, [f"c{k}" for k in range(4)])
+        "mlp": {"16": [16] * 37 + [8], "default": [240, 240, 120], "whole": [600]},
+        "miniresnet": {"16": [16] * 8 + [22], "default": [48, 48, 54], "whole": [150]},
+    }
+
+    @pytest.fixture(params=CASES, ids=["-".join(map(str, c)) for c in CASES])
+    def case(self, request):
+        return request.param
+
+    def make(self, case, variant):
+        backbone, dtype, classes = case
+        if backbone == "mlp":
+            spec = mlp_spec(3, classes, variant, hidden=100)
+        else:
+            spec = miniresnet_spec((1, 5, 5), classes, variant)
+        spec = replace(spec, dtype=dtype)
+        n = self.BLOCKS[backbone]["whole"][0]
+        x = np.random.default_rng(1).normal(size=(n,) + spec.input_shape)
+        ds = Dataset(x, np.arange(n) % classes, [f"c{k}" for k in range(classes)])
         return spec, build_model(spec, 5), ds
 
-    def at_three_block_sizes(self, spec, fn):
-        """``fn()`` in 16-row blocks, in the default blocks (240, 240, 120)
-        and in one block of every row."""
+    def at_three_block_sizes(self, spec, ds, fn):
+        """``fn()`` in 16-row blocks, in the default blocks and in one block
+        of every row."""
         sizes = {"16": 1, "default": layers._BLOCK_BYTES, "whole": 1 << 40}
-        x = np.zeros((self.N, 3))
-        blocks = {k: [r.stop - r.start for r, _ in with_budget(b, lambda: row_blocks(spec, x))]
+        blocks = {k: [r.stop - r.start for r, _ in with_budget(b, lambda: row_blocks(spec, ds.inputs))]
                   for k, b in sizes.items()}
-        assert blocks == {"16": [16] * 37 + [8], "default": [240, 240, 120], "whole": [self.N]}
+        assert blocks == self.BLOCKS[spec.backbone]
         return [with_budget(b, fn) for b in sizes.values()]
 
     @pytest.mark.parametrize("variant", ["bayesian1", "bayesian2"])
-    def test_mc_probs(self, variant):
-        spec, params, ds = self.make(variant)
-        outs = self.at_three_block_sizes(spec, lambda: mc_probs(params, spec, ds.inputs, 4, seed=3))
+    def test_mc_probs(self, case, variant):
+        spec, params, ds = self.make(case, variant)
+        outs = self.at_three_block_sizes(spec, ds, lambda: mc_probs(params, spec, ds.inputs, 4, seed=3))
         assert all(same_bytes(o, outs[0]) for o in outs[1:])
 
     @pytest.mark.parametrize("variant", ["baseline", "variational"])
-    def test_eval_heads(self, variant):
-        spec, params, ds = self.make(variant)
-        outs = self.at_three_block_sizes(spec, lambda: layers.eval_heads(params, spec, ds.inputs))
+    def test_eval_heads(self, case, variant):
+        spec, params, ds = self.make(case, variant)
+        outs = self.at_three_block_sizes(spec, ds, lambda: layers.eval_heads(params, spec, ds.inputs))
         for out in outs[1:]:
             assert all(a is b is None or same_bytes(a, b) for a, b in zip(out, outs[0]))
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_evaluate(self, variant):
-        spec, params, ds = self.make(variant)
+    def test_evaluate(self, case, variant):
+        spec, params, ds = self.make(case, variant)
         cfg = EvalConfig(T=4, S=4, seed=2)
-        outs = self.at_three_block_sizes(spec, lambda: evaluate(params, spec, ds, cfg))
+        outs = self.at_three_block_sizes(spec, ds, lambda: evaluate(params, spec, ds, cfg))
         for m, r in outs[1:]:
             m0, r0 = outs[0]
             for a, b in ((r.y_pred, r0.y_pred), (r.scores, r0.scores),
                          (r.entropies, r0.entropies), (m.confusion, m0.confusion)):
                 assert same_bytes(a, b)
 
-    @pytest.mark.parametrize("variant", ["bayesian1", "bayesian2"])
-    def test_one_example_is_row_0_of_the_batch(self, variant):
-        spec, params, ds = self.make(variant)
-        batch = mc_probs(params, spec, ds.inputs, 4, seed=3)
-        one = mc_predict(params, spec, ds.inputs[0], 4, seed=3)
-        assert same_bytes(one.samples, batch[:, 0])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_example_is_row_0_of_the_batch(self, case, variant):
+        spec, params, ds = self.make(case, variant)
+        for one, batch in zip(layers.eval_heads(params, spec, ds.inputs[0]),
+                              layers.eval_heads(params, spec, ds.inputs)):
+            assert one is batch is None or same_bytes(one, batch[:1])
+        if variant in MC_VARIANTS:
+            batch = mc_probs(params, spec, ds.inputs, 4, seed=3)
+            one = mc_predict(params, spec, ds.inputs[0], 4, seed=3)
+            assert same_bytes(one.samples, batch[:, 0])

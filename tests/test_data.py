@@ -161,10 +161,13 @@ class TestCsv:
             load_csv(str(path))
 
     def test_non_integer_label(self, tmp_path):
+        # a non-finite cell too: int() of it raised OverflowError or a
+        # ValueError that named neither the file nor the line
         path = tmp_path / "fl.csv"
-        path.write_text("f0,label\n1.0,0.5\n")
-        with pytest.raises(DataError, match="not an integer"):
-            load_csv(str(path))
+        for cell in ("0.5", "inf", "-inf", "1e400", "nan"):
+            path.write_text(f"f0,label\n1.0,0\n1.0,{cell}\n")
+            with pytest.raises(DataError, match=f"fl.csv: line 3: label '{cell}' is not an integer"):
+                load_csv(str(path))
 
 
 class TestIdx:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from uqnet.losses import LossBreakdown, cross_entropy, variational_loss, variational_loss_graph
+from uqnet.rng import NS_EVAL_NOISE, stream
 from uqnet.tensor import Tensor, check_gradient
 from uqnet.uncertainty import VariationalOutput
 
@@ -37,6 +38,14 @@ class TestVariationalLoss:
         # sample = mu + 2 * eps = [2, -1]
         expected_ce = -np.log(np.exp(2.0) / (np.exp(2.0) + np.exp(-1.0)))
         assert abs(bd.cross_entropy - expected_ce) < 1e-12
+
+    def test_default_noise_is_evaluation_draw_0(self):
+        out = VariationalOutput(np.array([1.0, 0.0, -0.5]), np.array([4.0, 0.5, 2.0]))
+        for seed in (0, 3):
+            eps = stream(seed, NS_EVAL_NOISE, 0).standard_normal(3)
+            bd = variational_loss(out, target=2, beta=0.5, seed=seed)
+            assert bd == variational_loss(out, target=2, beta=0.5, eps=eps)
+            assert bd != variational_loss(out, target=2, beta=0.5, eps=np.zeros(3))
 
 
 class TestGraphLoss:

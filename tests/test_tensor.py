@@ -315,39 +315,43 @@ class TestDeferredChecks:
 
 
 class TestRowMatmul:
-    """float32 ``_row_matmul`` stacks its whole tiles into one ``np.matmul``
-    and equals a loop of zero-padded products of the tile height byte for
-    byte, at conv2d's 256-row tiles and at matmul's 16-row tiles."""
+    """``_row_matmul`` stacks its whole tiles into one ``np.matmul`` and
+    equals a loop of zero-padded products of the tile height byte for byte,
+    in float32 and float64, at conv2d's 256-row tiles and at matmul's 16-row
+    tiles."""
 
     @pytest.mark.parametrize("m", [1, 200, 256, 3 * 256, 3 * 256 + 17])
     @pytest.mark.parametrize("n", [1, 8])
     def test_equals_per_tile_products(self, m, n):
         rng = np.random.default_rng(m + n)
-        for tile, k in itertools.product((tensor._TILE_ROWS, tensor._ROW_ALIGN), (9, 36, 144)):
-            a = rng.normal(size=(m, k)).astype(np.float32)
-            b = rng.normal(size=(k, n)).astype(np.float32)
+        for dtype, tile, k in itertools.product((np.float32, np.float64),
+                                                (tensor._TILE_ROWS, tensor._ROW_ALIGN), (9, 36, 144)):
+            a = rng.normal(size=(m, k)).astype(dtype)
+            b = rng.normal(size=(k, n)).astype(dtype)
             want = _fixed_height(a, b, tile)
             got = tensor._row_matmul(a, b, tile=tile)
-            assert got.dtype == np.float32
+            assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
             # into rows of a larger buffer, as graph-mode conv2d's chunks write
-            into = np.zeros((m + 3, n), np.float32)
+            into = np.zeros((m + 3, n), dtype)
             tensor._row_matmul(a, b, out=into[1:m + 1], tile=tile)
             assert into[1:m + 1].tobytes() == want.tobytes()
             assert not into[0].any() and not into[m + 1:].any()
 
     def test_matmul_of_float32_rows_runs_in_16_row_tiles(self):
         # float32 rows times float32 weights (a float32 body's layers) in
-        # float32, times float64 weights (the head) in float64; a float64
-        # product (a float64 body) is one GEMM
+        # float32, times float64 weights (the head) in float64, and float64
+        # rows (a float64 body) times either in float64: every product in
+        # 16-row tiles
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(77, 36)), rng.normal(size=(36, 8))
         a32, b32 = a.astype(np.float32), b.astype(np.float32)
-        for w, want in ((b32, _fixed_height(a32, b32, 16)),
-                        (b, _fixed_height(a32.astype(np.float64), b, 16))):
-            got = (Tensor(a32) @ Tensor(w)).data
-            assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
-        assert (Tensor(a) @ Tensor(b)).data.tobytes() == (a @ b).tobytes()
+        for x, w, want in ((a32, b32, _fixed_height(a32, b32, 16)),
+                           (a32, b, _fixed_height(a32.astype(np.float64), b, 16)),
+                           (a, b, _fixed_height(a, b, 16)),
+                           (a, b32, _fixed_height(a, b32.astype(np.float64), 16))):
+            got = (Tensor(x) @ Tensor(w)).data
+            assert got.dtype == np.result_type(x, w) and got.tobytes() == want.tobytes()
 
 
 class TestConvOps:
@@ -440,19 +444,20 @@ class TestConvOps:
         np.testing.assert_allclose(tb.grad, want[3], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype, n, size, cout, chunk_bytes, chunks", [
+        # chunks are whole 256-row tiles in either dtype
         ("float64", 2, (5, 6), 4, None, None),
-        # 16-row chunks that start inside output lines and images (k = 3,
-        # p = 1: 25 rows per image, 175 in all), plus a 15-row tail
-        ("float64", 7, (5, 5), 5, 1, (11, slice(160, 175))),
+        # chunks that start inside output lines and images (k = 3, p = 1:
+        # 25 rows per image, 400 in all): a tile, then a tile and a 144-row
+        # tail, which the last product pads with zeros
+        ("float64", 16, (5, 5), 5, 1, (2, slice(256, 400))),
         ("float32", 2, (5, 6), 4, None, None),
-        # float32 chunks are whole 256-row tiles: one tile, then a tile and
-        # a 63-row tail (575 rows), which the last product pads with zeros
+        # one tile, then a tile and a 63-row tail (575 rows)
         ("float32", 23, (5, 5), 5, 1, (2, slice(256, 575))),
         # the MiniResNet's 16 x 16 images: at k = 3, p = 1 an image is
         # exactly one 256-row tile, so every chunk starts and ends on an image
         ("float32", 3, (16, 16), 4, 1, (3, slice(512, 768))),
-        # 4 x 4 images and 16-row chunks: at k = 3, p = 1 one image a chunk
-        ("float64", 5, (4, 4), 3, 1, (5, slice(64, 80))),
+        # 4 x 4 images: at k = 3, p = 1 sixteen images a chunk
+        ("float64", 40, (4, 4), 3, 1, (3, slice(512, 640))),
     ], ids=["one-chunk", "chunked", "one-chunk-float32", "chunked-float32",
             "image-tiles-float32", "image-chunks"])
     def test_conv2d_is_byte_identical_to_kept_patches(self, dtype, n, size, cout, chunk_bytes,
@@ -464,10 +469,9 @@ class TestConvOps:
         # must equal the float64 sums over the same row chunks of those kept
         # patches, and dW must stay within float rounding of one float64
         # product.
-        align = tensor._ROW_ALIGN if dtype == "float64" else tensor._TILE_ROWS
         if chunk_bytes is not None:
             monkeypatch.setattr(tensor, "_CONV_CHUNK_BYTES", chunk_bytes)
-            got = tensor._row_chunks(n * size[0] * size[1], tensor._chunk_rows(chunk_bytes, 1, align))
+            got = tensor._conv_chunks(n * size[0] * size[1], 1)
             assert (len(got), got[-1]) == chunks
         h, wd = size
         rng = np.random.default_rng(7)
@@ -479,7 +483,8 @@ class TestConvOps:
                     w = rng.normal(size=(cout, cin, k, k))
                     b = rng.normal(size=cout)
                     g = rng.normal(size=(n, cout, h + 1 + 2 * p - k, wd + 1 + 2 * p - k)).astype(dtype)
-                    rows = tensor._chunk_rows(tensor._CONV_CHUNK_BYTES, x.itemsize * k * k * cin, align)
+                    rows = tensor._chunk_rows(tensor._CONV_CHUNK_BYTES, x.itemsize * k * k * cin,
+                                              tensor._TILE_ROWS)
                     want = _kept_patches_conv(x, w, b, p, g, rows)
                     channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
                     for stored in (x, channels_last):
@@ -631,7 +636,7 @@ class TestCrossEntropyValues:
 
 def _fixed_height(a, b, tile=256):
     """``a @ b`` as products of exactly ``tile`` rows, the last one
-    zero-padded: how ``conv2d`` multiplies float32 rows (256) and how
+    zero-padded: how ``conv2d`` multiplies its rows (256) and how
     ``matmul`` does (16)."""
     pad = -len(a) % tile
     a = np.concatenate([a, np.zeros((pad, a.shape[1]), a.dtype)])
@@ -659,20 +664,19 @@ def _kept_patches_conv(x, w, b, p, g, rows):
     """conv2d's im2col formula in the dtype of ``x`` (and ``g``), with the
     patches built once in the forward and kept for the backward: the output
     and the gradients of sum(out * g) with respect to x, w and b. The output
-    and dX are one product each over whole patches, in ``x``'s dtype; dW and
-    the bias gradient are float64 sums over the ``tensor._row_chunks`` of
-    ``rows`` rows, of each chunk's product of its kept patches with its rows
-    of the output gradient, and of its float64 column sums (a GEMV with a
-    ones vector). The weights and the bias are cast to ``x``'s dtype, as
+    and dX are one product each over whole patches, in ``x``'s dtype and in
+    256-row tiles; dW and the bias gradient are float64 sums over the
+    ``tensor._row_chunks`` of ``rows`` rows, of each chunk's product of its
+    kept patches with its rows of the output gradient, and of its float64
+    column sums (a GEMV with a ones vector). The weights and the bias are cast to ``x``'s dtype, as
     conv2d casts them."""
     dtype = x.dtype
-    rowprod = np.matmul if dtype == np.float64 else _fixed_height
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     ho, wo = h + 2 * p - k + 1, wd + 2 * p - k + 1
     patches = _kept_patches(x, p, k)
     wmat = w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout).astype(dtype)
-    out = rowprod(patches, wmat)
+    out = _fixed_height(patches, wmat)
     out += b.astype(dtype)
     gmat = _kept_patches(g, None, 1)
     dw, gb = np.zeros((k * k * cin, cout)), np.zeros(cout)
@@ -684,5 +688,5 @@ def _kept_patches_conv(x, w, b, p, g, rows):
     # patches kept, times the flipped kernel with Cout and Cin swapped
     gpatches = _kept_patches(g, k - 1 - p, k)
     wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin).astype(dtype)
-    dx = rowprod(gpatches, wflip).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
+    dx = _fixed_height(gpatches, wflip).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
     return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), dx, dw, gb

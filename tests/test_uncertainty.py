@@ -11,16 +11,16 @@ from uqnet.evaluate import EvalConfig, evaluate
 import uqnet.layers as layers
 from uqnet.layers import (MC_VARIANTS, block_rows, build_model, eval_heads, miniresnet_spec, mlp_spec,
                           model_forward)
-from uqnet.rng import NS_EVAL_DROPOUT, PassRng
+from uqnet.rng import NS_EVAL_DROPOUT, NS_EVAL_NOISE, PassRng, stream
 from uqnet.tensor import NonFiniteError, Tensor, _row_chunks, check_gradient, no_grad
 from uqnet.uncertainty import (
     PosteriorSamples,
     VariationalOutput,
+    _batched_eval_noise,
     kld,
     kld_from_logvar,
     mc_predict,
     mc_probs,
-    noise_draw,
     np_softmax,
     predictive_entropy,
     reparameterized_samples,
@@ -140,8 +140,16 @@ class TestReparameterization:
         a = reparameterized_samples(np.zeros(3), np.ones(3), 50, seed=7)
         b = reparameterized_samples(np.zeros(3), np.ones(3), 50, seed=7)
         np.testing.assert_array_equal(a, b)
-        assert noise_draw(7, 3, 3).shape == (3,)
-        np.testing.assert_array_equal(noise_draw(7, 3, 3), noise_draw(7, 3, 3))
+        eps = _batched_eval_noise(7, 4, (3,))
+        assert eps.shape == (4, 3)
+        np.testing.assert_array_equal(eps, _batched_eval_noise(7, 4, (3,)))
+        np.testing.assert_array_equal(eps[2], stream(7, NS_EVAL_NOISE, 2).standard_normal(3))
+
+    def test_noise_blocks_sharing_generators_equal_one_draw(self):
+        gens = []
+        blocks = [_batched_eval_noise(7, 4, (2, 3), gens), _batched_eval_noise(7, 4, (5, 3), gens)]
+        assert len(gens) == 4
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), _batched_eval_noise(7, 4, (7, 3)))
 
 
 class TestVariationalForward:
