@@ -25,9 +25,7 @@ from .layers import (
     build_model,
     body_forward,
     eval_heads,
-    forward_range,
     head_forward,
-    model_forward,
     row_blocks,
     dropout,
     mlp_spec,
@@ -73,8 +71,7 @@ __all__ = [
     "Tensor", "NonFiniteError", "ShapeError", "no_grad", "conv2d", "global_avg_pool",
     "check_gradient",
     "LayerSpec", "ModelSpec", "ModelParams", "build_model",
-    "body_forward", "eval_heads", "forward_range", "head_forward", "model_forward", "row_blocks",
-    "dropout",
+    "body_forward", "eval_heads", "head_forward", "row_blocks", "dropout",
     "mlp_spec", "miniresnet_spec",
     "validate_spec", "VARIANTS",
     "CheckpointError", "load_checkpoint", "save_checkpoint",

@@ -10,6 +10,7 @@ together as ``overlap`` rises (so the Bayes error is tunable), and
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +204,10 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             raise DataError(f"{path}: line {lineno}: {e}") from e
         if not raw_label.is_integer():   # inf and nan included
             raise DataError(f"{path}: line {lineno}: label {fields[label_idx]!r} is not an integer")
+        bad = [j for j, v in zip(feature_idx, values) if not math.isfinite(v)]
+        if bad:
+            raise DataError(f"{path}: line {lineno}: column {header[bad[0]]!r}: "
+                            f"{fields[bad[0]]!r} is not finite")
         rows.append(values)
         labels.append(int(raw_label))
 

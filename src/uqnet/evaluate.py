@@ -1,13 +1,17 @@
 """Test-set evaluation and the four-variant comparison.
 
-A sampling variant's predictions and scores are its test-set posterior's
+A sampling variant's predictions are its test-set posterior's
 ``predicted_label`` (argmax of the MC-mean probabilities, or of the
-predicted mean) and :func:`uqnet.uncertainty.uncertainty_score`: the rules
-that score one example. The baseline predicts the argmax of its softmax
-probabilities (rounding in the softmax can tie two classes whose logits
-differ, so this is not always the argmax of the logits); it has no
-sampling mechanism, so its score column carries predictive entropy and is
-excluded from ratio comparisons against the sampling variants.
+predicted mean). An MC variant's scores are
+:func:`uqnet.uncertainty.uncertainty_score` of its posterior, and the
+variational variant's are :func:`uqnet.uncertainty.sampled_scores`,
+which streams the draws in row blocks and returns the bytes that scoring
+all of them at once would: the rules that score one example. The
+baseline predicts the argmax of its softmax probabilities (rounding in
+the softmax can tie two classes whose logits differ, so this is not
+always the argmax of the logits); it has no sampling mechanism, so its
+score column carries predictive entropy and is excluded from ratio
+comparisons against the sampling variants.
 """
 
 from __future__ import annotations

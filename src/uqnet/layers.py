@@ -21,9 +21,9 @@ All dropout is inverted dropout: surviving activations are scaled by
 evaluation passes; without one, dropout is exactly the identity.
 
 This module is the one place that turns a spec into computation:
-:func:`body_forward` (or :func:`forward_range` for part of the body) runs
-the body, :func:`head_forward` is the only reader of the ``head.*``
-parameters, returning ``(logits, None)`` or ``(mu, log sigma^2)``, and
+:func:`body_forward` runs the body or any range of its layers,
+:func:`head_forward` is the only reader of the ``head.*`` parameters,
+returning ``(logits, None)`` or ``(mu, log sigma^2)``, and
 :func:`eval_heads` is the one row-blocked, no-grad evaluator of both.
 """
 
@@ -106,7 +106,7 @@ class LayerSpec:
 class ModelSpec:
     """Architecture description: body layers, head, variant tag, shapes, and
     the dtype of its body (float64 unless a preset says otherwise).
-    :func:`forward_range` casts what enters the body to it, and the
+    :func:`body_forward` casts what enters the body to it, and the
     activations, their gradients, the dropout masks and the arithmetic of
     every body op follow from the input to the end of the body; its linear
     layers and convolutions cast their weights and biases to it. The
@@ -387,19 +387,22 @@ def _residual_block(params: ModelParams, prefix: str, layer: LayerSpec, h: Tenso
     return (_linear(params, f"{prefix}.fc2", y) + h).relu()
 
 
-def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int,
-                  pass_rng: _rng.PassRng | None = None) -> Tensor:
-    """Run body layers ``start`` .. ``stop - 1`` on the activations ``h``.
+def body_forward(params: ModelParams, spec: ModelSpec, h,
+                 pass_rng: _rng.PassRng | None = None, start: int = 0,
+                 stop: int | None = None) -> Tensor:
+    """Run body layers ``start`` .. ``stop - 1`` (by default all of them,
+    ending in the [batch, feature_dim] features) on the activations ``h``.
 
     ``h`` is what enters layer ``start``: the model input (one example or a
-    batch) when ``start`` is 0, else the output of ``forward_range(..., start)``.
-    Dropout masks come from ``pass_rng.layer(i)`` for absolute layer index i,
-    so splitting a pass into consecutive ranges changes no bit of its output.
-    Without a ``pass_rng`` every dropout is the identity. Whatever enters
-    the range is cast to ``spec.dtype``, at any ``start``, so every
-    activation of the range has that dtype and each op on it, the linear
-    layers and convolutions included, computes in it.
+    batch) when ``start`` is 0, else the output of ``body_forward(...,
+    stop=start)``. Dropout masks come from ``pass_rng.layer(i)`` for
+    absolute layer index i, so splitting a pass into consecutive ranges
+    changes no bit of its output. Without a ``pass_rng`` every dropout is
+    the identity. Whatever enters the range is cast to ``spec.dtype``, at
+    any ``start``, so every activation of the range has that dtype and each
+    op on it, the linear layers and convolutions included, computes in it.
     """
+    stop = len(spec.layers) if stop is None else stop
     if not 0 <= start <= stop <= len(spec.layers):
         raise ValueError(f"layer range [{start}, {stop}) is outside 0..{len(spec.layers)}")
     h = _cast(_as_batch(h, spec.input_shape) if start == 0 else h, spec.dtype)
@@ -422,12 +425,6 @@ def forward_range(params: ModelParams, spec: ModelSpec, h, start: int, stop: int
     return h
 
 
-def body_forward(params: ModelParams, spec: ModelSpec, x,
-                 pass_rng: _rng.PassRng | None = None) -> Tensor:
-    """Run the body layers, returning the [batch, feature_dim] features."""
-    return forward_range(params, spec, x, 0, len(spec.layers), pass_rng)
-
-
 def head_forward(params: ModelParams, spec: ModelSpec, h: Tensor) -> tuple[Tensor, Tensor | None]:
     """The head on [batch, feature_dim] features: ``(logits, None)`` for the
     standard head, ``(mu, log sigma^2)`` for the variational head, with
@@ -437,20 +434,6 @@ def head_forward(params: ModelParams, spec: ModelSpec, h: Tensor) -> tuple[Tenso
     mu = h @ params["head.mu.w"] + params["head.mu.b"]
     logvar = (h @ params["head.logvar.w"] + params["head.logvar.b"]).clip(LOGVAR_MIN, LOGVAR_MAX)
     return mu, logvar
-
-
-def model_forward(params: ModelParams, spec: ModelSpec, x,
-                  pass_rng: _rng.PassRng | None = None) -> Tensor:
-    """Forward pass to [batch, n_classes] logits (standard-head variants).
-
-    Variational models produce a (mu, log sigma^2) pair instead of logits;
-    use :func:`head_forward` (graph mode) or :func:`eval_heads` (arrays).
-    """
-    if spec.head != "standard":
-        raise ValueError("model_forward handles standard-head variants; use head_forward "
-                         "or eval_heads for the variational variant")
-    logits, _ = head_forward(params, spec, body_forward(params, spec, x, pass_rng))
-    return logits
 
 
 # -- row-blocked evaluation ----------------------------------------------------

@@ -16,7 +16,7 @@ Deliberate restrictions, chosen for the small models this library trains:
   takes its tensor's dtype, and an op result numpy's dtype of its operands
   (float32 only when no float64 array takes part). The float32 bodies of
   the MLP and the MiniResNet keep their activations and dropout masks
-  float32 this way, from the input cast in ``layers.forward_range`` to the
+  float32 this way, from the input cast in ``layers.body_forward`` to the
   features, while their parameters, their gradients, the head and the loss
   stay float64. Their linear layers cast each float64 weight and bias to
   the body's dtype, and :func:`conv2d` computes in its input's dtype too

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .layers import (MC_VARIANTS, ModelParams, ModelSpec, _budget_rows, eval_heads,
-                     forward_range, head_forward, row_blocks)
+from .layers import (MC_VARIANTS, ModelParams, ModelSpec, _budget_rows, body_forward,
+                     eval_heads, head_forward, row_blocks)
 from .tensor import Tensor, _deferred_checks, _row_chunks, _run_deferred, no_grad
 
 
@@ -126,7 +126,10 @@ def unbiased_variance(samples: np.ndarray) -> np.ndarray:
 
 def variance_score(samples: np.ndarray) -> np.ndarray:
     """Score of [T, ..., C] probability draws (MC dropout, variational draws):
-    mean over classes of the unbiased per-class variance, shape [...]."""
+    mean over classes of the unbiased per-class variance, shape [...].
+    The unbiased variance of one draw is undefined, so T must be at least 2."""
+    if len(samples) < 2:
+        raise ValueError(f"variance scoring needs at least 2 draws, got {len(samples)}")
     return unbiased_variance(samples).mean(axis=-1)
 
 
@@ -159,7 +162,7 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    first, end = spec.dropout_positions()[0], len(spec.layers)
+    first = spec.dropout_positions()[0]
     blocks = row_blocks(spec, x)
     pass_rngs = [_rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT) for t in range(T)]
     out = np.empty((T, blocks[-1][0].stop, spec.n_classes))
@@ -170,18 +173,18 @@ def mc_probs(params: ModelParams, spec: ModelSpec, x, T: int, seed: int,
         pass_rng = _rng.PassRng(seed, t, _rng.NS_EVAL_DROPOUT)
         for rows, xb in blocks:
             if rows.start < stop:
-                head_forward(params, spec, forward_range(params, spec, xb, 0, end, pass_rng))
+                head_forward(params, spec, body_forward(params, spec, xb, pass_rng))
 
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for rows, xb in blocks:
             with no_grad(), _deferred_checks():
-                prefix = forward_range(params, spec, xb, 0, first)
+                prefix = body_forward(params, spec, xb, stop=first)
 
             def one_pass(t: int) -> None:
                 with no_grad():
                     logits, _ = _run_deferred(
-                        lambda: head_forward(params, spec, forward_range(params, spec, prefix, first, end,
-                                                                         pass_rngs[t])),
+                        lambda: head_forward(params, spec, body_forward(params, spec, prefix,
+                                                                        pass_rngs[t], start=first)),
                         ("logits",), lambda: replay(t, rows.stop))
                 out[t, rows] = np_softmax(logits.data)
 
@@ -322,14 +325,14 @@ def uncertainty_score(post):
 
     The mean over classes of the per-class variance of the probability
     samples: the MC dropout passes, or the variational draws pushed through
-    softmax (which needs at least 2 draws).
+    softmax. Either needs at least 2 draws (:func:`variance_score`).
     """
     if isinstance(post, PosteriorSamples):
         score = variance_score(post.samples)
     elif not isinstance(post, VariationalOutput):
         raise TypeError(f"cannot score {type(post).__name__}")
-    elif post.samples is None or len(post.samples) < 2:
-        raise ValueError("variational scoring needs at least 2 reparameterized draws")
+    elif post.samples is None:
+        raise ValueError("variational scoring needs reparameterized draws")
     else:
         score = variance_score(np_softmax(post.samples))
     return float(score) if np.ndim(score) == 0 else score

@@ -169,6 +169,14 @@ class TestCsv:
             with pytest.raises(DataError, match=f"fl.csv: line 3: label '{cell}' is not an integer"):
                 load_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_feature_names_file_line_and_column(self, tmp_path, cell):
+        # Dataset's own finiteness check named neither the file nor the line
+        path = tmp_path / "feat.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,2.0,1\n3.0,{cell},1\n")
+        with pytest.raises(DataError, match=f"feat.csv: line 4: column 'f1': '{cell}' is not finite"):
+            load_csv(str(path))
+
 
 class TestIdx:
     def test_round_trip_identity(self, tmp_path):

@@ -15,15 +15,19 @@ from uqnet.layers import (
     build_model,
     body_forward,
     dropout,
-    forward_range,
+    head_forward,
     infer_shapes,
     miniresnet_spec,
     mlp_spec,
-    model_forward,
     validate_spec,
 )
 from uqnet.rng import NS_EVAL_DROPOUT, PassRng
 from uqnet.tensor import Tensor, check_gradient
+
+
+def _logits(params, spec, x, pass_rng=None):
+    """The standard head's logits of one body pass."""
+    return head_forward(params, spec, body_forward(params, spec, x, pass_rng))[0]
 
 
 class _AllKeep:
@@ -279,7 +283,7 @@ class TestModelForward:
                        dtype="float64")
         params = build_model(spec, 7)
         x = np.random.default_rng(8).normal(size=(3, 1, 16, 16))
-        got = model_forward(params, spec, x, PassRng(5, 1)).data
+        got = _logits(params, spec, x, PassRng(5, 1)).data
         want = _reference_forward(params, spec, x, PassRng(5, 1))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -301,17 +305,17 @@ class TestModelForward:
         convs = sum({"conv3x3": 1, "residual-block": 2}.get(layer.kind, 0) for layer in spec.layers)
         params = build_model(spec, 7)
         x = np.random.default_rng(8).normal(size=(3, 1, 16, 16))
-        got = model_forward(params, spec, x, PassRng(5, 1)).data
+        got = _logits(params, spec, x, PassRng(5, 1)).data
         want = _reference_forward(params, spec, x, PassRng(5, 1))
         atol = convs * np.finfo(np.float32).eps * np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
-        assert not np.array_equal(got, model_forward(params, replace(spec, dtype="float64"),
-                                                     x, PassRng(5, 1)).data)
+        assert not np.array_equal(got, _logits(params, replace(spec, dtype="float64"),
+                                               x, PassRng(5, 1)).data)
 
     def test_zero_input_baseline_logits(self):
         spec = miniresnet_spec((1, 16, 16), n_classes=4)
         params = build_model(spec, 0)
-        logits = model_forward(params, spec, np.zeros((1, 16, 16)))
+        logits = _logits(params, spec, np.zeros((1, 16, 16)))
         assert logits.shape == (1, 4)
         assert np.all(np.isfinite(logits.data))
 
@@ -319,16 +323,16 @@ class TestModelForward:
         spec = mlp_spec(2, variant="bayesian2")
         params = build_model(spec, 1)
         x = np.random.default_rng(2).normal(size=(3, 2))
-        a = model_forward(params, spec, x, PassRng(9, 0)).data
-        b = model_forward(params, spec, x, PassRng(9, 0)).data
+        a = _logits(params, spec, x, PassRng(9, 0)).data
+        b = _logits(params, spec, x, PassRng(9, 0)).data
         np.testing.assert_array_equal(a, b)
 
     def test_eval_deterministic_is_bit_identical(self):
         spec = miniresnet_spec((1, 8, 8))
         params = build_model(spec, 4)
         x = np.random.default_rng(3).normal(size=(2, 1, 8, 8))
-        a = model_forward(params, spec, x).data
-        b = model_forward(params, spec, x).data
+        a = _logits(params, spec, x).data
+        b = _logits(params, spec, x).data
         np.testing.assert_array_equal(a, b)
 
     def test_bayesian2_applies_block_count_plus_one_dropouts(self):
@@ -336,7 +340,7 @@ class TestModelForward:
         n_blocks = sum(1 for l in spec.layers if l.kind == "residual-block")
         params = build_model(spec, 6)
         counter = _CountingRng(0, 0)
-        model_forward(params, spec, np.zeros((1, 16, 16)), counter)
+        _logits(params, spec, np.zeros((1, 16, 16)), counter)
         assert len(counter.layers_touched) == n_blocks + 1
 
     def test_stochastic_mode_requires_rng(self):
@@ -345,27 +349,21 @@ class TestModelForward:
         spec = mlp_spec(2, variant="bayesian1")
         params = build_model(spec, 0)
         x = np.random.default_rng(4).normal(size=(3, 2))
-        plain = model_forward(params, spec, x).data
+        plain = _logits(params, spec, x).data
         counter = _CountingRng(3, 0)
-        sampled = model_forward(params, spec, x, counter).data
+        sampled = _logits(params, spec, x, counter).data
         assert counter.layers_touched == spec.dropout_positions()
         assert not np.array_equal(sampled, plain)
-        np.testing.assert_array_equal(model_forward(params, spec, x).data, plain)
-
-    def test_variational_spec_rejected(self):
-        spec = mlp_spec(2, variant="variational")
-        params = build_model(spec, 0)
-        with pytest.raises(ValueError, match="head_forward or eval_heads"):
-            model_forward(params, spec, np.zeros((1, 2)))
+        np.testing.assert_array_equal(_logits(params, spec, x).data, plain)
 
     def test_shape_mismatch_rejected(self):
         spec = mlp_spec(2)
         params = build_model(spec, 0)
         with pytest.raises(ValueError):
-            model_forward(params, spec, np.zeros((1, 3)))
+            _logits(params, spec, np.zeros((1, 3)))
 
 
-class TestForwardRange:
+class TestBodyForwardRange:
     """A body pass split at any layer is the same pass, bit for bit."""
 
     SPECS = [(backbone, variant) for backbone in ("mlp", "miniresnet") for variant in VARIANTS]
@@ -387,23 +385,22 @@ class TestForwardRange:
         def pass_rng():   # one object per pass: it keeps each layer's stream
             return PassRng(9, 2) if sampled else None
 
-        end = len(spec.layers)
         whole = body_forward(params, spec, x, pass_rng()).data
-        for k in range(end + 1):
+        for k in range(len(spec.layers) + 1):
             split_pass = pass_rng()
-            head = forward_range(params, spec, x, 0, k, split_pass)
-            tail = forward_range(params, spec, head, k, end, split_pass)
+            head = body_forward(params, spec, x, split_pass, stop=k)
+            tail = body_forward(params, spec, head, split_pass, start=k)
             assert tail.data.tobytes() == whole.tobytes(), f"split at layer {k}"
 
     def test_stochastic_range_without_dropout_needs_no_rng(self):
         spec, params, x = self.make("miniresnet", "bayesian1")
         first = spec.dropout_positions()[0]
         counter = _CountingRng(9, 2)
-        sampled = forward_range(params, spec, x, 0, first, counter)
-        plain = forward_range(params, spec, x, 0, first)
+        sampled = body_forward(params, spec, x, counter, stop=first)
+        plain = body_forward(params, spec, x, stop=first)
         np.testing.assert_array_equal(sampled.data, plain.data)
         assert counter.layers_touched == []
-        forward_range(params, spec, sampled, first, len(spec.layers), counter)
+        body_forward(params, spec, sampled, counter, start=first)
         assert counter.layers_touched == spec.dropout_positions()
 
     def test_range_casts_what_enters_it_to_the_spec_dtype(self):
@@ -412,9 +409,9 @@ class TestForwardRange:
         # the same bits as the prefix itself.
         spec, params, x = self.make("miniresnet", "bayesian2")
         assert spec.dtype == "float32"
-        first, end = spec.dropout_positions()[0], len(spec.layers)
-        prefix = forward_range(params, spec, x, 0, first)
-        outs = [forward_range(params, spec, h, first, end, PassRng(9, 2))
+        first = spec.dropout_positions()[0]
+        prefix = body_forward(params, spec, x, stop=first)
+        outs = [body_forward(params, spec, h, PassRng(9, 2), start=first)
                 for h in (prefix, Tensor(prefix.data.astype(np.float64)))]
         assert [out.data.dtype for out in outs] == [np.float32, np.float32]
         assert outs[0].data.tobytes() == outs[1].data.tobytes()
@@ -423,7 +420,19 @@ class TestForwardRange:
         spec, params, x = self.make("mlp", "bayesian2")
         for start, stop in ((0, len(spec.layers) + 1), (3, 2), (-1, 2)):
             with pytest.raises(ValueError, match="layer range"):
-                forward_range(params, spec, x, start, stop)
+                body_forward(params, spec, x, start=start, stop=stop)
+
+
+def test_every_exported_name_resolves_and_the_old_forward_entries_are_gone():
+    import uqnet
+    assert len(set(uqnet.__all__)) == len(uqnet.__all__)
+    assert [name for name in uqnet.__all__ if not hasattr(uqnet, name)] == []
+    namespace = {}
+    exec("from uqnet import *", namespace)
+    assert set(uqnet.__all__) <= set(namespace)
+    for gone in ("forward_range", "model_forward"):
+        assert gone not in uqnet.__all__
+        assert not hasattr(uqnet, gone) and not hasattr(uqnet.layers, gone)
 
 
 class TestCheckpoint:
@@ -531,8 +540,8 @@ class TestCheckpoint:
         _edit_header(old, lambda h: {**h, "spec": _without_dtype(h["spec"])})
         loaded, params2, meta = load_checkpoint(str(old))
         assert loaded == spec64
-        want = model_forward(params, spec64, x).data
-        assert model_forward(params2, loaded, x).data.tobytes() == want.tobytes()
+        want = _logits(params, spec64, x).data
+        assert _logits(params2, loaded, x).data.tobytes() == want.tobytes()
         save_checkpoint(str(resaved), loaded, params2, meta)
         assert resaved.read_bytes() == old.read_bytes()
 
@@ -571,12 +580,12 @@ class TestCheckpoint:
         spec = miniresnet_spec((1, 8, 8), variant="bayesian1", p=0.3)
         params = build_model(spec, 9)
         x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
-        before = model_forward(params, spec, x).data
+        before = _logits(params, spec, x).data
         path = tmp_path / "m.bin"
         save_checkpoint(str(path), spec, params)
         if legacy_dropout_p:   # older writers stored a spec-level rate that readers ignore
             _edit_header(path, lambda h: {**h, "spec": {**h["spec"], "dropout_p": 0.5}})
         spec2, params2, _ = load_checkpoint(str(path))
         assert spec2 == spec
-        after = model_forward(params2, spec2, x).data
+        after = _logits(params2, spec2, x).data
         assert after.tobytes() == before.tobytes()

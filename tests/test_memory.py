@@ -19,7 +19,7 @@ from uqnet import rng
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
 from uqnet.layers import (block_rows, body_forward, build_model, head_forward, infer_shapes,
-                          miniresnet_spec, model_forward)
+                          miniresnet_spec)
 from uqnet.losses import objective
 from uqnet.optim import OptimizerConfig
 from uqnet import tensor
@@ -157,7 +157,8 @@ def training_forward(spec):
     tracemalloc.start()
     try:
         pass_rng = rng.PassRng(0, 0, rng.NS_TRAIN_DROPOUT)
-        loss = cross_entropy(model_forward(params, spec, Tensor(x), pass_rng), y)
+        loss = cross_entropy(head_forward(params, spec, body_forward(params, spec, Tensor(x),
+                                                                     pass_rng))[0], y)
         return loss, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 
 import uqnet.tensor as tensor
 from uqnet import rng as _rng
-from uqnet.layers import build_model, miniresnet_spec, model_forward
+from uqnet.layers import body_forward, build_model, head_forward, miniresnet_spec
 from uqnet.tensor import (
     NonFiniteError,
     ShapeError,
@@ -190,7 +190,8 @@ class TestGraphNodes:
 
         def loss_of(params):   # every intermediate Tensor is dropped on return
             pass_rng = _rng.PassRng(0, 0, _rng.NS_TRAIN_DROPOUT)
-            return cross_entropy(model_forward(params, spec, Tensor(x), pass_rng), np.arange(6) % 4)
+            logits = head_forward(params, spec, body_forward(params, spec, Tensor(x), pass_rng))[0]
+            return cross_entropy(logits, np.arange(6) % 4)
 
         def grads():
             params = build_model(spec, 0)

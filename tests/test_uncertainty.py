@@ -9,8 +9,8 @@ import pytest
 from uqnet.data import Dataset
 from uqnet.evaluate import EvalConfig, evaluate
 import uqnet.layers as layers
-from uqnet.layers import (MC_VARIANTS, block_rows, build_model, eval_heads, miniresnet_spec, mlp_spec,
-                          model_forward)
+from uqnet.layers import (MC_VARIANTS, block_rows, body_forward, build_model, eval_heads, head_forward,
+                          miniresnet_spec, mlp_spec)
 from uqnet.rng import NS_EVAL_DROPOUT, NS_EVAL_NOISE, PassRng, stream
 from uqnet.tensor import NonFiniteError, Tensor, _row_chunks, check_gradient, no_grad
 from uqnet.uncertainty import (
@@ -37,7 +37,8 @@ def independent_mc_probs(params, spec, x, T, seed):
     """T full dropout-active passes with nothing shared between them."""
     with no_grad():
         return np.stack([
-            np_softmax(model_forward(params, spec, x, PassRng(seed, t, NS_EVAL_DROPOUT)).data)
+            np_softmax(head_forward(params, spec, body_forward(params, spec, x, PassRng(
+                seed, t, NS_EVAL_DROPOUT)))[0].data)
             for t in range(T)
         ])
 
@@ -321,6 +322,17 @@ class TestScores:
         row = np.array([0.3, -1.7, 2.2, 0.05])
         out = VariationalOutput(row, np.ones(4), np.tile(row, (10, 1)))
         assert uncertainty_score(out) == 0.0
+
+    @pytest.mark.parametrize("post", [
+        PosteriorSamples(np.array([[0.5, 0.5]])),
+        PosteriorSamples(np.full((1, 3, 2), 0.5)),
+        VariationalOutput(np.zeros(4), np.ones(4), np.zeros((1, 4))),
+        VariationalOutput(np.zeros((3, 4)), np.ones((3, 4)), np.zeros((1, 3, 4))),
+    ], ids=["mc", "mc-batch", "variational", "variational-batch"])
+    def test_one_draw_posterior_is_rejected(self, post):
+        # the unbiased variance of one draw is undefined, not zero
+        with pytest.raises(ValueError, match="at least 2 draws, got 1"):
+            uncertainty_score(post)
 
     @pytest.mark.parametrize("draws", [None, np.zeros((1, 4))], ids=["none", "one"])
     def test_sampled_space_requires_draws(self, draws):
